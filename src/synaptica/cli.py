@@ -107,6 +107,22 @@ def _as_number(x, path: str):
     return Fraction(x) if isinstance(x, int) else float(x)
 
 
+def _as_float(x, path: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise CliError(2, f"{path}: bad numeric entry: {x!r}")
+
+
+def _violation(v: eff.AxiomViolation, elements: list[str]) -> dict:
+    """A failed axiom as reported, with the witness named by element labels."""
+    return {
+        "axiom": v.axiom,
+        "witness": [elements[i] for i in v.witness],
+        "detail": v.detail,
+    }
+
+
 def _num_repr(v) -> str:
     return str(v) if isinstance(v, Fraction) else repr(float(v))
 
@@ -174,7 +190,7 @@ def _build_function_algebra(doc: dict, path: str):
     for name, vec in doc.get("values", {}).items():
         if len(vec) != len(points):
             raise CliError(2, f"{path}: element {name!r} has wrong length")
-        values[name] = space.element(np.array([float(x) for x in vec]))
+        values[name] = space.element(np.array([_as_float(x, path) for x in vec]))
     return space, values
 
 
@@ -224,24 +240,12 @@ def _check_one(doc: dict, docs: list[dict], path: str, tol: float) -> dict:
             table, zero, one, elements = _build_effect_algebra(doc, path)
             v = eff.check_ea_axioms(table, zero, one)
             if not v.ok:
-                violations.append(
-                    {
-                        "axiom": v.violation.axiom,
-                        "witness": [elements[i] for i in v.violation.witness],
-                        "detail": v.violation.detail,
-                    }
-                )
+                violations.append(_violation(v.violation, elements))
         elif kind == "mv_algebra":
             plus, perp, zero, elements = _build_mv_algebra(doc, path)
             v = eff.check_mv_axioms(plus, perp, zero, perp[zero])
             if not v.ok:
-                violations.append(
-                    {
-                        "axiom": v.violation.axiom,
-                        "witness": [elements[i] for i in v.violation.witness],
-                        "detail": v.violation.detail,
-                    }
-                )
+                violations.append(_violation(v.violation, elements))
         elif kind == "sym_matrix":
             space, m = _build_sym_matrix(doc, path)
             asym = float(np.max(np.abs(m - m.T)))
@@ -334,14 +338,17 @@ def cmd_check(args) -> int:
     return 1 if any_violation else 0
 
 
+def _pretty_violations(violations: list[dict]) -> list[str]:
+    return [f"  {v['axiom']} at {v['witness']}: {v['detail']}" for v in violations]
+
+
 def _pretty_check(report) -> list[str]:
     lines = []
     for f in report["files"]:
         for d in f["documents"]:
             mark = "ok" if d["valid"] else "VIOLATION"
             lines.append(f"{f['path']} {d['kind']} {d['label'] or '-'}: {mark}")
-            for v in d["violations"]:
-                lines.append(f"  {v['axiom']} at {v['witness']}: {v['detail']}")
+            lines.extend(_pretty_violations(d["violations"]))
     lines.append("all valid" if report["ok"] else "violations found")
     return lines
 
@@ -417,11 +424,23 @@ def _pretty_spectral(report) -> list[str]:
 
 
 def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bool):
-    """Report for one document, or None for kinds without a state space."""
+    """Report for one document, or None for kinds without a state space.
+
+    An effect algebra that fails its axioms has no state space; its
+    report names the failed axiom and the witness instead.
+    """
     kind = doc["kind"]
     if kind == "effect_algebra":
         table, zero, one, elements = _build_effect_algebra(doc, path)
-        ea = eff.FiniteEffectAlgebra(table, zero, one, labels=elements)
+        checked = eff.check_ea_axioms(table, zero, one, elements)
+        if not checked.ok:
+            return {
+                "label": doc.get("label", ""),
+                "kind": "effect_algebra",
+                "n_elements": len(elements),
+                "violations": [_violation(checked.violation, elements)],
+            }
+        ea = checked.structure
         poly = stt.state_polytope(ea)
         rep = {
             "label": doc.get("label", ""),
@@ -481,16 +500,15 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
             "over": doc["over"],
             "is_state": sub["valid"],
         }
-        if extremal and over["kind"] == "function_algebra":
+        if extremal and over["kind"] == "function_algebra" and sub["valid"]:
             space, _ = _build_function_algebra(over, path)
             mu = np.array([float(x) for x in _state_body(doc, "vector", path)])
-            if sub["valid"]:
-                ch = stt.extremal_commutative_characterization(space, mu)
-                rep["is_vertex"] = ch.is_vertex
-                rep["point_evaluation"] = ch.point_evaluation
-                rep["is_multiplicative"] = ch.is_multiplicative
-                rep["zero_one_on_projections"] = ch.zero_one_on_projections
-                rep["min_rule_holds"] = ch.min_rule_holds
+            ch = stt.extremal_commutative_characterization(space, mu)
+            rep["is_vertex"] = ch.is_vertex
+            rep["point_evaluation"] = ch.point_evaluation
+            rep["is_multiplicative"] = ch.is_multiplicative
+            rep["zero_one_on_projections"] = ch.zero_one_on_projections
+            rep["min_rule_holds"] = ch.min_rule_holds
         return rep
     return None
 
@@ -509,7 +527,7 @@ def cmd_states(args) -> int:
                 reports.append(rep)
     report = {"command": "states", "tolerance": tol, "structures": reports}
     _emit(report, args.pretty, _pretty_states)
-    return 0
+    return 1 if any("violations" in r for r in reports) else 0
 
 
 def _pretty_states(report) -> list[str]:
@@ -518,6 +536,10 @@ def _pretty_states(report) -> list[str]:
         if r["kind"] == "state":
             lines.append(f"state {r['label'] or '-'} over {r['over']}: "
                          f"{'valid' if r['is_state'] else 'NOT A STATE'}")
+            continue
+        if "violations" in r:
+            lines.append(f"{r['kind']} {r['label'] or '-'}: VIOLATION")
+            lines.extend(_pretty_violations(r["violations"]))
             continue
         head = f"{r['kind']} {r['label'] or '-'}: dimension {r['dimension']}, {r['n_vertices']} vertices"
         if r.get("note"):

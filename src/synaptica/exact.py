@@ -1,24 +1,30 @@
 """Exact rational linear algebra for small state polytopes.
 
-Everything here works over fractions.Fraction so vertex coordinates come
-out as exact rationals. The polytopes we care about all have the shape
+Everything here works over fractions.Fraction and Python integers, so
+vertex coordinates come out as exact rationals. The polytopes we care
+about all have the shape
 
     { x in [0, 1]^n : A x = b }
 
 (state spaces of finite effect algebras, probability simplexes). Vertex
-enumeration parametrizes the affine solution set of the equalities and
-then enumerates basic feasible solutions of the box constraints, the
-classic combinations-of-active-rows scan. Infeasibility is certified
-exactly: either an inconsistent combination of the equalities, or a
-Fourier-Motzkin refutation of the reduced inequality system with the
-nonnegative multipliers traced back to the original rows.
+enumeration parametrizes the affine solution set of the equalities as
+x = p + B t, turning the box into a system G t <= h, and homogenises
+that system to the cone {(t, s) : G t - h s <= 0, s >= 0}. The
+double-description method of Motzkin et al. (1953), in the form of
+Fukuda and Prodon (1996), builds the cone's extreme rays by inserting
+one row at a time; the vertices are the rays with s > 0, read off as
+t / s. Certificates are built only when something fails: the equality
+elimination is re-run with an identity block to trace the combination
+that reduces to 0 = nonzero, and a system without vertices is refuted
+by Fourier-Motzkin elimination with the nonnegative multipliers traced
+back to the original rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 
 __all__ = [
     "rref",
@@ -37,25 +43,33 @@ def _frac_rows(rows) -> list[list[Fraction]]:
     return [[F(v) for v in row] for row in rows]
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy) and the pivot column list."""
+def rref(
+    rows: list[list[Fraction]], ncols: int | None = None
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (copy) and the pivot column list.
+
+    Pivots are sought in the first ncols columns only (all columns by
+    default); the columns after them are carried along by the row
+    operations.
+    """
     m = [row[:] for row in rows]
     if not m:
         return m, []
-    nrows, ncols = len(m), len(m[0])
+    nrows = len(m)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if ncols is None else ncols):
         pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = F(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        pivot = m[r] = [v * inv if v else v for v in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 factor = m[i][c]
-                m[i] = [vi - factor * vr for vi, vr in zip(m[i], m[r])]
+                # the rows are mostly zeros; skipping them changes no value
+                m[i] = [vi - factor * vr if vr else vi for vi, vr in zip(m[i], pivot)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -114,44 +128,30 @@ def affine_solution_set(
 ) -> AffineSet | InfeasibilityCertificate:
     """Parametrize {x: A x = b} or certify inconsistency.
 
-    The reduction carries an identity block so every reduced row knows
-    which rational combination of the original equalities produced it.
+    [A | b] is reduced with pivots in the n coefficient columns. Only
+    when a row reduces to 0 = nonzero is the reduction re-run with an
+    identity block, so that the row knows which rational combination of
+    the original equalities produced it; the pivot order is the same.
     """
     a = _frac_rows(a_rows)
     b = [F(v) for v in b_vals]
     nrows = len(a)
-    # layout per row: n coefficient cols | nrows multiplier cols | rhs
-    aug = [a[i][:] + [F(int(i == j)) for j in range(nrows)] + [b[i]] for i in range(nrows)]
+    m, pivots = rref([a[i] + [b[i]] for i in range(nrows)], n)
+    r = len(pivots)
 
-    m = [row[:] for row in aug]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):  # only eliminate over the coefficient columns
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = F(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [vi - factor * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-
-    for i in range(r, nrows):
-        if m[i][-1] != 0:  # 0 = nonzero
-            mults = tuple(
-                (j, m[i][n + j]) for j in range(nrows) if m[i][n + j] != 0
-            )
-            return InfeasibilityCertificate(
-                "equalities",
-                mults,
-                f"combination of equalities reduces to 0 = {m[i][-1]}",
-            )
+    if any(m[i][-1] != 0 for i in range(r, nrows)):
+        # layout per row: n coefficient cols | nrows multiplier cols | rhs
+        traced, _ = rref(
+            [a[i] + [F(int(i == j)) for j in range(nrows)] + [b[i]] for i in range(nrows)],
+            n,
+        )
+        row = next(row for row in traced[r:] if row[-1] != 0)  # 0 = nonzero
+        mults = tuple((j, row[n + j]) for j in range(nrows) if row[n + j] != 0)
+        return InfeasibilityCertificate(
+            "equalities",
+            mults,
+            f"combination of equalities reduces to 0 = {row[-1]}",
+        )
 
     free_cols = [c for c in range(n) if c not in pivots]
     particular = [F(0)] * n
@@ -206,6 +206,78 @@ def _fourier_motzkin(rows: list[tuple[list[Fraction], Fraction]]) -> Infeasibili
     return None
 
 
+def _primitive(vec: list[Fraction]) -> list[int]:
+    """The positive multiple of a nonzero rational vector with coprime integer entries."""
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _double_description(
+    rows: list[tuple[tuple[Fraction, ...], Fraction]], d: int
+) -> list[list[Fraction]]:
+    """Vertices of the bounded polytope {t : coeffs . t <= rhs for each row}.
+
+    The rows are homogenised to the cone {(t, s) : G t - h s <= 0,
+    -s <= 0} in D = d + 1 dimensions, each scaled to a primitive integer
+    vector. The first D independent rows give a simplicial cone whose
+    extreme rays seed the list. Every further row keeps the rays on its
+    feasible side and adds, for each adjacent pair it separates, their
+    positive combination on its hyperplane. Two rays are adjacent when
+    the rows they both lie on number at least D - 2 and no other ray
+    lies on all of them. Rays are kept as primitive integer vectors and
+    the rows a ray lies on as a bitmask over the rows inserted so far.
+    The polytope is bounded, so the cone is pointed and its extreme rays
+    are the vertices scaled by s > 0; an empty polytope leaves no ray.
+    """
+    D = d + 1
+    cone = [[0] * d + [-1]] + [_primitive(list(c) + [-r]) for c, r in rows]
+    # the first D independent rows are the pivot columns of the transpose
+    _, start = rref([[F(row[k]) for row in cone] for k in range(D)])
+    if len(start) != D:
+        raise RuntimeError("the box rows do not span the parameter space")
+    # [A_K | I] reduces to [I | A_K^-1]; ray j solves A_K r = -e_j
+    inverse, _ = rref(
+        [[F(v) for v in cone[i]] + [F(int(i == j)) for j in start] for i in start], D
+    )
+    seeded = sum(1 << i for i in start)
+    rays = [
+        (_primitive([-inverse[k][D + j] for k in range(D)]), seeded & ~(1 << i))
+        for j, i in enumerate(start)
+    ]
+
+    for i, a in enumerate(cone):
+        if seeded >> i & 1:
+            continue
+        bit = 1 << i
+        positive, negative, kept = [], [], []
+        for ray, zeros in rays:
+            v = sum(x * y for x, y in zip(a, ray))
+            if v > 0:
+                positive.append((v, ray, zeros))
+            elif v < 0:
+                negative.append((v, ray, zeros))
+                kept.append((ray, zeros))
+            else:
+                kept.append((ray, zeros | bit))
+        zero_sets = [zeros for _, zeros in rays]
+        for vp, p, zp in positive:
+            for vn, q, zq in negative:
+                common = zp & zq
+                if common.bit_count() < D - 2 or any(
+                    (z & common) == common for z in zero_sets if z != zp and z != zq
+                ):
+                    continue
+                ray = [vp * y - vn * x for x, y in zip(p, q)]
+                g = gcd(*ray)
+                kept.append(([x // g for x in ray], common | bit))
+        rays = kept
+        if not rays:
+            break
+    return [[F(x, ray[d]) for x in ray[:d]] for ray, _ in rays if ray[d] > 0]
+
+
 @dataclass
 class VertexEnumeration:
     """Outcome of exact vertex enumeration over {x in [0,1]^n : Ax = b}."""
@@ -221,10 +293,14 @@ class VertexEnumeration:
 def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
     """All vertices of {x in [0,1]^n : A x = b}, exactly.
 
-    Every returned point satisfies the constraints exactly and is a
-    basic feasible solution (d active independent rows), hence a true
-    vertex. A bounded nonempty polytope has at least one vertex, so an
-    empty vertex list means infeasible and comes with a certificate.
+    The box becomes a system of rows in the d parameters of the affine
+    solution set, and the vertices are the s > 0 extreme rays of its
+    homogenised cone, found by the double-description method. Every
+    vertex is re-checked exactly against every row. A bounded nonempty
+    polytope has at least one vertex, so an empty vertex list means
+    infeasible and comes with a certificate, built only then: from the
+    equalities when they are inconsistent, from a coordinate they force
+    outside [0, 1], or by Fourier-Motzkin elimination of the rows.
     """
     sol = affine_solution_set(a_rows, b_vals, n)
     if isinstance(sol, InfeasibilityCertificate):
@@ -268,18 +344,10 @@ def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
             sum(c * tv for c, tv in zip(coeffs, t)) <= rhs for coeffs, rhs in rows
         )
 
-    seen: set[tuple[Fraction, ...]] = set()
     verts: list[list[Fraction]] = []
-    for combo in combinations(range(len(rows)), d):
-        a_sub = [list(rows[i][0]) for i in combo]
-        b_sub = [rows[i][1] for i in combo]
-        t = solve_square(a_sub, b_sub)
-        if t is None or not satisfied(t):
-            continue
-        key = tuple(t)
-        if key in seen:
-            continue
-        seen.add(key)
+    for t in _double_description(rows, d):
+        if not satisfied(t):
+            raise RuntimeError(f"double description produced {t}, outside the rows")
         verts.append(sol.point(t))
 
     if not verts:

@@ -26,7 +26,7 @@ from numbers import Rational
 import numpy as np
 
 from .effect_algebras import FiniteEffectAlgebra
-from .exact import InfeasibilityCertificate, enumerate_box_vertices
+from .exact import InfeasibilityCertificate, enumerate_box_vertices, rref
 from .order_unit import (
     Element,
     ExtendedLinearMap,
@@ -220,8 +220,8 @@ class StatePolytope:
 def state_polytope(ea: FiniteEffectAlgebra) -> StatePolytope:
     """Cut out the state space and enumerate its vertices exactly.
 
-    Every vertex is re-verified to be an exact state and, pairwise, not
-    a proper convex combination of two other vertices.
+    Every vertex is re-verified to be an exact state and to be extreme:
+    no other point of the polytope is 0 and 1 where the vertex is.
     """
     n = ea.n
     triples = []
@@ -255,7 +255,7 @@ def state_polytope(ea: FiniteEffectAlgebra) -> StatePolytope:
     for st in verts:
         if not is_state(ea, st):
             raise AssertionError("enumerated vertex is not a state")
-    _assert_no_proper_combinations(verts)
+    _assert_vertices_are_extreme(rows, verts)
     return StatePolytope(
         ea=ea,
         equalities=triples,
@@ -266,34 +266,24 @@ def state_polytope(ea: FiniteEffectAlgebra) -> StatePolytope:
     )
 
 
-def _assert_no_proper_combinations(verts: list[EffectAlgebraState]) -> None:
-    pts = [st.values for st in verts]
-    for i, u in enumerate(pts):
-        for j, v in enumerate(pts):
-            for k in range(j + 1, len(pts)):
-                w = pts[k]
-                if j == i or k == i:
-                    continue
-                # is u = t v + (1-t) w for some t in (0,1), exactly?
-                t = None
-                ok = True
-                for uc, vc, wc in zip(u, v, w):
-                    denom = vc - wc
-                    if denom == 0:
-                        if uc != wc:
-                            ok = False
-                            break
-                        continue
-                    cand = Fraction(uc - wc, 1) / denom
-                    if t is None:
-                        t = cand
-                    elif cand != t:
-                        ok = False
-                        break
-                if ok and t is not None and 0 < t < 1:
-                    raise AssertionError(
-                        f"vertex {i} is a proper combination of vertices {j} and {k}"
-                    )
+def _assert_vertices_are_extreme(rows: list[list[int]], verts: list[EffectAlgebraState]) -> None:
+    """Exact vertex test in x-space, over Fraction.
+
+    x is a vertex of {x in [0,1]^n : A x = b} exactly when the rows of A
+    and the unit rows of the coordinates where x is 0 or 1 have rank n.
+    The unit rows pivot on their own columns, so the test is that A,
+    restricted to the other coordinates, has full column rank.
+    """
+    for k, st in enumerate(verts):
+        free = [i for i, v in enumerate(st.values) if v != 0 and v != 1]
+        if not free:
+            continue  # the unit rows alone have rank n
+        _, pivots = rref([[Fraction(row[i]) for i in free] for row in rows])
+        if len(pivots) < len(free):
+            raise AssertionError(
+                f"vertex {k} is not extreme: the equalities fix only {len(pivots)} "
+                f"of its {len(free)} coordinates strictly inside (0, 1)"
+            )
 
 
 def extremal_states(arg) -> list[EffectAlgebraState]:

@@ -304,6 +304,48 @@ def test_states_on_state_documents(tmp_path, capsys):
     assert r["is_vertex"] is False and r["min_rule_holds"] is False
 
 
+def test_states_extremal_on_a_non_numeric_state_vector(tmp_path, capsys):
+    # the check reports it as no state; --extremal must not parse it again
+    fn = {"kind": "function_algebra", "label": "xy", "points": ["x", "y"]}
+    st = {"kind": "state", "label": "bad", "over": "xy", "vector": [0.5, "x"]}
+    path = write_json(tmp_path, "s.json", [fn, st])
+    rc, out = run(capsys, "states", path, "--extremal")
+    assert rc == 0
+    r = json.loads(out)["structures"][1]
+    assert r["is_state"] is False and "is_vertex" not in r
+
+
+def test_states_axiom_failure_exits_one(tmp_path, capsys):
+    # probe:states:axiom-failure -- the three-element chain without h + h,
+    # so h has no orthosupplement and there is no state space to report
+    doc = dict(CHAIN_EA, osum=[t for t in CHAIN_EA["osum"] if t[:2] != ["h", "h"]])
+    path = write_json(tmp_path, "bad.json", doc)
+    rc, out = run(capsys, "states", path, "--extremal")
+    assert rc == 1
+    r = json.loads(out)["structures"][0]
+    assert r["violations"] == [
+        {"axiom": "orthosupplement", "witness": ["h"], "detail": "no orthosupplement"}
+    ]
+    assert "dimension" not in r and "vertices" not in r
+    rc, out = run(capsys, "states", path, "--pretty")
+    assert rc == 1
+    assert out.splitlines() == [
+        "effect_algebra halves: VIOLATION",
+        "  orthosupplement at ['h']: no orthosupplement",
+    ]
+
+
+def test_states_non_numeric_function_value_exits_two(tmp_path, capsys):
+    # probe:states:non-numeric
+    doc = {"kind": "function_algebra", "label": "F", "points": ["p", "q"],
+           "values": {"g": [1.0, "x"]}}
+    path = write_json(tmp_path, "f.json", doc)
+    rc = main(["states", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "bad numeric entry: 'x'" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -6,6 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import box_vertices_by_scan, state_equalities
+from synaptica.catalog import (
+    boolean_effect_algebra,
+    chain_effect_algebra,
+    diamond_pair,
+    mo2_effect_algebra,
+    product_effect_algebra,
+)
 from synaptica.exact import (
     InfeasibilityCertificate,
     affine_solution_set,
@@ -132,7 +140,7 @@ def random_systems(draw):
 @settings(max_examples=60, deadline=None)
 def test_enumeration_is_sound(case):
     rows, rhs, n = case
-    enum = enumerate_box_vertices(rows, rhs, n)
+    enum = assert_agrees_with_scan(rows, rhs, n)  # the scan finds every vertex
     if not enum.feasible:
         assert enum.certificate is not None
         return
@@ -148,3 +156,87 @@ def test_enumeration_is_sound(case):
             if i < j:
                 mid = tuple((a + b) / 2 for a, b in zip(u, w))
                 assert mid not in vset - {u, w}
+
+
+# ---------------------------------------------------------------------------
+# Cross-check against the combinations scan in tests/helpers.py, which
+# finds every vertex by brute force: agreement shows completeness as well
+# as soundness, and certificates must agree to the multiplier.
+
+
+def assert_agrees_with_scan(rows, rhs, n):
+    enum = enumerate_box_vertices(rows, rhs, n)
+    scan = box_vertices_by_scan(rows, rhs, n)
+    assert enum.feasible == scan.feasible
+    assert enum.dimension == scan.dimension
+    assert enum.vertices == scan.vertices
+    cert = enum.certificate
+    assert (cert and (cert.kind, cert.multipliers, cert.detail)) == scan.certificate
+    return enum
+
+
+CATALOG = {
+    **{f"chain({s})": (lambda s=s: chain_effect_algebra(s)) for s in range(1, 9)},
+    **{f"2^{k}": (lambda k=k: boolean_effect_algebra(k)) for k in range(1, 5)},
+    "MO2": mo2_effect_algebra,
+    "diamond": diamond_pair,
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_catalog_algebras_agree_with_scan(name):
+    ea = CATALOG[name]()
+    enum = assert_agrees_with_scan(*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+    assert enum.feasible
+
+
+PRODUCT_FACTORS = {
+    "MO2x2^1": (mo2_effect_algebra, lambda: boolean_effect_algebra(1)),
+    "MO2xchain(2)": (mo2_effect_algebra, lambda: chain_effect_algebra(2)),
+    "2^2x2^2": (lambda: boolean_effect_algebra(2), lambda: boolean_effect_algebra(2)),
+    "chain(2)xchain(3)": (lambda: chain_effect_algebra(2), lambda: chain_effect_algebra(3)),
+    "diamondxMO2": (diamond_pair, mo2_effect_algebra),
+    "MO2x2^2": (mo2_effect_algebra, lambda: boolean_effect_algebra(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FACTORS))
+def test_products_agree_with_scan(name):
+    a, b = (make() for make in PRODUCT_FACTORS[name])
+    ea = product_effect_algebra(a, b)
+    assert ea.n <= 24
+    enum = assert_agrees_with_scan(*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+    assert enum.feasible
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_simplexes_agree_with_scan(k):
+    enum = assert_agrees_with_scan([[1] * k], [1], k)
+    assert len(enum.vertices) == k
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, n",
+    [
+        ([], [], 5),                                              # the 5-cube
+        ([[1] * 6], [3], 6),                                      # hypersimplex, 20 vertices
+        ([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], [1, 2], 6),   # two simplexes, product
+    ],
+    ids=["cube(5)", "hypersimplex(6,3)", "simplex-x-hypersimplex"],
+)
+def test_higher_dimensional_systems_agree_with_scan(rows, rhs, n):
+    # dimensions 4-5, where adjacency needs the zero-set containment test
+    # and not only the count of common zeros
+    assert_agrees_with_scan(rows, rhs, n)
+
+
+def test_certificates_agree_with_scan():
+    # one system per certificate kind, each checked to the multiplier
+    cases = {
+        "equalities": ([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 1], 3),
+        "bound": ([[1, 0], [1, 1]], [2, 2], 2),
+        "inequalities": ([[1, 1, 1]], [4], 3),
+    }
+    for kind, (rows, rhs, n) in cases.items():
+        enum = assert_agrees_with_scan(rows, rhs, n)
+        assert not enum.feasible and enum.certificate.kind == kind
