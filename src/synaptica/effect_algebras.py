@@ -96,9 +96,6 @@ class FiniteEffectAlgebra:
     def osum(self, e: int, f: int) -> int | None:
         return self.table[e][f]
 
-    def defined(self, e: int, f: int) -> bool:
-        return self.table[e][f] is not None
-
     def orthogonal(self, e: int, f: int) -> bool:
         return self.table[e][f] is not None
 
@@ -205,7 +202,7 @@ def induced_order(ea: FiniteEffectAlgebra) -> FinitePoset:
         for f in range(n):
             if poset.leq(e, f) != poset.leq(perp[f], perp[e]):
                 raise EffectAlgebraError(f"order duality fails on ({e}, {f})")
-            if ea.defined(e, f) != poset.leq(e, perp[f]):
+            if ea.orthogonal(e, f) != poset.leq(e, perp[f]):
                 raise EffectAlgebraError(f"orthogonality mismatch on ({e}, {f})")
     ea._order = poset
     return poset
@@ -229,7 +226,7 @@ def oml_to_ea(latt) -> FiniteEffectAlgebra:
         for b in range(n):
             if order.leq(a, b) != latt.leq(a, b):
                 raise EffectAlgebraError(f"induced order disagrees with lattice at ({a}, {b})")
-            if ea.defined(a, b) and latt.meet(a, b) != latt.zero:
+            if ea.orthogonal(a, b) and latt.meet(a, b) != latt.zero:
                 raise EffectAlgebraError(f"orthogonal pair ({a}, {b}) is not disjoint")
     return ea
 
@@ -318,7 +315,7 @@ def is_mv_effect_algebra(ea: FiniteEffectAlgebra) -> bool:
         return False
     for e in range(ea.n):
         for f in range(ea.n):
-            if meet(order, e, f) == ea.zero and not ea.defined(e, f):
+            if meet(order, e, f) == ea.zero and not ea.orthogonal(e, f):
                 return False
     return True
 

@@ -13,6 +13,31 @@ on the function instance; the function instance otherwise computes
 pointwise and exactly, which makes it the oracle for every commutative
 identity. Matrices are symmetrized on construction and inputs whose
 asymmetry exceeds 1e-10 are rejected rather than silently repaired.
+
+The space protocol. Both classes define the same methods, and synaptic,
+states and stone are written once against them; nothing outside this
+module asks which instance it holds. x, y, d are payload arrays; a, p,
+q are Elements.
+
+  element, unit, zero_element, basis    construction
+  norm_of, contains_positive            order-unit norm and cone
+  product, commutes                     ambient associative product
+  eigh(x)                 ascending eigenvalues and a frame; on functions
+                          the values themselves, sorted, and the points
+                          they sit at, with no tolerance
+  assemble(frame, vals)   sum of vals[i] e_i over the frame members
+  projector(frame, idx)   projection onto the span of frame members idx
+  rank_tol(vals)          RANK_RTOL * max(1, max|vals|), or 0.0 on
+                          functions, so one |lam| > tol test is exact there
+  pairing(x, y)           trace(xy), or the dot product
+  is_projection(a)        p^2 = p, to PROJ_TOL, or exactly
+  commutant(gens)         null space of the commutators, or everything
+  projection_meet(p, q)   range intersection by SVD, or the minimum
+  is_density(d, tol)      d represents a state through the pairing
+
+Each method is defined directly on each class, with no shared base:
+perfbench/tracer.py wraps the construction, norm, cone and product
+methods by reading them out of each class's own namespace.
 """
 
 from __future__ import annotations
@@ -25,7 +50,6 @@ __all__ = [
     "Element",
     "SymmetricMatrixSpace",
     "FunctionSpace",
-    "order_unit_norm",
     "in_unit_interval",
     "positive_decomposition",
     "ExtendedLinearMap",
@@ -36,6 +60,8 @@ __all__ = [
 PSD_TOL = 1e-9          # matrix cone: min eigenvalue >= -PSD_TOL * max(1, ||a||)
 POINTWISE_TOL = 1e-12   # function cone: values >= -POINTWISE_TOL
 ASYMMETRY_TOL = 1e-10   # rejected if symmetrization moves the input more than this
+RANK_RTOL = 1e-8        # relative threshold for rank, clustering, invertibility
+PROJ_TOL = 1e-9         # residual allowed in ||p^2 - p|| for the projection test
 
 
 class Element:
@@ -162,6 +188,69 @@ class SymmetricMatrixSpace:
         vals[:rank] = 1.0
         return Element(self, (q * vals) @ q.T)
 
+    def eigh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(x)
+
+    def assemble(self, frame: np.ndarray, values) -> np.ndarray:
+        return (frame * values) @ frame.T
+
+    def projector(self, frame: np.ndarray, idx) -> np.ndarray:
+        cols = frame[:, idx]
+        return cols @ cols.T
+
+    def rank_tol(self, values: np.ndarray) -> float:
+        return RANK_RTOL * max(1.0, float(np.max(np.abs(values))))
+
+    def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.trace(x @ y))
+
+    def is_projection(self, a: Element) -> bool:
+        residual = float(np.max(np.abs(self.product(a, a) - a.payload)))
+        # the allowance is PROJ_TOL * max(1, ||a||) >= PROJ_TOL, so the
+        # norm (an eigenvalue computation) is needed only past PROJ_TOL
+        return residual <= PROJ_TOL or residual <= PROJ_TOL * max(1.0, a.norm())
+
+    def commutant(self, generators: list[Element]) -> list[Element]:
+        """Null space of x -> (xg - gx for each g) over the basis coordinates."""
+        basis = self.basis()
+        if not generators:
+            return basis
+        # one column per coordinate of Sym(n), one block row per generator
+        cols = [
+            np.concatenate([(s.payload @ g.payload - g.payload @ s.payload).ravel()
+                            for g in generators])
+            for s in basis
+        ]
+        _, sv, vt = np.linalg.svd(np.stack(cols, axis=1))
+        null = vt[int(np.sum(sv > self.rank_tol(sv))):]
+        return [
+            Element(self, sum(w * s.payload for w, s in zip(coeffs, basis)))
+            for coeffs in null
+        ]
+
+    def projection_meet(self, p: Element, q: Element) -> Element:
+        """Null space of the stacked [1-p; 1-q]; no commutativity assumed."""
+        eye = np.eye(self.n)
+        _, sv, vt = np.linalg.svd(np.vstack([eye - p.payload, eye - q.payload]))
+        null = vt[int(np.sum(sv > self.rank_tol(sv))):]  # orthonormal rows spanning the meet
+        return Element(self, null.T @ null)
+
+    def is_density(self, d: np.ndarray, tol: float) -> bool:
+        """Symmetric, unit trace, PSD, and nonnegative on sampled squares."""
+        if d.shape != (self.n, self.n) or np.max(np.abs(d - d.T)) > 1e-10:
+            return False
+        if abs(float(np.trace(d)) - 1.0) > tol:
+            return False
+        if np.linalg.eigvalsh((d + d.T) / 2.0).min() < -tol:
+            return False
+        # positivity through the functional, on sampled squares
+        rng = np.random.default_rng(99)
+        for _ in range(4):
+            b = self.random_element(rng)
+            if self.pairing(d, b.payload @ b.payload) < -tol:
+                return False
+        return True
+
     def __repr__(self) -> str:
         return f"SymmetricMatrixSpace({self.n})"
 
@@ -222,13 +311,43 @@ class FunctionSpace:
         v = (rng.uniform(0.0, 1.0, self.dimension) < 0.5).astype(float)
         return Element(self, v)
 
+    def eigh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(x, kind="stable")
+        return x[order], order
+
+    def assemble(self, frame: np.ndarray, values) -> np.ndarray:
+        out = np.empty(self.dimension)
+        out[frame] = values
+        return out
+
+    def projector(self, frame: np.ndarray, idx) -> np.ndarray:
+        out = np.zeros(self.dimension)
+        out[frame[idx]] = 1.0
+        return out
+
+    def rank_tol(self, values: np.ndarray) -> float:
+        return 0.0
+
+    def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.dot(x, y))
+
+    def is_projection(self, a: Element) -> bool:
+        return bool(np.all((a.payload == 0.0) | (a.payload == 1.0)))
+
+    def commutant(self, generators: list[Element]) -> list[Element]:
+        return self.basis()
+
+    def projection_meet(self, p: Element, q: Element) -> Element:
+        return Element(self, np.minimum(p.payload, q.payload))
+
+    def is_density(self, d: np.ndarray, tol: float) -> bool:
+        """Nonnegative weights summing to one."""
+        if d.shape != (self.dimension,):
+            return False
+        return bool(d.min() >= -POINTWISE_TOL and abs(float(d.sum()) - 1.0) <= tol)
+
     def __repr__(self) -> str:
         return f"FunctionSpace({list(self.points)!r})"
-
-
-def order_unit_norm(a: Element) -> float:
-    """inf of lam with -lam v <= a <= lam v; closed form per instance."""
-    return a.norm()
 
 
 def in_unit_interval(a: Element) -> bool:

@@ -254,16 +254,19 @@ def _orthomodular(latt: BoundedOrtholattice) -> bool:
 
 
 def classify(structure) -> Classification:
-    """Decide the standard lattice-theoretic flags by exhaustive scan."""
+    """Decide the standard lattice-theoretic flags by exhaustive scan.
+
+    An ortholattice brings the meet and join tables its constructor
+    already built; a plain poset has them scanned here.
+    """
     if isinstance(structure, BoundedOrtholattice):
-        p = structure.poset
-        latt = structure
+        p, latt = structure.poset, structure
+        meets, joins = structure._meets, structure._joins
     else:
-        p = structure
-        latt = None
+        p, latt = structure, None
+        meets = [[meet(p, a, b) for b in range(p.n)] for a in range(p.n)]
+        joins = [[join(p, a, b) for b in range(p.n)] for a in range(p.n)]
     n = p.n
-    meets = [[meet(p, a, b) for b in range(n)] for a in range(n)]
-    joins = [[join(p, a, b) for b in range(n)] for a in range(n)]
     is_lattice = all(
         meets[a][b] is not None and joins[a][b] is not None
         for a in range(n)
@@ -294,7 +297,9 @@ def classify(structure) -> Classification:
     if latt is not None:
         oml = _orthomodular(latt)
 
-    is_directed = all(
+    # in a lattice every pair has its join above and its meet below, so
+    # directedness and the Dedekind condition need no scan there
+    is_directed = is_lattice or all(
         p.upper_bounds((a, b)) and p.lower_bounds((a, b))
         for a in range(n)
         for b in range(n)
@@ -302,7 +307,7 @@ def classify(structure) -> Classification:
 
     # Dedekind: pairs bounded above have joins, pairs bounded below have
     # meets; finite induction lifts this to arbitrary bounded subsets.
-    dedekind = all(
+    dedekind = is_lattice or all(
         (not p.upper_bounds((a, b)) or joins[a][b] is not None)
         and (not p.lower_bounds((a, b)) or meets[a][b] is not None)
         for a in range(n)

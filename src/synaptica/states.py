@@ -5,9 +5,11 @@ defined orthosums with value 1 at the top; the collection of all of
 them is a polytope cut out by the orthosum table, and its vertices are
 enumerated exactly over the rationals. States on the two order-unit
 instances are positive normalized linear functionals, represented
-canonically by a density matrix (rho(a) = trace(D a)) or a probability
-vector. The bijection with effect-interval morphisms goes through the
-extension machinery of order_unit.
+canonically by a density d through the space's pairing: a density
+matrix (rho(a) = trace(D a)) or a probability vector (rho(a) = mu . a).
+The state checks, reports and reconstructions are written once against
+the space protocol of order_unit. The bijection with effect-interval
+morphisms goes through the extension machinery of order_unit.
 
 The extremal-state story of the commutative instance is implemented in
 full: vertex membership, point evaluations, multiplicativity, zero-one
@@ -86,36 +88,52 @@ class EffectAlgebraState:
         return f"EffectAlgebraState({list(self.values)!r})"
 
 
-class DensityMatrixState:
+class _DensityState:
+    """rho(a) = pairing(d, a) for the read-only density payload d."""
+
+    def __init__(self, space, density):
+        self.space = space
+        d = np.asarray(density, dtype=float)
+        self.density = (d + d.T) / 2.0  # a vector is its own transpose
+        self.density.flags.writeable = False
+
+    def __call__(self, a: Element) -> float:
+        return self.space.pairing(self.density, a.payload)
+
+
+class DensityMatrixState(_DensityState):
     """rho(a) = trace(D a) for a symmetric PSD unit-trace D."""
 
     def __init__(self, space: SymmetricMatrixSpace, matrix):
-        self.space = space
-        m = np.asarray(matrix, dtype=float)
-        self.matrix = (m + m.T) / 2.0
-        self.matrix.flags.writeable = False
+        super().__init__(space, matrix)
 
-    def __call__(self, a: Element) -> float:
-        return float(np.trace(self.matrix @ a.payload))
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.density
 
     def __repr__(self) -> str:
         return f"DensityMatrixState(n={self.space.n})"
 
 
-class ProbabilityVectorState:
+class ProbabilityVectorState(_DensityState):
     """rho(a) = sum of mu(x) a(x) over the points of a function algebra."""
 
     def __init__(self, space: FunctionSpace, weights):
-        self.space = space
-        w = np.asarray(weights, dtype=float)
-        w.flags.writeable = False
-        self.weights = w
+        super().__init__(space, weights)
 
-    def __call__(self, a: Element) -> float:
-        return float(np.dot(self.weights, a.payload))
+    @property
+    def weights(self) -> np.ndarray:
+        return self.density
 
     def __repr__(self) -> str:
         return f"ProbabilityVectorState({self.weights.tolist()!r})"
+
+
+# the canonical state class of each space kind
+_STATE_CLASS = {
+    SymmetricMatrixSpace.kind: DensityMatrixState,
+    FunctionSpace.kind: ProbabilityVectorState,
+}
 
 
 def _ea_state_values(ea: FiniteEffectAlgebra, candidate):
@@ -160,38 +178,10 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
                     return False
         return True
 
-    if isinstance(structure, SymmetricMatrixSpace):
-        if isinstance(candidate, DensityMatrixState):
-            m = candidate.matrix
-        else:
-            m = np.asarray(candidate, dtype=float)
-        if m.shape != (structure.n, structure.n):
-            return False
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            return False
-        if abs(float(np.trace(m)) - 1.0) > tol:
-            return False
-        w = np.linalg.eigvalsh((m + m.T) / 2.0)
-        if w.min() < -tol:
-            return False
-        # positivity through the functional, on sampled squares
-        rng = np.random.default_rng(99)
-        for _ in range(4):
-            b = structure.random_element(rng)
-            if float(np.trace(m @ (b.payload @ b.payload))) < -tol:
-                return False
-        return True
-
-    if isinstance(structure, FunctionSpace):
-        if isinstance(candidate, ProbabilityVectorState):
-            w = candidate.weights
-        else:
-            w = np.asarray(candidate, dtype=float)
-        if w.shape != (structure.dimension,):
-            return False
-        return bool(w.min() >= -1e-12 and abs(float(w.sum()) - 1.0) <= tol)
-
-    raise TypeError(f"no state notion for {structure!r}")
+    if not hasattr(structure, "is_density"):
+        raise TypeError(f"no state notion for {structure!r}")
+    density = candidate.density if isinstance(candidate, _DensityState) else candidate
+    return structure.is_density(np.asarray(density, dtype=float), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +341,29 @@ def rho_omega_bijection(space, x):
     State-like objects are restricted to the unit interval; a bare
     callable is taken as an effect valuation and extended to a state.
     """
-    if isinstance(x, (DensityMatrixState, ProbabilityVectorState, FunctionalState)):
+    if isinstance(x, (_DensityState, FunctionalState)):
         return restrict_state_to_effects(space, x)
     if callable(x):
         return extend_effects_valuation(space, x)
     raise TypeError("expected a state or an effect valuation")
 
 
+def _density_from_functional(space, rho) -> np.ndarray:
+    """d = sum of rho(b) b / pairing(b, b) over the space's basis.
+
+    The basis is orthogonal for the pairing, so b / pairing(b, b) is the
+    dual basis and pairing(d, b) = rho(b) for every b.
+    """
+    return sum(rho(b) / space.pairing(b.payload, b.payload) * b.payload for b in space.basis())
+
+
 def density_matrix_from_functional(space: SymmetricMatrixSpace, rho) -> DensityMatrixState:
     """Recover the representing density matrix from functional values."""
-    n = space.n
-    d = np.zeros((n, n))
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        d[i, i] = rho(Element(space, m))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0
-            v = rho(Element(space, m)) / 2.0
-            d[i, j] = d[j, i] = v
-    return DensityMatrixState(space, d)
+    return DensityMatrixState(space, _density_from_functional(space, rho))
 
 
 def probability_vector_from_functional(space: FunctionSpace, rho) -> ProbabilityVectorState:
-    w = [rho(space.indicator([i])) for i in range(space.dimension)]
-    return ProbabilityVectorState(space, w)
+    return ProbabilityVectorState(space, _density_from_functional(space, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +385,11 @@ class ElementDualityReport:
 
 def element_duality_report(a: Element, tol: float = STATE_TOL) -> ElementDualityReport:
     space = a.space
-    if isinstance(space, SymmetricMatrixSpace):
-        w, u = np.linalg.eigh(a.payload)
-        i_min = int(np.argmin(w))
-        min_val = float(w[i_min])
-        sup_abs = float(np.max(np.abs(w)))
-        vec = u[:, i_min : i_min + 1]
-        witness = DensityMatrixState(space, vec @ vec.T) if min_val < 0 else None
-    else:
-        vals = a.payload
-        i_min = int(np.argmin(vals))
-        min_val = float(vals[i_min])
-        sup_abs = float(np.max(np.abs(vals)))
-        witness = (
-            ProbabilityVectorState(space, (np.arange(space.dimension) == i_min).astype(float))
-            if min_val < 0
-            else None
-        )
+    w, frame = space.eigh(a.payload)
+    min_val = float(w[0])
+    sup_abs = float(np.max(np.abs(w)))
+    # the pure state on the least eigenvalue's first frame member
+    witness = _STATE_CLASS[space.kind](space, space.projector(frame, [0])) if min_val < 0 else None
     is_pos = space.contains_positive(a)
     return ElementDualityReport(
         min_extremal=min_val,
@@ -446,17 +420,12 @@ def state_norm_report(space, state, tol: float = STATE_TOL) -> StateNormReport:
     of the density matrix, or the sign vector of the weights; for a
     genuine state both collapse to the order unit itself.
     """
-    if isinstance(state, DensityMatrixState):
-        w, u = np.linalg.eigh(state.matrix)
-        signs = np.where(w >= 0, 1.0, -1.0)
-        maximizer = Element(space, (u * signs) @ u.T)
-        norm = float(np.sum(np.abs(w)))
-    elif isinstance(state, ProbabilityVectorState):
-        signs = np.where(state.weights >= 0, 1.0, -1.0)
-        maximizer = Element(space, signs)
-        norm = float(np.sum(np.abs(state.weights)))
-    else:
+    if not isinstance(state, _DensityState):
         raise TypeError("need a canonical state representation")
+    w, frame = space.eigh(state.density)
+    signs = np.where(w >= 0, 1.0, -1.0)
+    maximizer = Element(space, space.assemble(frame, signs))
+    norm = float(np.sum(np.abs(w)))
     value_at_unit = state(space.unit())
     return StateNormReport(
         norm=norm,

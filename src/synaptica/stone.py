@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posets import BoundedOrtholattice, StructureError, classify
-from .order_unit import Element, FunctionSpace, SymmetricMatrixSpace
+from .order_unit import Element, FunctionSpace
 from . import synaptic
 from .states import ProbabilityVectorState
 
@@ -131,12 +131,6 @@ def stone_map(st: StoneSpace, b: int) -> frozenset[int]:
 # Functional representation of a commutative span of projections
 
 
-def _pairing(space, a: Element, b: Element) -> float:
-    if isinstance(space, SymmetricMatrixSpace):
-        return float(np.trace(a.payload @ b.payload))
-    return float(np.dot(a.payload, b.payload))
-
-
 @dataclass(frozen=True)
 class RepresentationReport:
     linear: bool
@@ -198,25 +192,21 @@ class FunctionalRepresentation:
             prod = unit
             for i, p in enumerate(projections):
                 factor = p if mask >> i & 1 else unit - p
-                prod = space.element(
-                    prod.payload @ factor.payload
-                    if isinstance(space, SymmetricMatrixSpace)
-                    else prod.payload * factor.payload
-                )
+                prod = space.element(space.product(prod, factor))
             if prod.norm() > 0.5:
                 atoms.append(prod)
                 patterns.append(tuple(mask >> i & 1 for i in range(m)))
         self.atoms = tuple(atoms)
         self.patterns = tuple(patterns)
         self.function_space = FunctionSpace(tuple(f"x{i}" for i in range(len(atoms))))
-        self._atom_weights = tuple(_pairing(space, q, q) for q in atoms)
+        self._atom_weights = tuple(space.pairing(q.payload, q.payload) for q in atoms)
         self.report = self._verify()
 
     def to_function(self, a: Element) -> Element:
         if not synaptic.in_span(list(self.atoms), a, tol=self.tol):
             raise ValueError("element is not in the represented span")
         lam = [
-            _pairing(self.space, a, q) / w
+            self.space.pairing(a.payload, q.payload) / w
             for q, w in zip(self.atoms, self._atom_weights)
         ]
         return Element(self.function_space, np.array(lam))

@@ -1,20 +1,23 @@
-"""Synaptic-algebra operations over the two concrete instances.
+"""Synaptic-algebra operations, written once against the space protocol.
 
-The ambient associative product is ordinary matrix multiplication for
-SymmetricMatrixSpace and the pointwise product for FunctionSpace; the
-symmetric part of the matrix product is the Jordan product. Everything
-spectral (square roots, carriers, step projections, reconstruction) is
-phrased so the defining formulas stay separate from the
-eigendecomposition oracle used to test them:
+Each operation is one body over the primitives that both concrete
+instances define (eigh, assemble, projector, rank_tol, is_projection,
+commutant, projection_meet; see order_unit). The ambient associative
+product is ordinary matrix multiplication for SymmetricMatrixSpace and
+the pointwise product for FunctionSpace; its symmetric part is the
+Jordan product. Everything spectral (square roots, carriers, step
+projections, reconstruction) is phrased so the defining formulas stay
+separate from the eigendecomposition oracle used to test them:
 
   carrier(a)      rank-thresholded projection onto the range of a
   step(a, lam)    1 - carrier((a - lam)^+), the spectral step family
   reconstruction  Riemann-Stieltjes sums against the step family
 
-Numerical policy, the single source of truth for rank-like decisions:
-eigenvalue clustering and rank thresholds are relative at 1e-8, cone
-tests live in order_unit, and the FunctionSpace instance computes
-exactly (its carriers and spectra involve no tolerance at all).
+Numerical policy: eigenvalue clustering and rank thresholds are
+relative at 1e-8 (RANK_RTOL), the projection test allows a residual of
+1e-9 (PROJ_TOL); both constants and the cone tests live in order_unit.
+The FunctionSpace instance computes exactly: its rank_tol is 0, so its
+carriers and spectra involve no tolerance at all.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order_unit import Element, FunctionSpace, SymmetricMatrixSpace, in_unit_interval
+from .order_unit import PROJ_TOL, RANK_RTOL, Element, in_unit_interval
 
 __all__ = [
     "RANK_RTOL",
@@ -58,26 +61,18 @@ __all__ = [
     "supremum_of_ascending_chain",
 ]
 
-RANK_RTOL = 1e-8     # relative threshold for rank, clustering, invertibility
-PROJ_TOL = 1e-9      # residual allowed in ||p^2 - p|| for the projection test
-
 
 def _same_space(a: Element, b: Element) -> None:
     if a.space is not b.space:
         raise ValueError("elements live in different spaces")
 
 
-def _is_matrix(a: Element) -> bool:
-    return isinstance(a.space, SymmetricMatrixSpace)
-
-
 def jordan(a: Element, b: Element) -> Element:
     """Symmetrized product (ab + ba) / 2; the plain product pointwise."""
     _same_space(a, b)
     ab = a.space.product(a, b)
-    if _is_matrix(a):
-        return Element(a.space, (ab + ab.T) / 2.0)
-    return Element(a.space, ab)
+    # ba is the transpose of ab; a function's payload is its own transpose
+    return Element(a.space, (ab + ab.T) / 2.0)
 
 
 def quadratic(a: Element, b: Element) -> Element:
@@ -86,19 +81,13 @@ def quadratic(a: Element, b: Element) -> Element:
     return 2.0 * jordan(a, jordan(a, b)) - jordan(jordan(a, a), b)
 
 
-def _eigh(a: Element) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(a.payload)
-
-
 def sqrt(a: Element) -> Element:
     """Unique positive square root of a positive element."""
     if not a.space.contains_positive(a):
         raise ValueError("not in positive cone")
-    if _is_matrix(a):
-        w, u = _eigh(a)
-        w = np.clip(w, 0.0, None)  # cone tolerance may leave tiny negatives
-        return Element(a.space, (u * np.sqrt(w)) @ u.T)
-    return Element(a.space, np.sqrt(np.clip(a.payload, 0.0, None)))
+    w, frame = a.space.eigh(a.payload)
+    w = np.clip(w, 0.0, None)  # cone tolerance may leave tiny negatives
+    return Element(a.space, a.space.assemble(frame, np.sqrt(w)))
 
 
 def decompose(a: Element) -> tuple[Element, Element, Element]:
@@ -107,11 +96,8 @@ def decompose(a: Element) -> tuple[Element, Element, Element]:
     |a| is the positive square root of a^2; the parts are the usual
     half-sum and half-difference with a.
     """
-    if _is_matrix(a):
-        w, u = _eigh(a)
-        absolute = Element(a.space, (u * np.abs(w)) @ u.T)
-    else:
-        absolute = Element(a.space, np.abs(a.payload))
+    w, frame = a.space.eigh(a.payload)
+    absolute = Element(a.space, a.space.assemble(frame, np.abs(w)))
     plus = 0.5 * (absolute + a)
     minus = 0.5 * (absolute - a)
     return absolute, plus, minus
@@ -120,17 +106,12 @@ def decompose(a: Element) -> tuple[Element, Element, Element]:
 def carrier(a: Element) -> Element:
     """Smallest projection c with ca = a: the support of a.
 
-    Matrix instance: projection onto the span of eigenvectors whose
-    eigenvalues clear the relative rank threshold. Function instance:
-    the exact support indicator.
+    The projection onto the frame members whose eigenvalues clear the
+    rank threshold: relative on matrices, the exact support indicator on
+    functions.
     """
-    if _is_matrix(a):
-        w, u = _eigh(a)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        keep = np.abs(w) > RANK_RTOL * scale
-        cols = u[:, keep]
-        return Element(a.space, cols @ cols.T)
-    return Element(a.space, (a.payload != 0.0).astype(float))
+    w, frame = a.space.eigh(a.payload)
+    return Element(a.space, a.space.projector(frame, np.abs(w) > a.space.rank_tol(w)))
 
 
 @dataclass(frozen=True)
@@ -179,27 +160,19 @@ def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
     and midpoint. Disable it inside tight loops.
     """
     space = a.space
-    if _is_matrix(a):
-        w, u = _eigh(a)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        tol = RANK_RTOL * scale
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, len(w)):
-            if w[i] - w[clusters[-1][-1]] <= tol:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        values = tuple(float(np.mean(w[c])) for c in clusters)
-        projections = tuple(
-            Element(space, u[:, c] @ u[:, c].T) for c in clusters
-        )
-    else:
-        vals = sorted(set(float(v) for v in a.payload))
-        values = tuple(vals)
-        projections = tuple(
-            Element(space, (a.payload == v).astype(float)) for v in vals
-        )
-
+    w, frame = space.eigh(a.payload)
+    tol = space.rank_tol(w)
+    clusters: list[list[int]] = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[clusters[-1][-1]] <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    # a cluster of equal values is that value; their float mean may round
+    values = tuple(
+        float(w[c[0]]) if w[c[0]] == w[c[-1]] else float(np.mean(w[c])) for c in clusters
+    )
+    projections = tuple(Element(space, space.projector(frame, c)) for c in clusters)
     res = SpectralResolution(a, values, projections)
     if verify:
         _verify_resolution(res)
@@ -279,20 +252,15 @@ def spectrum(a: Element) -> tuple[float, ...]:
 
 
 def is_invertible(a: Element) -> bool:
-    if _is_matrix(a):
-        w = np.linalg.eigvalsh(a.payload)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        return bool(np.min(np.abs(w)) > RANK_RTOL * scale)
-    return bool(np.all(a.payload != 0.0))
+    w, _ = a.space.eigh(a.payload)
+    return bool(np.all(np.abs(w) > a.space.rank_tol(w)))
 
 
 def inverse(a: Element) -> Element:
-    if not is_invertible(a):
+    w, frame = a.space.eigh(a.payload)
+    if not np.all(np.abs(w) > a.space.rank_tol(w)):
         raise ValueError("not invertible")
-    if _is_matrix(a):
-        w, u = _eigh(a)
-        return Element(a.space, (u / w) @ u.T)
-    return Element(a.space, 1.0 / a.payload)
+    return Element(a.space, a.space.assemble(frame, 1.0 / w))
 
 
 def is_positive_element(a: Element) -> bool:
@@ -300,10 +268,7 @@ def is_positive_element(a: Element) -> bool:
 
 
 def is_projection(a: Element) -> bool:
-    if _is_matrix(a):
-        res = a.space.product(a, a) - a.payload
-        return bool(np.max(np.abs(res)) <= PROJ_TOL * max(1.0, a.norm()))
-    return bool(np.all((a.payload == 0.0) | (a.payload == 1.0)))
+    return a.space.is_projection(a)
 
 
 def is_effect(a: Element) -> bool:
@@ -351,20 +316,6 @@ def apply_polynomial(a: Element, f) -> Element:
 # Commutants
 
 
-def _sym_basis_arrays(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        out.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0
-            out.append(m)
-    return out
-
-
 def commutant(space, generators) -> list[Element]:
     """Basis of {x in A : xg = gx for every generator g}.
 
@@ -373,32 +324,10 @@ def commutant(space, generators) -> list[Element]:
     always the whole algebra.
     """
     generators = list(generators)
-    if isinstance(space, FunctionSpace):
-        return space.basis()
-    n = space.n
-    basis = _sym_basis_arrays(n)
-    if not generators:
-        return [Element(space, m) for m in basis]
     for g in generators:
         if g.space is not space:
             raise ValueError("generator from a different space")
-    # one column per coordinate of Sym(n), one block row per generator
-    cols = []
-    for s in basis:
-        col = np.concatenate([(s @ g.payload - g.payload @ s).ravel() for g in generators])
-        cols.append(col)
-    c = np.stack(cols, axis=1)
-    u, sv, vt = np.linalg.svd(c)
-    tol = RANK_RTOL * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    null = vt[rank:]
-    out = []
-    for coeffs in null:
-        m = np.zeros((n, n))
-        for w, s in zip(coeffs, basis):
-            m += w * s
-        out.append(Element(space, m))
-    return out
+    return space.commutant(generators)
 
 
 def double_commutant(space, generators) -> list[Element]:
@@ -407,7 +336,7 @@ def double_commutant(space, generators) -> list[Element]:
 
 def center(space) -> list[Element]:
     """Elements commuting with the whole algebra."""
-    return commutant(space, space.basis() if isinstance(space, SymmetricMatrixSpace) else [])
+    return commutant(space, space.basis())
 
 
 def in_span(basis: list[Element], a: Element, tol: float = 1e-8) -> bool:
@@ -440,17 +369,7 @@ def proj_meet(p: Element, q: Element) -> Element:
     _same_space(p, q)
     _require_projection(p)
     _require_projection(q)
-    space = p.space
-    if isinstance(space, FunctionSpace):
-        return Element(space, np.minimum(p.payload, q.payload))
-    n = space.n
-    eye = np.eye(n)
-    stacked = np.vstack([eye - p.payload, eye - q.payload])
-    u, sv, vt = np.linalg.svd(stacked)
-    tol = RANK_RTOL * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    null = vt[rank:]  # orthonormal rows spanning the intersection
-    return Element(space, null.T @ null)
+    return p.space.projection_meet(p, q)
 
 
 def proj_join(p: Element, q: Element) -> Element:
@@ -518,18 +437,10 @@ def proper_effect_decomposition(e: Element, gap: float = 1e-6) -> tuple[Element,
     """
     if not in_unit_interval(e):
         raise ValueError("not an effect")
-    if _is_matrix(e):
-        w, u = _eigh(e)
-        for idx, t in enumerate(w):
-            if gap < t < 1.0 - gap:
-                vec = u[:, idx : idx + 1]
-                d = Element(e.space, vec @ vec.T)
-                mu = min(t, 1.0 - t)
-                return e + mu * d, e - mu * d
-        return None
-    for idx, t in enumerate(e.payload):
+    w, frame = e.space.eigh(e.payload)
+    for idx, t in enumerate(w):
         if gap < t < 1.0 - gap:
-            d = Element(e.space, (np.arange(e.space.dimension) == idx).astype(float))
+            d = Element(e.space, e.space.projector(frame, [idx]))
             mu = min(t, 1.0 - t)
             return e + mu * d, e - mu * d
     return None

@@ -305,14 +305,39 @@ def test_states_on_state_documents(tmp_path, capsys):
 
 
 def test_states_extremal_on_a_non_numeric_state_vector(tmp_path, capsys):
-    # the check reports it as no state; --extremal must not parse it again
+    # unusable input: a clean exit 2 before any report, --extremal or not
     fn = {"kind": "function_algebra", "label": "xy", "points": ["x", "y"]}
     st = {"kind": "state", "label": "bad", "over": "xy", "vector": [0.5, "x"]}
     path = write_json(tmp_path, "s.json", [fn, st])
-    rc, out = run(capsys, "states", path, "--extremal")
-    assert rc == 0
-    r = json.loads(out)["structures"][1]
-    assert r["is_state"] is False and "is_vertex" not in r
+    rc = main(["states", path, "--extremal"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "bad numeric entry: 'x'" in captured.err
+
+
+SYM2 = {"kind": "sym_matrix", "label": "M", "n": 2, "entries": [1.0, 0.0, 0.0, -2.0]}
+FN2 = {"kind": "function_algebra", "label": "F", "points": ["p", "q"]}
+
+
+@pytest.mark.parametrize("command", ["check", "states"])
+@pytest.mark.parametrize(
+    "over, state, message",
+    [
+        (FN2, {"vector": [0.5, "x"]}, "bad numeric entry: 'x'"),
+        (SYM2, {"density": [0.5, 0, 0, "x"]}, "bad numeric entry: 'x'"),
+        (SYM2, {"density": [0.5, 0, 0]}, "state density has wrong length"),
+        (FN2, {"vector": [0.25, 0.25, 0.5]}, "state vector has wrong length"),
+    ],
+    ids=["vector-non-numeric", "density-non-numeric", "density-length", "vector-length"],
+)
+def test_unusable_state_bodies_exit_two(tmp_path, capsys, command, over, state, message):
+    doc = dict(state, kind="state", over=over["label"])
+    path = write_json(tmp_path, "s.json", [over, doc])
+    rc = main([command, path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "reshape" not in captured.err
 
 
 def test_states_axiom_failure_exits_one(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_induced_order_duality_and_orthogonality():
             for f in range(n):
                 if order.leq(e, f):
                     assert order.leq(ea.perp[f], ea.perp[e])
-                assert ea.defined(e, f) == order.leq(e, ea.perp[f])
+                assert ea.orthogonal(e, f) == order.leq(e, ea.perp[f])
 
 
 def test_oml_to_ea_round_trip_on_boolean_and_mo2():

@@ -9,7 +9,6 @@ from synaptica.order_unit import (
     allclose,
     extend_effect_morphism,
     in_unit_interval,
-    order_unit_norm,
     positive_decomposition,
 )
 
@@ -29,7 +28,6 @@ def test_norm_is_the_spectral_radius(sym4):
     for _ in range(25):
         a = sym4.random_element(rng)
         assert abs(a.norm() - sym_norm(a.payload)) <= 1e-12
-        assert abs(order_unit_norm(a) - a.norm()) <= 1e-15
 
 
 def test_norm_on_functions(fn3):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synaptica import catalog
+from synaptica import catalog, posets
 from synaptica.posets import (
     BoundedOrtholattice,
     FinitePoset,
@@ -74,6 +76,21 @@ def test_completeness_decisions_track_the_lattice_flag():
         assert c.is_sigma_complete == c.is_lattice
         assert c.is_lattice_complete == c.is_lattice
         assert c.is_monotone_sigma_complete is True
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [catalog.boolean_lattice(k) for k in (1, 2, 3, 4)] + [catalog.mo2(), catalog.o6()],
+    ids=["2^1", "2^2", "2^3", "2^4", "MO2", "O6"],
+)
+def test_classify_on_the_lattice_agrees_with_its_poset(lat, monkeypatch):
+    plain = dataclasses.asdict(classify(lat.poset))
+    # the ortholattice path reads its own tables and never rescans a pair
+    monkeypatch.setattr(posets, "meet", None)
+    monkeypatch.setattr(posets, "join", None)
+    flags = dataclasses.asdict(classify(lat))
+    assert plain.pop("is_oml") is None and flags.pop("is_oml") is not None
+    assert flags == plain
 
 
 def test_subset_inf_sup():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import eig_step_family, sym_norm
-from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
+from synaptica.order_unit import PROJ_TOL, Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica.synaptic import (
     SpectralResolution,
     apply_polynomial,
@@ -317,6 +317,47 @@ def test_proj_meet_exact_on_functions(fn4):
     q = fn4.indicator(["b", "c"])
     assert proj_meet(p, q).payload.tolist() == [0.0, 1.0, 0.0, 0.0]
     assert proj_join(p, q).payload.tolist() == [1.0, 1.0, 1.0, 0.0]
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_proj_meet_on_projections_needs_no_eigenvalues(monkeypatch):
+    space = SymmetricMatrixSpace(8)
+    rng = np.random.default_rng(21)
+    pairs = [(space.random_projection(rng), space.random_projection(rng)) for _ in range(20)]
+    calls = count_eigvalsh(monkeypatch)
+    for p, q in pairs:
+        proj_meet(p, q)
+        proj_join(p, q)
+    # the residual ||p^2 - p|| alone decides every genuine projection
+    assert calls == []
+
+
+def test_projection_verdict_past_the_bare_tolerance(monkeypatch):
+    # c P for the projection P onto the uniform vector of R^128: the
+    # residual c (c - 1) / 128 sits just above PROJ_TOL but, for the first
+    # c, within PROJ_TOL * ||c P|| = PROJ_TOL * c, so only the norm accepts it
+    space = SymmetricMatrixSpace(128)
+    uniform = np.full((128, 128), 1.0 / 128.0)
+    inside = space.element((1.0 + 128e-9 - 1e-14) * uniform)
+    outside = space.element((1.0 + 128e-9 + 1e-12) * uniform)
+    for a, verdict in ((inside, True), (outside, False)):
+        residual = np.max(np.abs(a.payload @ a.payload - a.payload))
+        assert residual > PROJ_TOL
+        assert bool(residual <= PROJ_TOL * a.norm()) is verdict
+        calls = count_eigvalsh(monkeypatch)
+        assert is_projection(a) is verdict
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
