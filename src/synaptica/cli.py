@@ -15,7 +15,9 @@ membership) are fixed constants and do not read the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -104,14 +106,18 @@ def _as_number(x, path: str):
             raise CliError(2, f"{path}: bad rational: {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise CliError(2, f"{path}: bad numeric entry: {x!r}")
-    return Fraction(x) if isinstance(x, int) else float(x)
+    return Fraction(x) if isinstance(x, int) else _as_float(x, path)
 
 
 def _as_float(x, path: str) -> float:
+    """A finite float; NaN and infinities (also as strings) are unusable."""
     try:
-        return float(x)
+        value = float(x)
     except (TypeError, ValueError):
         raise CliError(2, f"{path}: bad numeric entry: {x!r}")
+    if not math.isfinite(value):
+        raise CliError(2, f"{path}: non-finite numeric entry: {x!r}")
+    return value
 
 
 def _violation(v: eff.AxiomViolation, elements: list[str]) -> dict:
@@ -175,8 +181,12 @@ def _build_mv_algebra(doc: dict, path: str):
 
 
 def _build_sym_matrix(doc: dict, path: str):
-    n = int(doc["n"])
-    entries = [float(x) for x in doc["entries"]]
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise CliError(2, f"{path}: n must be a positive integer, got {n!r}")
+    if not isinstance(doc["entries"], list):
+        raise CliError(2, f"{path}: entries must be a list of n * n numbers")
+    entries = [_as_float(x, path) for x in doc["entries"]]
     if len(entries) != n * n:
         raise CliError(2, f"{path}: expected {n * n} entries, got {len(entries)}")
     space = SymmetricMatrixSpace(n)
@@ -370,7 +380,10 @@ def cmd_spectral(args) -> int:
             for doc in docs:
                 if doc["kind"] == "sym_matrix":
                     space, m = _build_sym_matrix(doc, path)
-                    candidates.append((doc.get("label", ""), space.element(m)))
+                    try:
+                        candidates.append((doc.get("label", ""), space.element(m)))
+                    except ValueError as exc:  # asymmetric entries
+                        raise CliError(2, f"{path}: {exc}")
                 elif doc["kind"] == "function_algebra":
                     space, values = _build_function_algebra(doc, path)
                     for name, el in values.items():
@@ -621,7 +634,13 @@ def _emit(report: dict, pretty: bool, renderer) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later calls.
+
+    Reuse is safe: parse_args returns a fresh namespace each time and
+    leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="synaptica",
         description="finite quantum-structure checks: posets to states",
@@ -657,8 +676,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -11,7 +11,10 @@ projections is isomorphic, as a normed ordered algebra, to the
 function algebra over the Stone space of its projection lattice. The
 isomorphism, its inverse, and the Boolean restriction to projections
 are all built and verified here, together with state transport across
-the isomorphism.
+the isomorphism. The verification report draws six sample elements and
+computes each sample's image and norm once; every check reads those,
+and only the elements built from the samples (sums, Jordan products,
+shifts) and the generators are mapped again.
 """
 
 from __future__ import annotations
@@ -165,6 +168,21 @@ class FunctionalRepresentation:
     generating projections; each atom is one point of the target
     function space. to_function reads coefficients off the atomic
     resolution, from_function assembles them back.
+
+    The sign patterns are walked as a prefix tree: at step i every live
+    prefix product X splits into X(1 - p_i) and X p_i, each symmetrised
+    by the space, exactly the float operations a scan over all 2^m
+    patterns performs for the patterns sharing that prefix. A child
+    whose Frobenius norm is at most 1/4 is dropped. The Frobenius norm
+    bounds the order-unit norm, every factor is a projection or its
+    complement of norm at most 1 + O(n PROJ_TOL), and symmetrising does
+    not raise the norm, so every extension of a dropped prefix stays
+    below the 0.5 at which a full product is rejected. The live prefixes
+    are nearly orthogonal nonzero projections summing to the unit, so at
+    most n survive a level (n the matrix size, or the number of points)
+    and construction takes at most 2 n m products instead of m 2^m.
+    Leaves keep the full product's test, norm > 0.5, and are ordered by
+    pattern mask, which is the scan's order.
     """
 
     def __init__(self, space, projections, tol: float = 1e-9):
@@ -182,24 +200,25 @@ class FunctionalRepresentation:
                     )
         self.projections = tuple(projections)
         m = len(projections)
-        if m > 16:
-            raise ValueError("pattern scan is exhaustive; keep the generator count small")
 
         unit = space.unit()
-        atoms: list[Element] = []
-        patterns: list[tuple[int, ...]] = []
-        for mask in range(1 << m):
-            prod = unit
-            for i, p in enumerate(projections):
-                factor = p if mask >> i & 1 else unit - p
-                prod = space.element(space.product(prod, factor))
-            if prod.norm() > 0.5:
-                atoms.append(prod)
-                patterns.append(tuple(mask >> i & 1 for i in range(m)))
-        self.atoms = tuple(atoms)
-        self.patterns = tuple(patterns)
-        self.function_space = FunctionSpace(tuple(f"x{i}" for i in range(len(atoms))))
-        self._atom_weights = tuple(space.pairing(q.payload, q.payload) for q in atoms)
+        live: list[tuple[int, Element]] = [(0, unit)]  # (pattern mask, prefix product)
+        for i, p in enumerate(projections):
+            branches = ((0, unit - p), (1 << i, p))
+            grown = []
+            for mask, prod in live:
+                for bit, factor in branches:
+                    child = space.element(space.product(prod, factor))
+                    if np.linalg.norm(child.payload) > 0.25:
+                        grown.append((mask | bit, child))
+            live = grown
+        leaves = sorted(
+            ((mask, prod) for mask, prod in live if prod.norm() > 0.5), key=lambda leaf: leaf[0]
+        )
+        self.atoms = tuple(prod for _, prod in leaves)
+        self.patterns = tuple(tuple(mask >> i & 1 for i in range(m)) for mask, _ in leaves)
+        self.function_space = FunctionSpace(tuple(f"x{i}" for i in range(len(self.atoms))))
+        self._atom_weights = tuple(space.pairing(q.payload, q.payload) for q in self.atoms)
         self.report = self._verify()
 
     def to_function(self, a: Element) -> Element:
@@ -235,34 +254,36 @@ class FunctionalRepresentation:
         for _ in range(6):
             lam = rng.uniform(-2.0, 2.0, size=len(self.atoms))
             samples.append(self.from_function(Element(fs, lam)))
+        # every check below reads these; only elements that are not
+        # samples themselves go through to_function again
+        images = [self.to_function(a) for a in samples]
+        norms = [a.norm() for a in samples]
+        pairs = ((0, 1), (2, 3), (4, 5))
 
         linear = True
-        for a, b in zip(samples[::2], samples[1::2]):
-            lhs = self.to_function(a + b * 1.5)
-            rhs = self.to_function(a) + self.to_function(b) * 1.5
+        for i, j in pairs:
+            lhs = self.to_function(samples[i] + samples[j] * 1.5)
+            rhs = images[i] + images[j] * 1.5
             if (lhs - rhs).norm() > tol:
                 linear = False
 
         unital = (self.to_function(space.unit()) - fs.unit()).norm() <= tol
 
         multiplicative = True
-        for a, b in zip(samples[::2], samples[1::2]):
-            prod = synaptic.jordan(a, b)
+        for i, j in pairs:
+            prod = synaptic.jordan(samples[i], samples[j])
             lhs = self.to_function(prod)
-            rhs = Element(fs, self.to_function(a).payload * self.to_function(b).payload)
+            rhs = Element(fs, images[i].payload * images[j].payload)
             if (lhs - rhs).norm() > tol:
                 multiplicative = False
 
-        isometric = all(
-            abs(a.norm() - self.to_function(a).norm()) <= tol for a in samples
-        )
+        isometric = all(abs(na - fa.norm()) <= tol for na, fa in zip(norms, images))
 
         order_iso = True
-        for a in samples:
-            fa = self.to_function(a)
+        for a, fa in zip(samples, images):
             if space.contains_positive(a) != bool(fa.payload.min() >= -tol):
                 order_iso = False
-        shifted = [a + space.unit() * (a.norm() + 1.0) for a in samples[:2]]
+        shifted = [a + space.unit() * (na + 1.0) for a, na in zip(samples[:2], norms)]
         if not all(
             space.contains_positive(a)
             and self.to_function(a).payload.min() >= -tol
@@ -278,14 +299,14 @@ class FunctionalRepresentation:
                 proj_ok = False
 
         round_trip = all(
-            (self.from_function(self.to_function(a)) - a).norm() <= 1e-12 * max(1.0, a.norm())
-            for a in samples
+            (self.from_function(fa) - a).norm() <= 1e-12 * max(1.0, na)
+            for a, fa, na in zip(samples, images, norms)
         )
 
         spectrum_ok = True
-        for a in samples:
+        for a, fa in zip(samples, images):
             spec_a = np.array(synaptic.spectrum(a))
-            values = np.array(sorted(set(np.round(self.to_function(a).payload, 9))))
+            values = np.array(sorted(set(np.round(fa.payload, 9))))
             if len(spec_a) != len(values) or np.max(np.abs(spec_a - values)) > 1e-6:
                 spectrum_ok = False
 

@@ -11,6 +11,10 @@ rows in parameter space is solved exactly, and the feasible solutions
 are the vertices. It is slow but has nothing to get wrong about
 adjacency, so it checks the library's double-description enumeration
 for completeness as well as soundness.
+
+The atom oracle is the sign-pattern scan over all 2^m products of
+commuting projections and their complements; it checks the library's
+pruned prefix tree atom for atom, bit for bit.
 """
 
 from __future__ import annotations
@@ -127,6 +131,38 @@ def eig_step_family(matrix: np.ndarray, lam: float) -> np.ndarray:
 
 def sym_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
+
+
+def sign_pattern_atoms_by_scan(unit, payloads):
+    """Atoms of commuting projections by the exhaustive sign-pattern scan.
+
+    unit and payloads are symmetric matrices (the identity and the
+    projections), or vectors for the function instance. For every one
+    of the 2^m masks the product over i of p_i (bit i set) or 1 - p_i is
+    formed left to right from the unit, symmetrised after each step, and
+    kept when its norm exceeds 0.5 (spectral norm on matrices, max|.| on
+    vectors). Returns (atoms, patterns) in mask order. Exponential in m:
+    an oracle for small families only.
+    """
+    unit = np.asarray(unit, dtype=float)
+    payloads = [np.asarray(p, dtype=float) for p in payloads]
+    m = len(payloads)
+    atoms, patterns = [], []
+    for mask in range(1 << m):
+        bits = tuple(mask >> i & 1 for i in range(m))
+        prod = unit
+        for bit, p in zip(bits, payloads):
+            factor = p if bit else unit - p
+            if unit.ndim == 2:
+                xf = prod @ factor
+                prod = (xf + xf.T) / 2.0
+            else:
+                prod = prod * factor
+        norm = sym_norm(prod) if unit.ndim == 2 else float(np.max(np.abs(prod)))
+        if norm > 0.5:
+            atoms.append(prod)
+            patterns.append(bits)
+    return atoms, patterns
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,42 @@ def test_spectral_missing_field_exits_two(tmp_path, capsys):
     assert rc == 2 and "missing field" in err
 
 
+def sym2(n=2, entries=(1.0, 0.0, 0.0, 1.0)):
+    return {"kind": "sym_matrix", "label": "m", "n": n, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("spectral", sym2(entries=[1.0, 2.0, 0.0, 1.0]), "not symmetric"),
+        ("spectral", sym2(entries=[1.0, "x", "x", 1.0]), "bad numeric entry"),
+        ("spectral", sym2(n=0, entries=[]), "positive integer"),
+        ("spectral", sym2(entries=[1.0, float("nan"), float("nan"), 1.0]), "non-finite"),
+        ("check", sym2(entries=[float("nan"), 0.0, 0.0, 1.0]), "non-finite"),
+        ("check", sym2(entries=[float("inf"), 0.0, 0.0, 1.0]), "non-finite"),
+        ("spectral", sym2(entries=["-inf", 0.0, 0.0, 1.0]), "non-finite"),
+        ("check", sym2(entries=[1.0, "nan", "nan", 1.0]), "non-finite"),
+        ("spectral", sym2(n=2.5), "positive integer"),
+        ("check", sym2(n="2"), "positive integer"),
+        ("spectral", sym2(n=True), "positive integer"),
+        ("check", sym2(entries=1.0), "must be a list"),
+    ],
+)
+def test_unusable_matrix_documents_exit_two(tmp_path, capsys, command, doc, message):
+    path = write_json(tmp_path, "m.json", doc)
+    rc = main([command, path])
+    err = capsys.readouterr().err
+    assert rc == 2 and message in err
+
+
+def test_check_keeps_the_symmetry_violation(tmp_path, capsys):
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.0, 2.0, 0.0, 1.0]))
+    rc, out = run(capsys, "check", path)
+    assert rc == 1
+    (doc,) = json.loads(out)["files"][0]["documents"]
+    assert [v["axiom"] for v in doc["violations"]] == ["symmetry"]
+
+
 # ---------------------------------------------------------------------------
 # states
 
@@ -327,8 +363,12 @@ FN2 = {"kind": "function_algebra", "label": "F", "points": ["p", "q"]}
         (SYM2, {"density": [0.5, 0, 0, "x"]}, "bad numeric entry: 'x'"),
         (SYM2, {"density": [0.5, 0, 0]}, "state density has wrong length"),
         (FN2, {"vector": [0.25, 0.25, 0.5]}, "state vector has wrong length"),
+        (FN2, {"vector": [float("nan"), 1.0]}, "non-finite numeric entry"),
+        (SYM2, {"density": [float("inf"), 0, 0, 0]}, "non-finite numeric entry"),
+        (CHAIN_EA, {"table": ["0", float("nan"), "1"]}, "non-finite numeric entry"),
     ],
-    ids=["vector-non-numeric", "density-non-numeric", "density-length", "vector-length"],
+    ids=["vector-non-numeric", "density-non-numeric", "density-length", "vector-length",
+         "vector-nan", "density-inf", "table-nan"],
 )
 def test_unusable_state_bodies_exit_two(tmp_path, capsys, command, over, state, message):
     doc = dict(state, kind="state", over=over["label"])
@@ -412,3 +452,31 @@ def test_tolerance_env_is_reflected(tmp_path, capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["tolerance"] == 1e-2
     monkeypatch.setenv("SYNAPTICA_TOL", "not-a-number")
     assert run(capsys, "spectral", path)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once and reused
+
+
+def test_reused_parser_gives_the_fresh_parsers_output(tmp_path, capsys):
+    from synaptica.cli import _build_parser
+
+    path = write_json(tmp_path, "ea.json", CHAIN_EA)
+    calls = [("states", "--extremal", path), ("verify", "posets", "--seed", "3")]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert _build_parser() is _build_parser()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert [rc for rc, _ in fresh] == [0, 0]
+
+
+def test_usage_error_then_a_valid_call(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.0, 0.0, 0.0, -2.0]))
+    rc, out = run(capsys, "spectral", path, "--element", "m")
+    assert rc == 0 and json.loads(out)["elements"][0]["spectrum"] == [-2.0, 1.0]

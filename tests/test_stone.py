@@ -7,15 +7,20 @@ honest homomorphisms must survive, matching the constructed points.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import sign_pattern_atoms_by_scan
 from synaptica.catalog import boolean_lattice, mo2, o6
 from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica.posets import StructureError
 from synaptica.states import DensityMatrixState, is_state
 from synaptica.stone import (
+    FunctionalRepresentation,
     functional_representation,
     pull_back_state,
     rickart_completeness_report,
@@ -27,6 +32,22 @@ from synaptica.stone import (
 
 def diag(space, *entries):
     return space.element(np.diag(np.array(entries, dtype=float)))
+
+
+def rotated_family(rng, n, diags):
+    """Commuting projections (u diag(d) u^T) sharing one random eigenbasis u."""
+    space = SymmetricMatrixSpace(n)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return space, [space.element((u * np.asarray(d, dtype=float)) @ u.T) for d in diags]
+
+
+def assert_atoms_match_scan(space, rep, generators):
+    atoms, patterns = sign_pattern_atoms_by_scan(
+        space.unit().payload, [p.payload for p in generators]
+    )
+    assert list(rep.patterns) == patterns
+    assert len(rep.atoms) == len(atoms)
+    assert all(np.array_equal(q.payload, a) for q, a in zip(rep.atoms, atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +183,94 @@ def test_representation_works_inside_function_spaces():
     rep = functional_representation(fs, [p])
     assert len(rep.atoms) == 2
     assert rep.report.passed
+    assert_atoms_match_scan(fs, rep, [p])
+
+    fs = FunctionSpace(tuple("abcdef"))
+    gens = [fs.indicator("abc"), fs.indicator("bd"), fs.zero_element(), fs.indicator("bd"),
+            fs.unit(), fs.indicator("af")]
+    rep = functional_representation(fs, gens)
+    assert rep.report.passed
+    assert_atoms_match_scan(fs, rep, gens)
+
+
+# ---------------------------------------------------------------------------
+# The pruned prefix tree against the exhaustive sign-pattern scan
+
+
+@st.composite
+def commuting_families(draw):
+    """Up to six commuting projections in Sym(n), n <= 6, with repeated
+    generators and the exact zero and unit mixed in."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(("pattern", "repeat", "zero", "one")), max_size=6))
+    bit = st.integers(min_value=0, max_value=1)
+    space, patterned = rotated_family(
+        rng, n, [draw(st.lists(bit, min_size=n, max_size=n)) for _ in kinds]
+    )
+    gens = []
+    for kind, p in zip(kinds, patterned):
+        if kind == "repeat" and gens:
+            gens.append(gens[draw(st.integers(min_value=0, max_value=len(gens) - 1))])
+        elif kind == "zero":
+            gens.append(space.zero_element())
+        elif kind == "one":
+            gens.append(space.unit())
+        else:
+            gens.append(p)
+    return space, gens
+
+
+@given(commuting_families())
+@settings(max_examples=60, deadline=None)
+def test_pruned_atoms_are_the_scans_atoms(family):
+    space, gens = family
+    rep = functional_representation(space, gens)
+    assert_atoms_match_scan(space, rep, gens)
+    assert rep.report.passed
+
+
+def test_twenty_generators_need_no_exhaustive_scan():
+    # 2^20 sign patterns; at most four of them survive in Sym(4)
+    rng = np.random.default_rng(20)
+    diags = (rng.random((20, 4)) < 0.5).astype(int)
+    space, gens = rotated_family(rng, 4, diags)
+    rep = functional_representation(space, gens)
+    columns = {tuple(col) for col in diags.T.tolist()}
+    assert sorted(rep.patterns) == sorted(columns)
+    total = sum((q.payload for q in rep.atoms), np.zeros((4, 4)))
+    assert np.max(np.abs(total - np.eye(4))) <= 1e-9
+    assert rep.report.passed
+
+
+def test_construction_work_is_counted_and_bounded(monkeypatch):
+    n, m = 8, 7
+    rng = np.random.default_rng(7)
+    space, gens = rotated_family(rng, n, (rng.random((m, n)) < 0.5).astype(int))
+    counts = Counter()
+    to_function = FunctionalRepresentation.to_function
+    product = SymmetricMatrixSpace.product
+    verify = FunctionalRepresentation._verify
+
+    def counted_to_function(self, a):
+        counts["to_function"] += 1
+        return to_function(self, a)
+
+    def counted_product(self, a, b):
+        counts["product"] += 1
+        return product(self, a, b)
+
+    def verify_after_atoms(self):
+        counts["atom products"] = counts["product"]
+        return verify(self)
+
+    monkeypatch.setattr(FunctionalRepresentation, "to_function", counted_to_function)
+    monkeypatch.setattr(SymmetricMatrixSpace, "product", counted_product)
+    monkeypatch.setattr(FunctionalRepresentation, "_verify", verify_after_atoms)
+    rep = functional_representation(space, gens)
+    assert rep.report.passed
+    assert counts["to_function"] <= 15 + m
+    assert 0 < counts["atom products"] <= 2 * n * m
 
 
 # ---------------------------------------------------------------------------
