@@ -5,7 +5,8 @@ tagged with a "kind". Reports are JSON with insertion-ordered keys so
 that identical inputs and seeds produce byte-identical output; --pretty
 switches to human-readable lines. Exit codes: 0 clean, 1 a structure
 violated its axioms or a check failed, 2 parse errors, unknown kinds,
-unknown labels, or unknown suites.
+unknown labels, or unknown suites, fields of the wrong type or shape,
+and spectral elements whose analysis overflows the float range.
 
 SYNAPTICA_TOL overrides the tolerance used to flag residuals in
 reports. Decision thresholds inside the library (rank cutoffs, cone
@@ -137,17 +138,39 @@ def _num_repr(v) -> str:
 # per-kind builders, returning (report_dict, violated) and objects on demand
 
 
+def _elements(doc: dict, path: str) -> list[str]:
+    elements = doc["elements"]
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise CliError(2, f"{path}: elements must be a list of string labels")
+    return elements
+
+
+def _refs(rows, field: str, elements: list[str], path: str, width: int) -> list[list[int]]:
+    """rows, a list of lists of width element references, as lists of indices."""
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == width for r in rows
+    ):
+        raise CliError(2, f"{path}: {field} must be a list of {width}-element lists")
+    return [[_index(elements, x, path) for x in r] for r in rows]
+
+
+def _perp(doc: dict, elements: list[str], path: str) -> list:
+    perp = [None] * len(elements)
+    for a, b in _refs(doc["perp"], "perp", elements, path, 2):
+        perp[a] = b
+    return perp
+
+
 def _build_poset(doc: dict, path: str):
-    elements = list(doc["elements"])
-    return po.FinitePoset.from_pairs(elements, [tuple(p) for p in doc.get("leq", [])])
+    elements = _elements(doc, path)
+    pairs = _refs(doc.get("leq", []), "leq", elements, path, 2)
+    return po.FinitePoset.from_pairs(elements, pairs)
 
 
 def _build_ortholattice(doc: dict, path: str):
-    elements = list(doc["elements"])
-    base = po.FinitePoset.from_pairs(elements, [tuple(p) for p in doc.get("leq", [])])
-    perp = [None] * len(elements)
-    for a, b in doc["perp"]:
-        perp[_index(elements, a, path)] = _index(elements, b, path)
+    base = _build_poset(doc, path)
+    elements = doc["elements"]
+    perp = _perp(doc, elements, path)
     if any(p is None for p in perp):
         raise po.StructureError("perp does not cover every element")
     zero = _index(elements, doc["zero"], path)
@@ -156,24 +179,23 @@ def _build_ortholattice(doc: dict, path: str):
 
 
 def _build_effect_algebra(doc: dict, path: str):
-    elements = list(doc["elements"])
+    elements = _elements(doc, path)
     n = len(elements)
     table = [[None] * n for _ in range(n)]
-    for e, f, g in doc["osum"]:
-        table[_index(elements, e, path)][_index(elements, f, path)] = _index(
-            elements, g, path
-        )
+    for e, f, g in _refs(doc["osum"], "osum", elements, path, 3):
+        table[e][f] = g
     zero = _index(elements, doc["zero"], path)
     one = _index(elements, doc["one"], path)
     return table, zero, one, elements
 
 
 def _build_mv_algebra(doc: dict, path: str):
-    elements = list(doc["elements"])
-    plus = [[_index(elements, x, path) for x in row] for row in doc["plus"]]
-    perp = [None] * len(elements)
-    for a, b in doc["perp"]:
-        perp[_index(elements, a, path)] = _index(elements, b, path)
+    elements = _elements(doc, path)
+    n = len(elements)
+    plus = _refs(doc["plus"], "plus", elements, path, n)
+    if len(plus) != n:
+        raise CliError(2, f"{path}: plus must have one row per element, got {len(plus)}")
+    perp = _perp(doc, elements, path)
     if any(p is None for p in perp):
         raise CliError(2, f"{path}: perp does not cover every element")
     zero = _index(elements, doc["zero"], path)
@@ -194,12 +216,20 @@ def _build_sym_matrix(doc: dict, path: str):
 
 
 def _build_function_algebra(doc: dict, path: str):
-    points = tuple(str(p) for p in doc["points"])
-    space = FunctionSpace(points)
+    points = doc["points"]
+    if not isinstance(points, list):
+        raise CliError(2, f"{path}: points must be a list of point labels")
+    try:
+        space = FunctionSpace(points)
+    except ValueError as exc:  # no points, or a repeated point label
+        raise CliError(2, f"{path}: {exc}")
+    named = doc.get("values", {})
+    if not isinstance(named, dict):
+        raise CliError(2, f"{path}: values must map element names to lists")
     values = {}
-    for name, vec in doc.get("values", {}).items():
-        if len(vec) != len(points):
-            raise CliError(2, f"{path}: element {name!r} has wrong length")
+    for name, vec in named.items():
+        if not isinstance(vec, list) or len(vec) != len(points):
+            raise CliError(2, f"{path}: element {name!r} must be a list of {len(points)} values")
         values[name] = space.element(np.array([_as_float(x, path) for x in vec]))
     return space, values
 
@@ -262,7 +292,9 @@ def _check_one(doc: dict, docs: list[dict], path: str, tol: float) -> dict:
                 violations.append(_violation(v.violation, elements))
         elif kind == "sym_matrix":
             space, m = _build_sym_matrix(doc, path)
-            asym = float(np.max(np.abs(m - m.T)))
+            # halves cannot overflow; the doubling is a Python float, inf
+            # only when the difference itself is beyond the float range
+            asym = 2.0 * float(np.max(np.abs(m / 2.0 - m.T / 2.0)))
             if asym > 1e-10:
                 violations.append(
                     {
@@ -370,6 +402,29 @@ def _payload_list(e: Element) -> list:
     return [round(float(x), 12) for x in arr.ravel()]
 
 
+def _spectral_report(name: str, a: Element, tol: float) -> dict:
+    res = sa.spectral_resolution(a)
+    # numpy.linalg clears the floating-point flags LAPACK sets, so an
+    # eigenvalue that overflowed raises nothing under errstate by itself
+    if not (np.isfinite(a.payload).all() and np.isfinite(res.eigenvalues).all()):
+        raise FloatingPointError("non-finite spectrum")
+    mod, plus, minus = sa.decompose(a)
+    residual = (res.reconstruct() - a).norm()
+    return {
+        "label": name,
+        "spectrum": [round(float(v), 12) for v in res.eigenvalues],
+        "lower": round(float(res.lower), 12),
+        "upper": round(float(res.upper), 12),
+        "eigenprojections": [_payload_list(p) for p in res.projections],
+        "carrier": _payload_list(sa.carrier(a)),
+        "abs": _payload_list(mod),
+        "plus": _payload_list(plus),
+        "minus": _payload_list(minus),
+        "residual": residual,
+        "residual_ok": residual <= tol,
+    }
+
+
 def cmd_spectral(args) -> int:
     tol = _report_tol()
     reports = []
@@ -397,24 +452,13 @@ def cmd_spectral(args) -> int:
         else:
             chosen = candidates
         for name, a in chosen:
-            res = sa.spectral_resolution(a)
-            mod, plus, minus = sa.decompose(a)
-            residual = (res.reconstruct() - a).norm()
-            reports.append(
-                {
-                    "label": name,
-                    "spectrum": [round(float(v), 12) for v in res.eigenvalues],
-                    "lower": round(float(res.lower), 12),
-                    "upper": round(float(res.upper), 12),
-                    "eigenprojections": [_payload_list(p) for p in res.projections],
-                    "carrier": _payload_list(sa.carrier(a)),
-                    "abs": _payload_list(mod),
-                    "plus": _payload_list(plus),
-                    "minus": _payload_list(minus),
-                    "residual": residual,
-                    "residual_ok": residual <= tol,
-                }
-            )
+            # an element near the end of the float range overflows somewhere
+            # in its analysis; that is unusable input, not a warning
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    reports.append(_spectral_report(name, a, tol))
+                except (FloatingPointError, np.linalg.LinAlgError) as exc:
+                    raise CliError(2, f"{path}: element {name!r} is out of float range: {exc}")
     report = {"command": "spectral", "tolerance": tol, "elements": reports}
     _emit(report, args.pretty, _pretty_spectral)
     return 0 if all(r["residual_ok"] for r in reports) else 1

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .posets import FinitePoset, StructureError, classify, is_oml, meet
+import numpy as np
+
+from .posets import FinitePoset, StructureError, is_oml, lattice_tables
 
 __all__ = [
     "AxiomViolation",
@@ -307,17 +309,19 @@ def check_morphism(
     return MorphismReport(True, iso, None)
 
 
+def _mv_meets(ea: FiniteEffectAlgebra) -> np.ndarray | None:
+    """Meet table of the induced order if ea is an MV-effect algebra, else None."""
+    meets, joins = lattice_tables(induced_order(ea))
+    if (meets < 0).any() or (joins < 0).any():
+        return None
+    if not all(ea.orthogonal(e, f) for e, f in np.argwhere(meets == ea.zero)):
+        return None
+    return meets
+
+
 def is_mv_effect_algebra(ea: FiniteEffectAlgebra) -> bool:
     """Lattice-ordered and every disjoint pair is orthogonal."""
-    order = induced_order(ea)
-    flags = classify(order)
-    if not flags.is_lattice:
-        return False
-    for e in range(ea.n):
-        for f in range(ea.n):
-            if meet(order, e, f) == ea.zero and not ea.orthogonal(e, f):
-                return False
-    return True
+    return _mv_meets(ea) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +444,8 @@ def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:
     Validates the seven axioms on the result and checks that the MV
     order and join agree with the induced effect-algebra order.
     """
-    if not is_mv_effect_algebra(ea):
+    meets = _mv_meets(ea)
+    if meets is None:
         raise EffectAlgebraError("not an MV-effect algebra")
     order = induced_order(ea)
     n = ea.n
@@ -448,7 +453,7 @@ def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:
     for x in range(n):
         row = []
         for y in range(n):
-            m = meet(order, ea.perp[x], y)
+            m = meets.item(ea.perp[x], y)
             v = ea.table[x][m]
             if v is None:  # x is orthogonal to anything below perp(x)
                 raise EffectAlgebraError(f"internal: sum undefined on ({x}, {m})")

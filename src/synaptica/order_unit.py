@@ -128,7 +128,9 @@ class SymmetricMatrixSpace:
         m = np.asarray(data, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n} x {self.n} matrix")
-        sym = (m + m.T) / 2.0
+        # halving first cannot overflow; the halves are exact for all but
+        # subnormal entries, so the sum rounds as (m + m.T) / 2 would
+        sym = m / 2.0 + m.T / 2.0
         drift = float(np.max(np.abs(m - sym))) if m.size else 0.0
         if drift > ASYMMETRY_TOL:
             raise ValueError(f"matrix is not symmetric (asymmetry {drift:.3e})")

@@ -4,6 +4,13 @@ Elements are integers 0..n-1 with optional string labels, and the order
 relation is a dense boolean matrix. Every predicate here is decided by
 exhaustive scan, so at desk scale (n up to a few dozen) the answers are
 exact and double as oracles for the rest of the package.
+
+The scans run over whole tables. lattice_tables computes every meet and
+join at once with numpy, one row of O(n^2) booleans at a time, and the
+ortholattice axioms and the classification flags are array comparisons
+over those tables and the relation, each reporting its first failing
+pair in row-major order. The scalar meet, join and subset_inf_sup stay
+as single-pair queries.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ __all__ = [
     "meet",
     "join",
     "subset_inf_sup",
+    "lattice_tables",
     "classify",
     "is_oml",
 ]
@@ -158,6 +166,43 @@ def subset_inf_sup(p: FinitePoset, subset) -> tuple[int | None, int | None]:
     return _greatest(p, p.lower_bounds(elems)), _least(p, p.upper_bounds(elems))
 
 
+def _glb_table(leq: np.ndarray) -> np.ndarray:
+    """Greatest lower bound of every pair under leq, -1 where there is none.
+
+    A pair's candidate is its common lower bound with the largest
+    down-set. A greatest lower bound lies above every other common lower
+    bound, so its down-set is the strictly largest; the candidate is
+    therefore the greatest lower bound exactly when every common lower
+    bound lies below it, and that containment is the whole check.
+    """
+    n = leq.shape[0]
+    below = leq.T                          # below[b, c]: c <= b
+    down = leq.sum(axis=0)                 # down[c]: size of c's down-set
+    table = np.empty((n, n), dtype=np.intp)
+    for a in range(n):
+        common = below & leq[:, a]         # common[b, c]: c <= a and c <= b
+        cand = np.where(common, down, -1).argmax(axis=1)
+        stray = common & ~below[cand]      # common lower bounds not below cand
+        table[a] = np.where(common.any(axis=1) & ~stray.any(axis=1), cand, -1)
+    return table
+
+
+def lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """(meets, joins): n x n integer tables, -1 where a pair has no meet or join.
+
+    Exact and exhaustive, like meet and join pair by pair; the join
+    table is the meet table of the reversed order.
+    """
+    leq = p.relation()
+    return _glb_table(leq), _glb_table(leq.T)
+
+
+def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first True entry in row-major order, or None."""
+    hits = np.argwhere(mask)
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+
+
 class BoundedOrtholattice:
     """Bounded lattice with an order-reversing involutive complementation.
 
@@ -178,22 +223,23 @@ class BoundedOrtholattice:
         perp = tuple(int(x) for x in perp)
         if len(perp) != n or sorted(perp) != list(range(n)):
             raise StructureError("perp must be a permutation of the elements")
-        meets = [[meet(poset, a, b) for b in range(n)] for a in range(n)]
-        joins = [[join(poset, a, b) for b in range(n)] for a in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if meets[a][b] is None or joins[a][b] is None:
-                    raise StructureError(f"not a lattice: pair ({a}, {b})")
-        for a in range(n):
-            if perp[perp[a]] != a:
-                raise StructureError(f"perp is not an involution at {a}")
-        for a in range(n):
-            for b in range(n):
-                if poset.leq(a, b) and not poset.leq(perp[b], perp[a]):
-                    raise StructureError(f"perp does not reverse order on ({a}, {b})")
-        for a in range(n):
-            if meets[a][perp[a]] != zero or joins[a][perp[a]] != one:
-                raise StructureError(f"perp({a}) is not a complement of {a}")
+        meets, joins = lattice_tables(poset)
+        if hit := _first_pair((meets < 0) | (joins < 0)):
+            raise StructureError("not a lattice: pair (%d, %d)" % hit)
+        p = np.array(perp, dtype=np.intp)
+        rows = np.arange(n)
+        bad = np.flatnonzero(p[p] != rows)
+        if bad.size:
+            raise StructureError(f"perp is not an involution at {bad[0]}")
+        leq = poset.relation()
+        # leq[perp[b], perp[a]] at [a, b]
+        if hit := _first_pair(leq & ~leq[np.ix_(p, p)].T):
+            raise StructureError("perp does not reverse order on (%d, %d)" % hit)
+        bad = np.flatnonzero((meets[rows, p] != zero) | (joins[rows, p] != one))
+        if bad.size:
+            raise StructureError(f"perp({bad[0]}) is not a complement of {bad[0]}")
+        meets.flags.writeable = False
+        joins.flags.writeable = False
         self.perp = perp
         self._meets = meets
         self._joins = joins
@@ -210,10 +256,10 @@ class BoundedOrtholattice:
         return self.poset.leq(a, b)
 
     def meet(self, a: int, b: int) -> int:
-        return self._meets[a][b]
+        return self._meets.item(a, b)
 
     def join(self, a: int, b: int) -> int:
-        return self._joins[a][b]
+        return self._joins.item(a, b)
 
     def __repr__(self) -> str:
         return f"BoundedOrtholattice(n={self.n})"
@@ -245,11 +291,18 @@ class Classification:
 
 def _orthomodular(latt: BoundedOrtholattice) -> bool:
     # a <= b must force b = a OR (b AND perp(a))
-    for a in range(latt.n):
-        for b in range(latt.n):
-            if latt.leq(a, b):
-                if latt.join(a, latt.meet(b, latt.perp[a])) != b:
-                    return False
+    n = latt.n
+    rows = np.arange(n)
+    inner = latt._meets[:, np.array(latt.perp)].T       # [a, b]: b AND perp(a)
+    outer = latt._joins[rows[:, None], inner]           # [a, b]: a OR inner[a, b]
+    return not (latt.poset.relation() & (outer != rows)).any()
+
+
+def _distributive(meets: np.ndarray, joins: np.ndarray) -> bool:
+    # a AND (b OR c) = (a AND b) OR (a AND c), over (b, c) at once per a
+    for row in meets:
+        if not np.array_equal(row[joins], joins[row[:, None], row]):
+            return False
     return True
 
 
@@ -257,39 +310,24 @@ def classify(structure) -> Classification:
     """Decide the standard lattice-theoretic flags by exhaustive scan.
 
     An ortholattice brings the meet and join tables its constructor
-    already built; a plain poset has them scanned here.
+    already built; a plain poset has them computed by lattice_tables.
     """
     if isinstance(structure, BoundedOrtholattice):
         p, latt = structure.poset, structure
         meets, joins = structure._meets, structure._joins
     else:
         p, latt = structure, None
-        meets = [[meet(p, a, b) for b in range(p.n)] for a in range(p.n)]
-        joins = [[join(p, a, b) for b in range(p.n)] for a in range(p.n)]
-    n = p.n
-    is_lattice = all(
-        meets[a][b] is not None and joins[a][b] is not None
-        for a in range(n)
-        for b in range(n)
-    )
+        meets, joins = lattice_tables(p)
+    has_meet, has_join = meets >= 0, joins >= 0
+    is_lattice = bool(has_meet.all() and has_join.all())
     bottom, top = p.minimum(), p.maximum()
     bounded = bottom is not None and top is not None
 
-    is_distributive = False
-    if is_lattice:
-        is_distributive = all(
-            meets[a][joins[b][c]] == joins[meets[a][b]][meets[a][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        )
+    is_distributive = is_lattice and _distributive(meets, joins)
 
     is_complemented = False
     if is_lattice and bounded:
-        is_complemented = all(
-            any(meets[a][b] == bottom and joins[a][b] == top for b in range(n))
-            for a in range(n)
-        )
+        is_complemented = bool(((meets == bottom) & (joins == top)).any(axis=1).all())
 
     is_boolean = is_lattice and bounded and is_distributive and is_complemented
 
@@ -299,20 +337,15 @@ def classify(structure) -> Classification:
 
     # in a lattice every pair has its join above and its meet below, so
     # directedness and the Dedekind condition need no scan there
-    is_directed = is_lattice or all(
-        p.upper_bounds((a, b)) and p.lower_bounds((a, b))
-        for a in range(n)
-        for b in range(n)
-    )
-
-    # Dedekind: pairs bounded above have joins, pairs bounded below have
-    # meets; finite induction lifts this to arbitrary bounded subsets.
-    dedekind = is_lattice or all(
-        (not p.upper_bounds((a, b)) or joins[a][b] is not None)
-        and (not p.lower_bounds((a, b)) or meets[a][b] is not None)
-        for a in range(n)
-        for b in range(n)
-    )
+    is_directed = dedekind = True
+    if not is_lattice:
+        leq = p.relation().astype(np.int64)
+        upper = (leq @ leq.T) > 0       # [a, b]: a common upper bound exists
+        lower = (leq.T @ leq) > 0       # [a, b]: a common lower bound exists
+        is_directed = bool((upper & lower).all())
+        # Dedekind: pairs bounded above have joins, pairs bounded below
+        # have meets; finite induction lifts this to bounded subsets.
+        dedekind = bool(((~upper | has_join) & (~lower | has_meet)).all())
 
     return Classification(
         is_lattice=is_lattice,

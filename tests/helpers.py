@@ -15,6 +15,11 @@ for completeness as well as soundness.
 The atom oracle is the sign-pattern scan over all 2^m products of
 commuting projections and their complements; it checks the library's
 pruned prefix tree atom for atom, bit for bit.
+
+The lattice oracles work pair by pair on a raw relation table: every
+meet and join by searching the common bounds, every classification
+flag by its defining loop, and the ortholattice axioms in the order the
+library checks them, so the first failing pair names the same witness.
 """
 
 from __future__ import annotations
@@ -163,6 +168,121 @@ def sign_pattern_atoms_by_scan(unit, payloads):
             atoms.append(prod)
             patterns.append(bits)
     return atoms, patterns
+
+
+# ---------------------------------------------------------------------------
+# Lattice oracles on a raw relation table: leq[i][j] is True when i <= j
+
+
+def lattice_tables_by_scan(leq):
+    """(meets, joins) as lists of lists, -1 where a pair has no meet or join."""
+    n = len(leq)
+
+    def greatest(bounds, below):
+        for c in bounds:
+            if all(below(d, c) for d in bounds):
+                return c
+        return -1
+
+    meets = [[-1] * n for _ in range(n)]
+    joins = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
+            upper = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            meets[a][b] = greatest(lower, lambda d, c: leq[d][c])
+            joins[a][b] = greatest(upper, lambda d, c: leq[c][d])
+    return meets, joins
+
+
+def _extreme(leq, below: bool):
+    n = len(leq)
+    for c in range(n):
+        if all((leq[c][d] if below else leq[d][c]) for d in range(n)):
+            return c
+    return None
+
+
+def classification_by_scan(leq, perp=None) -> dict:
+    """Every classification flag by its defining loop, keyed like the library's.
+
+    is_oml is None without a perp. Directedness and the Dedekind
+    condition are scanned on every input, lattices included.
+    """
+    n = len(leq)
+    meets, joins = lattice_tables_by_scan(leq)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    lattice = all(meets[a][b] >= 0 and joins[a][b] >= 0 for a, b in pairs)
+    bottom, top = _extreme(leq, True), _extreme(leq, False)
+    bounded = bottom is not None and top is not None
+    distributive = lattice and all(
+        meets[a][joins[b][c]] == joins[meets[a][b]][meets[a][c]]
+        for a in range(n)
+        for b, c in pairs
+    )
+    complemented = lattice and bounded and all(
+        any(meets[a][b] == bottom and joins[a][b] == top for b in range(n))
+        for a in range(n)
+    )
+    oml = None
+    if perp is not None:
+        oml = all(joins[a][meets[b][perp[a]]] == b for a, b in pairs if leq[a][b])
+
+    def bounded_above(a, b):
+        return any(leq[a][c] and leq[b][c] for c in range(n))
+
+    def bounded_below(a, b):
+        return any(leq[c][a] and leq[c][b] for c in range(n))
+
+    directed = all(bounded_above(a, b) and bounded_below(a, b) for a, b in pairs)
+    dedekind = all(
+        (not bounded_above(a, b) or joins[a][b] >= 0)
+        and (not bounded_below(a, b) or meets[a][b] >= 0)
+        for a, b in pairs
+    )
+    return {
+        "is_lattice": lattice,
+        "is_distributive": distributive,
+        "is_complemented": complemented,
+        "is_boolean": lattice and bounded and distributive and complemented,
+        "is_oml": oml,
+        "is_directed": directed,
+        "is_lattice_complete": lattice,
+        "is_sigma_complete": lattice,
+        "is_dedekind_sigma_complete": dedekind,
+        "is_monotone_sigma_complete": True,
+    }
+
+
+def ortholattice_failure_by_scan(leq, zero, one, perp):
+    """The first failed ortholattice axiom as the library words it, or None.
+
+    Checks bounds, permutation, lattice, involution, order reversal and
+    complements in that order, each pair by pair in row-major order.
+    """
+    n = len(leq)
+    if _extreme(leq, True) != zero:
+        return "zero is not the minimum"
+    if _extreme(leq, False) != one:
+        return "one is not the maximum"
+    if sorted(perp) != list(range(n)):
+        return "perp must be a permutation of the elements"
+    meets, joins = lattice_tables_by_scan(leq)
+    for a in range(n):
+        for b in range(n):
+            if meets[a][b] < 0 or joins[a][b] < 0:
+                return f"not a lattice: pair ({a}, {b})"
+    for a in range(n):
+        if perp[perp[a]] != a:
+            return f"perp is not an involution at {a}"
+    for a in range(n):
+        for b in range(n):
+            if leq[a][b] and not leq[perp[b]][perp[a]]:
+                return f"perp does not reverse order on ({a}, {b})"
+    for a in range(n):
+        if meets[a][perp[a]] != zero or joins[a][perp[a]] != one:
+            return f"perp({a}) is not a complement of {a}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ exit-code contract: 0 clean, 1 violations, 2 unusable input.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from synaptica.catalog import mo2_effect_algebra
+from synaptica import cli
 from synaptica.cli import main
 from synaptica.exact import InfeasibilityCertificate
 from synaptica import states as stt
@@ -108,6 +110,53 @@ def test_check_ortholattice_reports_classification(tmp_path, capsys):
         "is_boolean": True,
         "is_oml": True,
     }
+
+
+SQUARE = {
+    "kind": "ortholattice",
+    "elements": ["0", "a", "b", "1"],
+    "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+    "perp": [["0", "1"], ["a", "b"], ["b", "a"], ["1", "0"]],
+    "zero": "0",
+    "one": "1",
+}
+POSET2 = {"kind": "poset", "elements": ["a", "b"]}
+FA2 = {"kind": "function_algebra", "points": ["p", "q"]}
+MV2 = {"kind": "mv_algebra", "elements": ["0", "1"], "zero": "0",
+       "plus": [["0", "1"], ["1", "1"]], "perp": [["0", "1"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("check", dict(POSET2, elements=5), "elements must be a list of string labels"),
+        ("check", dict(SQUARE, elements=5), "elements must be a list of string labels"),
+        ("check", dict(POSET2, leq=[["a", "7"]]), "unknown element label: '7'"),
+        ("check", dict(POSET2, leq=[["a", 7]]), "element index out of range: 7"),
+        ("check", dict(POSET2, leq=[["a"]]), "leq must be a list of 2-element lists"),
+        ("check", dict(SQUARE, perp=[["0", "1", "a"]]), "perp must be a list of 2-element lists"),
+        ("check", dict(CHAIN_EA, osum=[["0", "0"]]), "osum must be a list of 3-element lists"),
+        ("check", dict(MV2, plus=[["0"]]), "plus must be a list of 2-element lists"),
+        ("check", dict(MV2, plus=[["0", "1"]]), "plus must have one row per element"),
+        ("spectral", dict(FA2, points=5), "points must be a list"),
+        ("spectral", dict(FA2, values={"g": 3}), "element 'g' must be a list of 2 values"),
+        ("spectral", dict(FA2, values=[1, 2]), "values must map element names to lists"),
+        ("states", dict(FA2, points=[]), "point set must be nonempty"),
+        ("check", dict(FA2, points=[]), "point set must be nonempty"),
+        ("spectral", dict(FA2, points=["p", "p"]), "point labels must be unique"),
+    ],
+)
+def test_malformed_structure_documents_exit_two(tmp_path, capsys, command, doc, message):
+    path = write_json(tmp_path, "doc.json", doc)
+    rc = main([command, path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_well_formed_boundary_documents_still_pass(tmp_path, capsys):
+    for doc in (SQUARE, dict(POSET2, leq=[["a", 1]]), MV2):
+        assert run(capsys, "check", write_json(tmp_path, "doc.json", doc))[0] == 0
 
 
 def test_check_state_documents(tmp_path, capsys):
@@ -254,6 +303,47 @@ def test_unusable_matrix_documents_exit_two(tmp_path, capsys, command, doc, mess
     rc = main([command, path])
     err = capsys.readouterr().err
     assert rc == 2 and message in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "entries", [[1e308] * 4, [1e308, 0.0, 0.0, -1.7e308], [1e307, 1e307, 1e307, -1.7e308]]
+)
+def test_spectral_out_of_float_range_exits_two(tmp_path, capsys, entries):
+    path = write_json(tmp_path, "m.json", sym2(entries=entries))
+    rc = main(["spectral", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "is out of float range" in captured.err and "not symmetric" not in captured.err
+    assert run(capsys, "check", path)[0] == 0  # symmetric, so a valid document
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_checks_the_spectrum_itself_for_overflow(tmp_path, capsys, monkeypatch):
+    # the resolution is computed with every floating-point error silenced, so
+    # only the direct finiteness check on the eigenvalues can reject it
+    def quiet_resolution(a):
+        with np.errstate(all="ignore"):
+            return resolve(a)
+
+    resolve = cli.sa.spectral_resolution
+    monkeypatch.setattr(cli.sa, "spectral_resolution", quiet_resolution)
+    path = write_json(tmp_path, "m.json", sym2(entries=[1e308] * 4))
+    rc = main(["spectral", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "is out of float range: non-finite spectrum" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_reports_a_huge_asymmetry_without_overflow(tmp_path, capsys):
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.0, 1.7e308, -1.7e308, 1.0]))
+    rc, out = run(capsys, "check", path)
+    assert rc == 1
+    (doc,) = json.loads(out)["files"][0]["documents"]
+    assert doc["violations"][0]["detail"] == "asymmetry inf exceeds 1e-10"
+    rc = main(["spectral", path])
+    assert rc == 2 and "asymmetry 1.700e+308" in capsys.readouterr().err
 
 
 def test_check_keeps_the_symmetry_violation(tmp_path, capsys):

@@ -89,6 +89,23 @@ def test_asymmetric_input_is_rejected(sym4):
     assert np.array_equal(a.payload, a.payload.T)
 
 
+@pytest.mark.filterwarnings("error")
+def test_symmetrising_does_not_overflow():
+    space = SymmetricMatrixSpace(2)
+    huge = np.full((2, 2), 1e308)
+    assert np.array_equal(space.element(huge).payload, huge)
+    with pytest.raises(ValueError, match=r"asymmetry 1\.700e\+308"):
+        space.element(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
+
+
+def test_symmetrising_rounds_like_the_plain_mean(sym4):
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1e-8, 1.0, 1e12, 1e300):
+        s = rng.standard_normal((4, 4)) * scale
+        m = s + s.T + 1e-11 * rng.standard_normal((4, 4))   # inside the asymmetry allowance
+        assert np.array_equal(sym4.element(m).payload, (m + m.T) / 2.0)
+
+
 def test_extension_is_linear_and_restricts(sym4):
     rng = np.random.default_rng(3)
     d = rng.random(4)

@@ -1,9 +1,12 @@
 import dataclasses
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import classification_by_scan, lattice_tables_by_scan, ortholattice_failure_by_scan
 from synaptica import catalog, posets
 from synaptica.posets import (
     BoundedOrtholattice,
@@ -12,6 +15,7 @@ from synaptica.posets import (
     classify,
     is_oml,
     join,
+    lattice_tables,
     meet,
     subset_inf_sup,
 )
@@ -88,9 +92,95 @@ def test_classify_on_the_lattice_agrees_with_its_poset(lat, monkeypatch):
     # the ortholattice path reads its own tables and never rescans a pair
     monkeypatch.setattr(posets, "meet", None)
     monkeypatch.setattr(posets, "join", None)
+    monkeypatch.setattr(posets, "lattice_tables", None)
     flags = dataclasses.asdict(classify(lat))
     assert plain.pop("is_oml") is None and flags.pop("is_oml") is not None
     assert flags == plain
+
+
+def assert_matches_the_scan(structure):
+    poset = structure.poset if isinstance(structure, BoundedOrtholattice) else structure
+    perp = structure.perp if isinstance(structure, BoundedOrtholattice) else None
+    raw = poset.relation().tolist()
+    meets, joins = lattice_tables(poset)
+    assert (meets.tolist(), joins.tolist()) == lattice_tables_by_scan(raw)
+    assert dataclasses.asdict(classify(structure)) == classification_by_scan(raw, perp)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [catalog.boolean_lattice(k) for k in range(1, 7)]
+    + [catalog.mo2(), catalog.o6(), catalog.chain(1), catalog.chain(6), catalog.bowtie()],
+    ids=[f"2^{k}" for k in range(1, 7)] + ["MO2", "O6", "chain1", "chain6", "bowtie"],
+)
+def test_catalog_tables_and_flags_match_the_scan(structure):
+    assert_matches_the_scan(structure)
+
+
+def involution(rng, n):
+    perm = list(range(n))
+    free = list(range(n))
+    rng.shuffle(free)
+    while len(free) > 1 and rng.random() < 0.8:
+        a, b = free.pop(), free.pop()
+        perm[a], perm[b] = b, a
+    return perm
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_shuffled_perps_fail_with_the_scans_first_witness(k):
+    lat = catalog.boolean_lattice(k)
+    n, raw = lat.n, lat.poset.relation().tolist()
+    rng = random.Random(k)
+    perps = [rng.sample(range(n), n) for _ in range(30)]      # mostly not involutions
+    perps += [involution(rng, n) for _ in range(30)]          # mostly not order-reversing
+    for _ in range(10):                                       # reverse order, not complements
+        swap = involution(rng, k)
+        perps.append([sum((((n - 1) ^ m) >> swap[i] & 1) << i for i in range(k))
+                      for m in range(n)])
+    perps.append(list(lat.perp))
+    seen = set()
+    for perp in perps:
+        expected = ortholattice_failure_by_scan(raw, 0, n - 1, perp)
+        seen.add(re.sub(r"\d+", "#", expected) if expected else None)
+        if expected is None:
+            BoundedOrtholattice(lat.poset, 0, n - 1, perp)
+            continue
+        with pytest.raises(StructureError) as caught:
+            BoundedOrtholattice(lat.poset, 0, n - 1, perp)
+        assert str(caught.value) == expected
+    assert seen == {
+        "perp is not an involution at #",
+        "perp does not reverse order on (#, #)",
+        "perp(#) is not a complement of #",
+        None,
+    }
+
+
+def test_bounded_non_lattice_names_its_first_pair():
+    # 0 below a, b below c, d below 1: a and b have two minimal upper bounds
+    p = FinitePoset.from_pairs(
+        ["0", "a", "b", "c", "d", "1"],
+        [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+         ("c", "1"), ("d", "1")],
+    )
+    perp = [5, 2, 1, 4, 3, 0]
+    expected = ortholattice_failure_by_scan(p.relation().tolist(), 0, 5, perp)
+    assert expected == "not a lattice: pair (1, 2)"
+    with pytest.raises(StructureError, match=r"^not a lattice: pair \(1, 2\)$"):
+        BoundedOrtholattice(p, 0, 5, perp)
+    assert_matches_the_scan(p)
+
+
+def test_building_and_classifying_needs_no_single_pair_queries(monkeypatch):
+    for name in ("meet", "join", "_greatest", "_least"):
+        monkeypatch.setattr(posets, name, None)
+    lat = catalog.boolean_lattice(5)
+    flags = classify(lat)
+    assert flags.is_boolean and flags.is_oml
+    assert dataclasses.asdict(classify(lat.poset)) == dict(dataclasses.asdict(flags), is_oml=None)
+    assert lat.meet(0b10110, 0b01101) == 0b00100 and lat.join(0b10110, 0b01101) == 0b11111
+    assert type(lat.meet(3, 5)) is int and type(lat.join(3, 5)) is int
 
 
 def test_subset_inf_sup():
@@ -172,6 +262,21 @@ def test_classification_consistency(p):
     assert c.is_sigma_complete == c.is_lattice
     assert c.is_lattice_complete == c.is_lattice
     assert c.is_monotone_sigma_complete
+
+
+@st.composite
+def dense_posets(draw):
+    # each pair i < j is a cover with probability about one half, so
+    # non-lattices with two minimal upper or lower bounds are common
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return FinitePoset.from_pairs(list(range(n)), pairs)
+
+
+@given(st.one_of(small_posets(), dense_posets()))
+@settings(max_examples=150, deadline=None)
+def test_tables_and_flags_match_the_scan(p):
+    assert_matches_the_scan(p)
 
 
 @given(small_posets())
