@@ -30,7 +30,7 @@ from . import posets as po
 from . import states as stt
 from . import synaptic as sa
 from . import verify as ver
-from .order_unit import Element, FunctionSpace, SymmetricMatrixSpace
+from .order_unit import ASYMMETRY_TOL, Element, FunctionSpace, SymmetricMatrixSpace, symmetrised
 
 __all__ = ["main"]
 
@@ -292,15 +292,13 @@ def _check_one(doc: dict, docs: list[dict], path: str, tol: float) -> dict:
                 violations.append(_violation(v.violation, elements))
         elif kind == "sym_matrix":
             space, m = _build_sym_matrix(doc, path)
-            # halves cannot overflow; the doubling is a Python float, inf
-            # only when the difference itself is beyond the float range
-            asym = 2.0 * float(np.max(np.abs(m / 2.0 - m.T / 2.0)))
-            if asym > 1e-10:
+            _, asym = symmetrised(m)  # the entries are finite, so is asym
+            if asym > ASYMMETRY_TOL:
                 violations.append(
                     {
                         "axiom": "symmetry",
                         "witness": [],
-                        "detail": f"asymmetry {asym:.3e} exceeds 1e-10",
+                        "detail": f"asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:g}",
                     }
                 )
         elif kind == "function_algebra":

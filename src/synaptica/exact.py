@@ -13,11 +13,23 @@ that system to the cone {(t, s) : G t - h s <= 0, s >= 0}. The
 double-description method of Motzkin et al. (1953), in the form of
 Fukuda and Prodon (1996), builds the cone's extreme rays by inserting
 one row at a time; the vertices are the rays with s > 0, read off as
-t / s. Certificates are built only when something fails: the equality
-elimination is re-run with an identity block to trace the combination
-that reduces to 0 = nonzero, and a system without vertices is refuted
-by Fourier-Motzkin elimination with the nonnegative multipliers traced
-back to the original rows.
+t / s.
+
+The parametrization is found by substitution first. The equalities of
+a state space are mostly orthosum rows w(e) + w(f) - w(g) = 0, almost
+all of them dependent: a row with one variable left unexpressed
+defines it (in Python integers when its coefficient is +-1), and a
+variable no row can define becomes a parameter. Every row is then
+imposed again on the parameters; the few distinct rows left, usually
+none, are reduced densely by affine_solution_set. On 2^6 none of its
+367 equality rows is left to eliminate.
+
+Certificates are built only when something fails, by the dense route
+over the original rows: the equality elimination is run on all of them,
+and re-run with an identity block to trace the combination that reduces
+to 0 = nonzero, and a system without vertices is refuted by
+Fourier-Motzkin elimination of the box rows of that parametrization,
+with the nonnegative multipliers traced back to them.
 """
 
 from __future__ import annotations
@@ -167,6 +179,142 @@ def affine_solution_set(
     return AffineSet(particular, basis)
 
 
+def _exact(v) -> int | Fraction:
+    """An integral value as a Python int, any other as a Fraction."""
+    if type(v) is int:
+        return v
+    q = F(v)
+    return q.numerator if q.denominator == 1 else q
+
+
+# an affine expression c + sum of coeff * t[param], as (c, {param: coeff})
+Affine = tuple[int | Fraction, dict[int, int | Fraction]]
+
+
+def _combine(coeffs: dict[int, int | Fraction], expr: list[Affine], start) -> Affine:
+    """start + sum of a * expr[j] over coeffs, with zero terms dropped."""
+    const, lin = start, {}
+    for j, a in coeffs.items():
+        c, terms = expr[j]
+        const += a * c
+        for t, v in terms.items():
+            lin[t] = lin.get(t, 0) + a * v
+    return const, {t: v for t, v in lin.items() if v}
+
+
+def _divide(e: Affine, a: int | Fraction) -> Affine:
+    """e / a, staying in integers when a is +-1."""
+    const, lin = e
+    if a == 1:
+        return e
+    if a == -1:
+        return -const, {t: -v for t, v in lin.items()}
+    return F(const) / a, {t: F(v) / a for t, v in lin.items()}
+
+
+def _substitute(rows: list[tuple[dict, int | Fraction]], n: int) -> tuple[list[Affine], int]:
+    """Express every variable as an affine function of free parameters.
+
+    rows are (coeffs, rhs) with coeffs a {variable: nonzero coefficient}
+    map. A row with exactly one variable left unexpressed defines it,
+    rows whose lone variable has coefficient +-1 first, so that integer
+    rows keep integer expressions; when no row can, the lowest
+    unexpressed variable becomes a new parameter. The rows are not yet
+    all satisfied: those that defined nothing still have to be imposed
+    on the parameters. Returns the expressions and the parameter count.
+    """
+    rows_of: list[list[int]] = [[] for _ in range(n)]
+    for r, (coeffs, _) in enumerate(rows):
+        for j in coeffs:
+            rows_of[j].append(r)
+    left = [len(coeffs) for coeffs, _ in rows]  # unexpressed variables per row
+    expr: list[Affine | None] = [None] * n
+    unit: list[tuple[int, int]] = []   # (row, its lone variable) by coefficient
+    other: list[tuple[int, int]] = []
+
+    def queue(r: int) -> None:
+        coeffs = rows[r][0]
+        u = next(j for j in coeffs if expr[j] is None)
+        (unit if coeffs[u] in (1, -1) else other).append((r, u))
+
+    def settle(j: int, e: Affine) -> None:
+        expr[j] = e
+        for r in rows_of[j]:
+            left[r] -= 1
+            if left[r] == 1:
+                queue(r)
+
+    for r in range(len(rows)):
+        if left[r] == 1:
+            queue(r)
+    params = lowest = 0
+    while True:
+        if unit or other:
+            r, u = (unit or other).pop()
+            if expr[u] is not None:
+                continue  # expressed by another row since this one was queued
+            coeffs, b = rows[r]
+            # coeffs[u] * x_u = b - (the rest of the row)
+            rest = _combine({j: -v for j, v in coeffs.items() if j != u}, expr, b)
+            settle(u, _divide(rest, coeffs[u]))
+            continue
+        while lowest < n and expr[lowest] is not None:
+            lowest += 1
+        if lowest == n:
+            return expr, params
+        settle(lowest, (0, {params: 1}))
+        params += 1
+
+
+def _residual(rows: list[tuple[dict, int | Fraction]], expr: list[Affine], params: int):
+    """Every row imposed on the parameters: the distinct nonzero rows left.
+
+    Each row is scaled so that its lowest parameter has coefficient 1,
+    so rows that differ by a factor count once. Returns dense
+    coefficient rows over the parameters and their right sides.
+    """
+    distinct: dict[tuple, None] = {}
+    for coeffs, b in rows:
+        const, lin = _combine(coeffs, expr, -b)  # lin . t + const = 0
+        if lin:
+            const, lin = _divide((const, lin), lin[min(lin)])
+        elif const:
+            const = 1  # 0 = nonzero: one such row is enough
+        else:
+            continue
+        distinct[(tuple(sorted(lin.items())), const)] = None
+    a_rows, b_vals = [], []
+    for lin, const in distinct:
+        terms = dict(lin)
+        a_rows.append([terms.get(t, 0) for t in range(params)])
+        b_vals.append(-const)
+    return a_rows, b_vals
+
+
+def _parametrize(a_rows, b_vals, n: int) -> AffineSet | None:
+    """{x : A x = b} as x = particular + basis @ s, or None if inconsistent.
+
+    Substitution expresses x = c + E t over a few parameters t; the rows
+    it has not used up are reduced by affine_solution_set to t = q + C s,
+    and the two compose to particular = c + E q and basis = E C.
+    """
+    rows = [
+        ({j: _exact(v) for j, v in enumerate(row) if v}, _exact(b))
+        for row, b in zip(a_rows, b_vals)
+    ]
+    expr, params = _substitute(rows, n)
+    sub = affine_solution_set(*_residual(rows, expr, params), params)
+    if isinstance(sub, InfeasibilityCertificate):
+        return None
+    particular = []
+    basis: list[list[Fraction]] = [[] for _ in sub.basis]
+    for c, lin in expr:
+        particular.append(F(c) + sum(v * sub.particular[t] for t, v in lin.items()))
+        for col, out in zip(sub.basis, basis):
+            out.append(F(sum(v * col[t] for t, v in lin.items())))
+    return AffineSet(particular, basis)
+
+
 def _fourier_motzkin(rows: list[tuple[list[Fraction], Fraction]]) -> InfeasibilityCertificate | None:
     """Refute {t: rows} or return None if consistent.
 
@@ -290,54 +438,89 @@ class VertexEnumeration:
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
 
 
-def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
-    """All vertices of {x in [0,1]^n : A x = b}, exactly.
+def _bound_failure(i: int, v: Fraction) -> InfeasibilityCertificate:
+    return InfeasibilityCertificate("bound", ((i, F(1)),), f"coordinate {i} is forced to {v}")
 
-    The box becomes a system of rows in the d parameters of the affine
-    solution set, and the vertices are the s > 0 extreme rays of its
-    homogenised cone, found by the double-description method. Every
-    vertex is re-checked exactly against every row. A bounded nonempty
-    polytope has at least one vertex, so an empty vertex list means
-    infeasible and comes with a certificate, built only then: from the
-    equalities when they are inconsistent, from a coordinate they force
-    outside [0, 1], or by Fourier-Motzkin elimination of the rows.
+
+def _box_rows(sol: AffineSet, n: int):
+    """0 <= particular + basis t <= 1 as rows (coeffs, rhs) meaning coeffs . t <= rhs.
+
+    Identical left sides keep the tightest right side, and the rows come
+    sorted. A coordinate the equalities fix outside [0, 1] is returned
+    as a bound certificate instead; the lowest such coordinate is named,
+    and which coordinates are fixed, and where, does not depend on the
+    parametrization.
+    """
+    d = sol.dimension
+    best: dict[tuple[Fraction, ...], Fraction] = {}
+    for i in range(n):
+        coeffs = tuple(sol.basis[j][i] for j in range(d))
+        p = sol.particular[i]
+        if all(c == 0 for c in coeffs):
+            if p < 0 or p > 1:
+                return _bound_failure(i, p)
+            continue
+        for lhs, rhs in ((tuple(-c for c in coeffs), p), (coeffs, F(1) - p)):
+            if lhs not in best or rhs < best[lhs]:
+                best[lhs] = rhs
+    return sorted(best.items())
+
+
+def _dense_certificate(a_rows, b_vals, n: int) -> tuple[InfeasibilityCertificate, list]:
+    """The certificate of an infeasible system, by the dense route.
+
+    The equalities are eliminated in full, so an equality certificate
+    combines the original rows, and Fourier-Motzkin multipliers refer to
+    the box rows of that parametrization, which are returned with it.
     """
     sol = affine_solution_set(a_rows, b_vals, n)
     if isinstance(sol, InfeasibilityCertificate):
-        return VertexEnumeration(False, -1, certificate=sol)
+        return sol, []
+    rows = _box_rows(sol, n)
+    if isinstance(rows, InfeasibilityCertificate):
+        return rows, []
+    cert = _fourier_motzkin([(list(c), r) for c, r in rows])
+    if cert is None:
+        raise RuntimeError("no vertices found for a feasible bounded system")
+    return cert, rows
+
+
+def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
+    """All vertices of {x in [0,1]^n : A x = b}, exactly.
+
+    The equalities are parametrized by substitution first: a row with one
+    variable left unexpressed defines it, and a variable no row can
+    define becomes a parameter. The rows that defined nothing are then
+    imposed on the parameters, and the few distinct ones left are
+    reduced densely. The box becomes a system of rows in the d
+    parameters of the resulting affine solution set, and the vertices
+    are the s > 0 extreme rays of its homogenised cone, found by the
+    double-description method. Every vertex is re-checked exactly
+    against every row. A bounded nonempty polytope has at least one
+    vertex, so an empty vertex list means infeasible and comes with a
+    certificate, built only then. A coordinate forced outside [0, 1] is
+    named directly; otherwise the dense route, eliminating all the
+    original rows, gives an equality certificate over them, or
+    Fourier-Motzkin multipliers over its own box rows.
+    """
+    sol = _parametrize(a_rows, b_vals, n)
+    if sol is None:
+        cert, _ = _dense_certificate(a_rows, b_vals, n)
+        if cert.kind != "equalities":
+            raise RuntimeError("substitution and elimination disagree on consistency")
+        return VertexEnumeration(False, -1, certificate=cert)
     d = sol.dimension
 
     if d == 0:
         x = sol.particular
         for i, v in enumerate(x):
             if v < 0 or v > 1:
-                cert = InfeasibilityCertificate(
-                    "bound", ((i, F(1)),), f"coordinate {i} is forced to {v}"
-                )
-                return VertexEnumeration(False, 0, certificate=cert)
+                return VertexEnumeration(False, 0, certificate=_bound_failure(i, v))
         return VertexEnumeration(True, 0, vertices=[x])
 
-    # box constraints in parameter space: 0 <= particular + basis t <= 1
-    raw_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for i in range(n):
-        coeffs = tuple(sol.basis[j][i] for j in range(d))
-        p = sol.particular[i]
-        if all(c == 0 for c in coeffs):
-            if p < 0 or p > 1:
-                cert = InfeasibilityCertificate(
-                    "bound", ((i, F(1)),), f"coordinate {i} is forced to {p}"
-                )
-                return VertexEnumeration(False, d, certificate=cert)
-            continue
-        raw_rows.append((tuple(-c for c in coeffs), p))        # -(basis t) <= p
-        raw_rows.append((coeffs, F(1) - p))                    # basis t <= 1 - p
-
-    # dedupe identical left sides, keeping the tightest right side
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for coeffs, rhs in raw_rows:
-        if coeffs not in best or rhs < best[coeffs]:
-            best[coeffs] = rhs
-    rows = sorted(best.items())
+    rows = _box_rows(sol, n)
+    if isinstance(rows, InfeasibilityCertificate):
+        return VertexEnumeration(False, d, certificate=rows)
 
     def satisfied(t: list[Fraction]) -> bool:
         return all(
@@ -351,10 +534,10 @@ def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
         verts.append(sol.point(t))
 
     if not verts:
-        cert = _fourier_motzkin([(list(c), r) for c, r in rows])
-        if cert is None:
-            raise RuntimeError("no vertices found for a feasible bounded system")
-        return VertexEnumeration(False, d, certificate=cert, rows=rows)
+        cert, dense_rows = _dense_certificate(a_rows, b_vals, n)
+        if cert.kind != "inequalities":
+            raise RuntimeError("substitution and elimination disagree on the box")
+        return VertexEnumeration(False, d, certificate=cert, rows=dense_rows)
 
     verts.sort(key=tuple)
     return VertexEnumeration(True, d, vertices=verts, rows=rows)

@@ -11,8 +11,11 @@ Numerical policy. Cone membership tolerates eigenvalues down to
 -1e-9 * max(1, ||a||) on the matrix instance and values down to -1e-12
 on the function instance; the function instance otherwise computes
 pointwise and exactly, which makes it the oracle for every commutative
-identity. Matrices are symmetrized on construction and inputs whose
-asymmetry exceeds 1e-10 are rejected rather than silently repaired.
+identity. Matrices are symmetrized on construction, and inputs whose
+asymmetry max|m - (m/2 + m.T/2)| exceeds 1e-10 are rejected rather
+than silently repaired; `symmetrised` computes both without overflow,
+and the CLI's `check` measures asymmetry with it too. Either space's
+`element` rejects a NaN or infinite entry.
 
 The space protocol. Both classes define the same methods, and synaptic,
 states and stone are written once against them; nothing outside this
@@ -113,6 +116,20 @@ def allclose(a: Element, b: Element, tol: float = 1e-9) -> bool:
     return a.space is b.space and bool(np.max(np.abs(a.payload - b.payload)) <= tol)
 
 
+def symmetrised(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(m/2 + m.T/2, max|m - (m/2 + m.T/2)|), neither of which can overflow.
+
+    Halving first keeps the sum in range; the halves are exact for all
+    but subnormal entries, so the sum rounds as (m + m.T) / 2 would. The
+    asymmetry is NaN, with no warning, exactly when m has a non-finite
+    entry: inf - inf or a NaN reaches the difference.
+    """
+    with np.errstate(invalid="ignore"):
+        sym = m / 2.0 + m.T / 2.0
+        drift = float(np.max(np.abs(m - sym))) if m.size else 0.0
+    return sym, drift
+
+
 class SymmetricMatrixSpace:
     """Sym(n) with the PSD cone and identity order unit."""
 
@@ -128,10 +145,9 @@ class SymmetricMatrixSpace:
         m = np.asarray(data, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n} x {self.n} matrix")
-        # halving first cannot overflow; the halves are exact for all but
-        # subnormal entries, so the sum rounds as (m + m.T) / 2 would
-        sym = m / 2.0 + m.T / 2.0
-        drift = float(np.max(np.abs(m - sym))) if m.size else 0.0
+        sym, drift = symmetrised(m)
+        if drift != drift:
+            raise ValueError("non-finite entry")
         if drift > ASYMMETRY_TOL:
             raise ValueError(f"matrix is not symmetric (asymmetry {drift:.3e})")
         return Element(self, sym)
@@ -274,6 +290,8 @@ class FunctionSpace:
         v = np.asarray(data, dtype=float)
         if v.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} values")
+        if not np.isfinite(v).all():
+            raise ValueError("non-finite entry")
         return Element(self, v)
 
     def indicator(self, subset) -> Element:

@@ -83,17 +83,33 @@ class FinitePoset:
         """Build from a list of (below, above) pairs.
 
         The reflexive-transitive closure is applied, so covers suffice.
-        Pairs may use labels or indices. A cycle surfaces as an
-        antisymmetry failure.
+        A pair member is a label, or else an int index in range (not a
+        bool); anything else raises a StructureError naming the pair. A
+        cycle surfaces as an antisymmetry failure.
         """
         labels = tuple(labels)
         index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
+
+        def resolve(x, pair) -> int:
+            try:
+                if x in index:
+                    return index[x]
+            except TypeError:  # unhashable, so not a label
+                pass
+            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n:
+                return x
+            raise StructureError(
+                f"pair {pair!r}: {x!r} is neither a label nor an index below {n}"
+            )
+
         table = np.eye(n, dtype=bool)
-        for a, b in pairs:
-            i = index[a] if a in index else int(a)
-            j = index[b] if b in index else int(b)
-            table[i, j] = True
+        for pair in pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise StructureError(f"pair {pair!r} is not a (below, above) pair") from None
+            table[resolve(a, pair), resolve(b, pair)] = True
         for k in range(n):  # Warshall closure
             table |= table[:, k][:, None] & table[k, :][None, :]
         return cls(table, labels)

@@ -15,7 +15,12 @@ The extremal-state story of the commutative instance is implemented in
 full: vertex membership, point evaluations, multiplicativity, zero-one
 values on projections, and the min-rule on positive pairs are computed
 independently so that their equivalence is a checked fact rather than a
-definition.
+definition. Each is one formula over whole arrays of the weights:
+distance to the exact simplex vertices, to the rows of the identity,
+the state on all k^2 products of point indicators, on the 2^k x k
+matrix of subset indicators, and on the minima of indicator pairs
+against the minima of their values; the min-rule's witness is the
+first failing pair of distinct points in row-major order.
 """
 
 from __future__ import annotations
@@ -474,61 +479,37 @@ def extremal_commutative_characterization(
         mu = np.asarray(state, dtype=float)
     if not is_state(space, mu):
         raise ValueError("not a state on the function algebra")
-    rho = ProbabilityVectorState(space, mu)
     k = space.dimension
     if k > 16:
         raise ValueError("projection scan is exhaustive; keep the point set small")
 
-    verts = simplex_vertices(space)
-    is_vertex = any(
-        all(abs(float(vc) - m) <= tol for vc, m in zip(vert, mu)) for vert in verts
-    )
+    # each condition is computed by its own formula, over whole arrays
+    verts = np.array(_simplex_vertex_data(k), dtype=float)
+    is_vertex = bool(np.any(np.all(np.abs(verts - mu) <= tol, axis=1)))
 
-    point_evaluation = None
-    for i, p in enumerate(space.points):
-        gamma = (np.arange(k) == i).astype(float)
-        if np.max(np.abs(mu - gamma)) <= tol:
-            point_evaluation = p
-            break
+    gammas = np.eye(k)  # the point evaluations, also the point indicators
+    at_point = np.flatnonzero(np.max(np.abs(mu - gammas), axis=1) <= tol)
+    point_evaluation = space.points[at_point[0]] if at_point.size else None
 
-    is_multiplicative = True
-    for i in range(k):
-        di = space.indicator([i])
-        for j in range(k):
-            dj = space.indicator([j])
-            prod = Element(space, di.payload * dj.payload)
-            if abs(rho(prod) - rho(di) * rho(dj)) > tol:
-                is_multiplicative = False
-                break
-        if not is_multiplicative:
-            break
+    rho_ind = gammas @ mu
+    products = gammas[:, None, :] * gammas[None, :, :]
+    is_multiplicative = not np.any(np.abs(products @ mu - np.outer(rho_ind, rho_ind)) > tol)
 
-    zero_one = True
-    for mask in range(1 << k):
-        p = space.indicator([i for i in range(k) if mask >> i & 1])
-        v = rho(p)
-        if min(abs(v), abs(v - 1.0)) > tol:
-            zero_one = False
-            break
+    masks = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
+    v = masks @ mu
+    zero_one = not np.any(np.minimum(np.abs(v), np.abs(v - 1.0)) > tol)
 
     flags = (is_vertex, point_evaluation is not None, is_multiplicative, zero_one)
     all_equivalent = len(set(flags)) == 1
 
-    min_rule_holds = True
+    minima = np.minimum(gammas[:, None, :], gammas[None, :, :])
+    fails = np.abs(minima @ mu - np.minimum.outer(rho_ind, rho_ind)) > tol
+    np.fill_diagonal(fails, False)
+    failing = np.argwhere(fails)
     witness = None
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            a = space.indicator([i])
-            b = space.indicator([j])
-            m = Element(space, np.minimum(a.payload, b.payload))
-            if abs(rho(m) - min(rho(a), rho(b))) > tol:
-                min_rule_holds = False
-                witness = (space.points[i], space.points[j])
-                break
-        if not min_rule_holds:
-            break
+    if failing.size:
+        i, j = failing[0]
+        witness = (space.points[i], space.points[j])
 
     return CommutativeExtremalReport(
         is_vertex=is_vertex,
@@ -536,6 +517,6 @@ def extremal_commutative_characterization(
         is_multiplicative=is_multiplicative,
         zero_one_on_projections=zero_one,
         all_equivalent=all_equivalent,
-        min_rule_holds=min_rule_holds,
+        min_rule_holds=witness is None,
         min_rule_witness=witness,
     )

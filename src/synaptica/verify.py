@@ -432,6 +432,37 @@ def suite_states(seed: int) -> list[CheckResult]:
         )
     )
 
+    # a state on a product splits as w(e, f) = w(e, 0) + w(0, f), so its
+    # vertices are each factor's vertices, constant along the other factor
+    def padded(a, b):
+        left = {tuple(v.values[i] for i in range(a.n) for _ in range(b.n))
+                for v in stt.state_polytope(a).vertices}
+        right = {tuple(v.values[j] for _ in range(a.n) for j in range(b.n))
+                 for v in stt.state_polytope(b).vertices}
+        return left | right
+
+    mo2 = cat.mo2_effect_algebra()
+    mo2_sq = cat.product_effect_algebra(mo2, mo2)
+    two = cat.boolean_effect_algebra(1)
+    predicted = {
+        "2^5": (cat.boolean_effect_algebra(5), 4,
+                {tuple(Fraction(m >> p & 1) for m in range(32)) for p in range(5)}),
+        "MO2xMO2": (mo2_sq, 5, padded(mo2, mo2)),
+        "MO2xMO2x2^1": (cat.product_effect_algebra(mo2_sq, two), 6, padded(mo2_sq, two)),
+    }
+    ok, found = True, []
+    for name, (ea, dim, verts) in predicted.items():
+        p = stt.state_polytope(ea)
+        found.append(f"{name}:dim={p.dimension},vertices={len(p.vertices)}")
+        ok = ok and p.dimension == dim and {v.values for v in p.vertices} == verts
+    out.append(
+        CheckResult(
+            "states: product polytopes have the padded factor vertices",
+            ok,
+            " ".join(found),
+        )
+    )
+
     mid_ok = True
     vs = pm.vertices
     for i in range(len(vs)):

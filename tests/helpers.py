@@ -12,6 +12,10 @@ are the vertices. It is slow but has nothing to get wrong about
 adjacency, so it checks the library's double-description enumeration
 for completeness as well as soundness.
 
+The commutative extremality oracle scans each of the five conditions
+one indicator or one subset at a time, where the library evaluates
+them over whole arrays.
+
 The atom oracle is the sign-pattern scan over all 2^m products of
 commuting projections and their complements; it checks the library's
 pruned prefix tree atom for atom, bit for bit.
@@ -168,6 +172,73 @@ def sign_pattern_atoms_by_scan(unit, payloads):
             atoms.append(prod)
             patterns.append(bits)
     return atoms, patterns
+
+
+def commutative_extremality_by_loops(points, mu, tol: float = 1e-9) -> dict:
+    """The seven fields of the commutative extremality report, by loops.
+
+    mu is a probability vector on the labels in points. Every condition
+    is scanned the way its definition reads, one indicator or one subset
+    at a time, with the state evaluated as a dot product: membership
+    among the unit vectors of the simplex, evaluation at a point,
+    rho(ab) = rho(a) rho(b) on pairs of point indicators, rho in {0, 1}
+    on the indicator of every subset, and the min-rule on pairs of
+    distinct point indicators, stopping at the first failing pair in
+    row-major order.
+    """
+    mu = np.asarray(mu, dtype=float)
+    k = len(points)
+
+    def rho(v):
+        return float(np.dot(mu, v))
+
+    def indicator(subset):
+        v = np.zeros(k)
+        for i in subset:
+            v[i] = 1.0
+        return v
+
+    units = [[float(i == j) for i in range(k)] for j in range(k)]
+    is_vertex = any(all(abs(vc - m) <= tol for vc, m in zip(u, mu)) for u in units)
+
+    point_evaluation = None
+    for i in range(k):
+        if np.max(np.abs(mu - indicator([i]))) <= tol:
+            point_evaluation = points[i]
+            break
+
+    is_multiplicative = all(
+        abs(rho(indicator([i]) * indicator([j])) - rho(indicator([i])) * rho(indicator([j])))
+        <= tol
+        for i in range(k) for j in range(k)
+    )
+    zero_one = True
+    for mask in range(1 << k):
+        v = rho(indicator([i for i in range(k) if mask >> i & 1]))
+        if min(abs(v), abs(v - 1.0)) > tol:
+            zero_one = False
+            break
+
+    witness = None
+    for i in range(k):
+        for j in range(k):
+            a, b = indicator([i]), indicator([j])
+            if i != j and abs(rho(np.minimum(a, b)) - min(rho(a), rho(b))) > tol:
+                witness = (points[i], points[j])
+                break
+        if witness:
+            break
+
+    flags = (is_vertex, point_evaluation is not None, is_multiplicative, zero_one)
+    return {
+        "is_vertex": is_vertex,
+        "point_evaluation": point_evaluation,
+        "is_multiplicative": is_multiplicative,
+        "zero_one_on_projections": zero_one,
+        "all_equivalent": len(set(flags)) == 1,
+        "min_rule_holds": witness is None,
+        "min_rule_witness": witness,
+    }
 
 
 # ---------------------------------------------------------------------------

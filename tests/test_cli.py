@@ -341,9 +341,20 @@ def test_check_reports_a_huge_asymmetry_without_overflow(tmp_path, capsys):
     rc, out = run(capsys, "check", path)
     assert rc == 1
     (doc,) = json.loads(out)["files"][0]["documents"]
-    assert doc["violations"][0]["detail"] == "asymmetry inf exceeds 1e-10"
+    assert doc["violations"][0]["detail"] == "asymmetry 1.700e+308 exceeds 1e-10"
     rc = main(["spectral", path])
     assert rc == 2 and "asymmetry 1.700e+308" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "off, symmetric", [(1.5e-10, True), (1.9e-10, True), (2.1e-10, False), (3e-10, False)]
+)
+def test_check_and_spectral_measure_asymmetry_alike(tmp_path, capsys, off, symmetric):
+    # both measure max|m - (m/2 + m.T/2)|, half the entry gap, against 1e-10
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.0, off, 0.0, 1.0]))
+    assert run(capsys, "check", path)[0] == (0 if symmetric else 1)
+    assert main(["spectral", path]) == (0 if symmetric else 2)
+    capsys.readouterr()
 
 
 def test_check_keeps_the_symmetry_violation(tmp_path, capsys):

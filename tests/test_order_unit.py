@@ -98,6 +98,20 @@ def test_symmetrising_does_not_overflow():
         space.element(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_elements_reject_non_finite_entries(bad):
+    m = np.eye(2)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        SymmetricMatrixSpace(2).element(m)
+    m[1, 0] = bad  # symmetric, still not a matrix of reals
+    with pytest.raises(ValueError, match="non-finite entry"):
+        SymmetricMatrixSpace(2).element(m)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        FunctionSpace(("x", "y")).element([1.0, bad])
+
+
 def test_symmetrising_rounds_like_the_plain_mean(sym4):
     rng = np.random.default_rng(5)
     for scale in (1e-300, 1e-8, 1.0, 1e12, 1e300):

@@ -237,6 +237,33 @@ def test_from_pairs_closes_covers():
     assert join(p, 1, 2) == 2
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("a", 7), "pair ('a', 7): 7 is neither a label nor an index below 2"),
+        (("a", "zz"), "pair ('a', 'zz'): 'zz' is neither a label nor an index below 2"),
+        (("a", -1), "pair ('a', -1): -1 is neither a label nor an index below 2"),
+        (("a", "1"), "pair ('a', '1'): '1' is neither a label nor an index below 2"),
+        ((True, "b"), "pair (True, 'b'): True is neither a label nor an index below 2"),
+        ((["a"], "b"), "pair (['a'], 'b'): ['a'] is neither a label nor an index below 2"),
+        (("a",), "pair ('a',) is not a (below, above) pair"),
+        (5, "pair 5 is not a (below, above) pair"),
+    ],
+)
+def test_from_pairs_names_a_pair_it_cannot_read(pair, message):
+    with pytest.raises(StructureError) as info:
+        FinitePoset.from_pairs(["a", "b"], [pair])
+    assert str(info.value) == message
+
+
+def test_from_pairs_takes_labels_before_indices():
+    # a label that is also an index in range means the label
+    p = FinitePoset.from_pairs([1, 0], [(1, 0)])
+    assert p.leq(0, 1) and not p.leq(1, 0)
+    q = FinitePoset.from_pairs(["a", "b"], [("a", 1)])
+    assert q.leq(0, 1)
+
+
 @st.composite
 def small_posets(draw):
     n = draw(st.integers(min_value=1, max_value=5))

@@ -12,7 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import proper_combination
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from helpers import commutative_extremality_by_loops, proper_combination
 from synaptica.catalog import (
     boolean_effect_algebra,
     chain_effect_algebra,
@@ -174,6 +177,46 @@ def test_boolean_2_5_vertices_are_the_point_evaluations():
     assert {st.values for st in poly.vertices} == {
         tuple(F(m >> p & 1) for m in range(32)) for p in range(5)
     }
+
+
+def test_boolean_2_6_and_2_7_vertices_are_the_point_evaluations():
+    for k in (6, 7):
+        poly = timed(state_polytope, boolean_effect_algebra(k))
+        assert poly.feasible and poly.dimension == k - 1
+        assert {st.values for st in poly.vertices} == {
+            tuple(F(m >> p & 1) for m in range(1 << k)) for p in range(k)
+        }
+
+
+def test_three_factor_product_vertices_are_the_padded_factor_vertices():
+    # MO2 x MO2 x 2^1, 72 elements: MO2 x MO2's eight vertices and the
+    # one state of 2^1, each padded along the other factor
+    a = product_effect_algebra(mo2_effect_algebra(), mo2_effect_algebra())
+    b = boolean_effect_algebra(1)
+    ea = product_effect_algebra(a, b)
+    assert ea.n == 72
+    poly = timed(state_polytope, ea)
+    assert poly.feasible and poly.dimension == 6
+    assert {st.values for st in poly.vertices} == padded_union(a, b)
+
+
+def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
+    # 2^6 has 367 state equalities; substitution along the orthosum table
+    # expresses every element through a few parameters, so no exact
+    # elimination may see more rows than twice the parameter space
+    from synaptica import exact
+
+    sizes = []
+
+    def counting(rows, ncols=None, _real=exact.rref):
+        sizes.append(len(rows))
+        return _real(rows, ncols)
+
+    monkeypatch.setattr(exact, "rref", counting)
+    monkeypatch.setattr(stt, "rref", counting)
+    poly = state_polytope(boolean_effect_algebra(6))
+    assert poly.dimension == 5 and len(poly.vertices) == 6
+    assert sizes and max(sizes) <= 2 * (poly.dimension + 1), sizes
 
 
 def test_cold_eight_point_simplex():
@@ -416,3 +459,62 @@ def test_random_mixtures_are_never_flagged_extremal():
             continue  # too close to a vertex for the float test
         rep = extremal_commutative_characterization(space, mu)
         assert not rep.is_vertex and not rep.min_rule_holds
+
+
+REPORT_FIELDS = ("is_vertex", "point_evaluation", "is_multiplicative",
+                 "zero_one_on_projections", "all_equivalent", "min_rule_holds",
+                 "min_rule_witness")
+
+
+@hs.composite
+def simplex_probes(draw):
+    """k points, and probability vectors of every kind on them.
+
+    Every vertex; a Dirichlet interior point; a vertex with 1e-10, 3e-9
+    or 1e-8 of its mass moved to another point, or added to or taken
+    from it (one size below the tolerance 1e-9, two above it); the
+    equal split of two points.
+    """
+    k = draw(hs.integers(min_value=1, max_value=10))
+    probes = [np.eye(k)[i] for i in range(k)]
+    seed = draw(hs.integers(min_value=0, max_value=2**32 - 1))
+    probes.append(np.random.default_rng(seed).dirichlet(np.ones(k)))
+    i = draw(hs.integers(min_value=0, max_value=k - 1))
+    j = draw(hs.integers(min_value=0, max_value=k - 1))
+    for eps in (1e-10, 3e-9, 1e-8):
+        for sign in (1.0, -1.0):
+            mu = np.eye(k)[i]
+            mu[i] += sign * eps
+            probes.append(mu)
+        if i != j:
+            mu = np.eye(k)[i]
+            mu[i] -= eps
+            mu[j] += eps
+            probes.append(mu)
+    if i != j:
+        probes.append(np.eye(k)[i] / 2.0 + np.eye(k)[j] / 2.0)
+    return k, probes
+
+
+@given(simplex_probes())
+@settings(max_examples=60, deadline=None)
+def test_characterization_agrees_with_the_loops(case):
+    k, probes = case
+    space = FunctionSpace(tuple(f"p{i}" for i in range(k)))
+    for mu in probes:
+        if mu.min() < -1e-12 or abs(mu.sum() - 1.0) > 1e-9:
+            with pytest.raises(ValueError, match="not a state"):
+                extremal_commutative_characterization(space, mu)
+            continue
+        rep = extremal_commutative_characterization(space, mu)
+        got = {name: getattr(rep, name) for name in REPORT_FIELDS}
+        assert got == commutative_extremality_by_loops(space.points, mu)
+        flags = ("is_vertex", "is_multiplicative", "zero_one_on_projections",
+                 "all_equivalent", "min_rule_holds")
+        assert all(type(got[name]) is bool for name in flags)  # JSON needs Python bools
+
+
+def test_characterization_keeps_its_size_guard():
+    space = FunctionSpace(tuple(f"p{i}" for i in range(17)))
+    with pytest.raises(ValueError, match="keep the point set small"):
+        extremal_commutative_characterization(space, np.eye(17)[0])

@@ -7,6 +7,7 @@ functions through module namespaces at call time.
 
 import pytest
 
+from synaptica import states as stt
 from synaptica import synaptic as sa
 from synaptica import verify as ver
 
@@ -49,3 +50,20 @@ def test_planted_carrier_bug_is_caught(monkeypatch):
     checks = ver.run_suite("synaptic", seed=0)
     failed = [c.name for c in checks if not c.passed]
     assert any("carrier" in name for name in failed)
+
+
+def test_planted_vertex_loss_is_caught(monkeypatch):
+    # an enumeration that loses a vertex still returns exact extreme
+    # states, so the state and rank re-checks in state_polytope pass;
+    # the product check's predicted vertex sets do not
+    real = stt.enumerate_box_vertices
+
+    def lossy(rows, rhs, n):
+        enum = real(rows, rhs, n)
+        del enum.vertices[-1:]
+        return enum
+
+    monkeypatch.setattr(stt, "enumerate_box_vertices", lossy)
+    checks = ver.run_suite("states", seed=0)
+    failed = [c.name for c in checks if not c.passed]
+    assert any("padded factor vertices" in name for name in failed)
