@@ -1,8 +1,8 @@
-"""Exact rational linear algebra for small state polytopes.
+"""Exact linear algebra for small state polytopes.
 
-Everything here works over fractions.Fraction and Python integers, so
-vertex coordinates come out as exact rationals. The polytopes we care
-about all have the shape
+The state-polytope pipeline runs in Python integers inside and builds
+fractions.Fraction only at the output, so vertex coordinates come out
+as exact rationals. The polytopes we care about all have the shape
 
     { x in [0, 1]^n : A x = b }
 
@@ -13,16 +13,21 @@ that system to the cone {(t, s) : G t - h s <= 0, s >= 0}. The
 double-description method of Motzkin et al. (1953), in the form of
 Fukuda and Prodon (1996), builds the cone's extreme rays by inserting
 one row at a time; the vertices are the rays with s > 0, read off as
-t / s.
+t / s. The cone rows and the rays are primitive integer vectors, each
+ray is re-checked against every cone row in integers, and a vertex
+coordinate becomes a Fraction only when it is read off.
 
 The parametrization is found by substitution first. The equalities of
 a state space are mostly orthosum rows w(e) + w(f) - w(g) = 0, almost
 all of them dependent: a row with one variable left unexpressed
 defines it (in Python integers when its coefficient is +-1), and a
-variable no row can define becomes a parameter. Every row is then
-imposed again on the parameters; the few distinct rows left, usually
-none, are reduced densely by affine_solution_set. On 2^6 none of its
-367 equality rows is left to eliminate.
+variable no row can define becomes a parameter. Integral values stay
+Python ints; a Fraction appears only where a coefficient other than
++-1 divides. Every row is then imposed again on the parameters; the few
+distinct rows left, usually none, are reduced densely over Fractions by
+affine_solution_set. On 2^6 none of its 367 equality rows is left to
+eliminate. integer_rank is the fraction-free rank test of the vertex
+re-check in states.
 
 Certificates are built only when something fails, by the dense route
 over the original rows: the equality elimination is run on all of them,
@@ -36,10 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 __all__ = [
     "rref",
+    "integer_rank",
     "solve_square",
     "affine_solution_set",
     "AffineSet",
@@ -89,6 +96,39 @@ def rref(
     return m, pivots
 
 
+def _independent_rows(rows: list[list[int]], limit: int | None = None) -> list[int]:
+    """Indices of the rows, in order, independent of the rows before them.
+
+    Fraction-free: each row is reduced by the echelon rows kept so far,
+    by integer cross multiplication at their pivots, and kept, divided
+    by the gcd of its entries, when something nonzero is left. Every
+    echelon row is zero at the pivots before its own, so a row reduces
+    to zero exactly when it lies in their span. Stops after limit rows.
+    """
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        r = list(row)
+        for c, e in echelon:
+            if r[c]:
+                a, b = e[c], r[c]
+                r = [a * x - b * y for x, y in zip(r, e)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        g = gcd(*r)
+        echelon.append((c, [x // g for x in r]))
+        picked.append(i)
+        if len(picked) == limit:
+            break
+    return picked
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(_independent_rows(rows))
+
+
 def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Solve a d x d system exactly; None when singular."""
     d = len(a)
@@ -119,8 +159,8 @@ class InfeasibilityCertificate:
 class AffineSet:
     """Solution set of A x = b as x = particular + basis @ t."""
 
-    particular: list[Fraction]
-    basis: list[list[Fraction]]  # one column vector per free parameter
+    particular: list[int | Fraction]
+    basis: list[list[int | Fraction]]  # one column vector per free parameter
 
     @property
     def dimension(self) -> int:
@@ -183,7 +223,7 @@ def _exact(v) -> int | Fraction:
     """An integral value as a Python int, any other as a Fraction."""
     if type(v) is int:
         return v
-    q = F(v)
+    q = v if type(v) is Fraction else F(v)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -297,21 +337,26 @@ def _parametrize(a_rows, b_vals, n: int) -> AffineSet | None:
     Substitution expresses x = c + E t over a few parameters t; the rows
     it has not used up are reduced by affine_solution_set to t = q + C s,
     and the two compose to particular = c + E q and basis = E C.
+    Integral entries of particular and basis are Python ints, the others
+    Fractions.
     """
+    columns = range(n)
     rows = [
-        ({j: _exact(v) for j, v in enumerate(row) if v}, _exact(b))
+        ({j: _exact(row[j]) for j in compress(columns, row)}, _exact(b))
         for row, b in zip(a_rows, b_vals)
     ]
     expr, params = _substitute(rows, n)
     sub = affine_solution_set(*_residual(rows, expr, params), params)
     if isinstance(sub, InfeasibilityCertificate):
         return None
+    q = [_exact(v) for v in sub.particular]
+    cols = [[_exact(v) for v in col] for col in sub.basis]
     particular = []
-    basis: list[list[Fraction]] = [[] for _ in sub.basis]
+    basis: list[list[int | Fraction]] = [[] for _ in cols]
     for c, lin in expr:
-        particular.append(F(c) + sum(v * sub.particular[t] for t, v in lin.items()))
-        for col, out in zip(sub.basis, basis):
-            out.append(F(sum(v * col[t] for t, v in lin.items())))
+        particular.append(_exact(c + sum(v * q[t] for t, v in lin.items())))
+        for col, out in zip(cols, basis):
+            out.append(_exact(sum(v * col[t] for t, v in lin.items())))
     return AffineSet(particular, basis)
 
 
@@ -362,27 +407,23 @@ def _primitive(vec: list[Fraction]) -> list[int]:
     return [x // g for x in ints]
 
 
-def _double_description(
-    rows: list[tuple[tuple[Fraction, ...], Fraction]], d: int
-) -> list[list[Fraction]]:
-    """Vertices of the bounded polytope {t : coeffs . t <= rhs for each row}.
+def _double_description(cone: list[list[int]], d: int) -> list[list[int]]:
+    """The s > 0 extreme rays of the cone {(t, s) : a . (t, s) <= 0 for each row a}.
 
-    The rows are homogenised to the cone {(t, s) : G t - h s <= 0,
-    -s <= 0} in D = d + 1 dimensions, each scaled to a primitive integer
-    vector. The first D independent rows give a simplicial cone whose
-    extreme rays seed the list. Every further row keeps the rays on its
-    feasible side and adds, for each adjacent pair it separates, their
-    positive combination on its hyperplane. Two rays are adjacent when
-    the rows they both lie on number at least D - 2 and no other ray
-    lies on all of them. Rays are kept as primitive integer vectors and
-    the rows a ray lies on as a bitmask over the rows inserted so far.
-    The polytope is bounded, so the cone is pointed and its extreme rays
-    are the vertices scaled by s > 0; an empty polytope leaves no ray.
+    cone holds primitive integer rows in D = d + 1 dimensions, row 0
+    being -s <= 0. The first D independent rows give a simplicial cone
+    whose extreme rays seed the list. Every further row keeps the rays
+    on its feasible side and adds, for each adjacent pair it separates,
+    their positive combination on its hyperplane. Two rays are adjacent
+    when the rows they both lie on number at least D - 2 and no other
+    ray lies on all of them. Rays are kept as primitive integer vectors
+    and the rows a ray lies on as a bitmask over the rows inserted so
+    far. The polytope is bounded, so the cone is pointed and its extreme
+    rays are the vertices scaled by s > 0; an empty polytope leaves no
+    ray.
     """
     D = d + 1
-    cone = [[0] * d + [-1]] + [_primitive(list(c) + [-r]) for c, r in rows]
-    # the first D independent rows are the pivot columns of the transpose
-    _, start = rref([[F(row[k]) for row in cone] for k in range(D)])
+    start = _independent_rows(cone, D)
     if len(start) != D:
         raise RuntimeError("the box rows do not span the parameter space")
     # [A_K | I] reduces to [I | A_K^-1]; ray j solves A_K r = -e_j
@@ -423,7 +464,7 @@ def _double_description(
         rays = kept
         if not rays:
             break
-    return [[F(x, ray[d]) for x in ray[:d]] for ray, _ in rays if ray[d] > 0]
+    return [ray for ray, _ in rays if ray[d] > 0]
 
 
 @dataclass
@@ -435,7 +476,7 @@ class VertexEnumeration:
     vertices: list[list[Fraction]] = field(default_factory=list)
     certificate: InfeasibilityCertificate | None = None
     # inequality rows in parameter space, for reports: (coeffs, rhs)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
+    rows: list[tuple[tuple[int | Fraction, ...], int | Fraction]] = field(default_factory=list)
 
 
 def _bound_failure(i: int, v: Fraction) -> InfeasibilityCertificate:
@@ -452,7 +493,7 @@ def _box_rows(sol: AffineSet, n: int):
     parametrization.
     """
     d = sol.dimension
-    best: dict[tuple[Fraction, ...], Fraction] = {}
+    best: dict[tuple[int | Fraction, ...], int | Fraction] = {}
     for i in range(n):
         coeffs = tuple(sol.basis[j][i] for j in range(d))
         p = sol.particular[i]
@@ -460,7 +501,7 @@ def _box_rows(sol: AffineSet, n: int):
             if p < 0 or p > 1:
                 return _bound_failure(i, p)
             continue
-        for lhs, rhs in ((tuple(-c for c in coeffs), p), (coeffs, F(1) - p)):
+        for lhs, rhs in ((tuple(-c for c in coeffs), p), (coeffs, 1 - p)):
             if lhs not in best or rhs < best[lhs]:
                 best[lhs] = rhs
     return sorted(best.items())
@@ -495,10 +536,12 @@ def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
     reduced densely. The box becomes a system of rows in the d
     parameters of the resulting affine solution set, and the vertices
     are the s > 0 extreme rays of its homogenised cone, found by the
-    double-description method. Every vertex is re-checked exactly
-    against every row. A bounded nonempty polytope has at least one
-    vertex, so an empty vertex list means infeasible and comes with a
-    certificate, built only then. A coordinate forced outside [0, 1] is
+    double-description method, in integers. Every s > 0 ray is
+    re-checked against every primitive integer cone row as a . ray <= 0,
+    still in integers, and only then read off as a vertex: Fractions are
+    built for its coordinates and nowhere else on this path. A bounded
+    nonempty polytope has at least one vertex, so an empty vertex list
+    means infeasible and comes with a certificate, built only then. A coordinate forced outside [0, 1] is
     named directly; otherwise the dense route, eliminating all the
     original rows, gives an equality certificate over them, or
     Fourier-Motzkin multipliers over its own box rows.
@@ -516,22 +559,24 @@ def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
         for i, v in enumerate(x):
             if v < 0 or v > 1:
                 return VertexEnumeration(False, 0, certificate=_bound_failure(i, v))
-        return VertexEnumeration(True, 0, vertices=[x])
+        return VertexEnumeration(True, 0, vertices=[[F(v) for v in x]])
 
     rows = _box_rows(sol, n)
     if isinstance(rows, InfeasibilityCertificate):
         return VertexEnumeration(False, d, certificate=rows)
 
-    def satisfied(t: list[Fraction]) -> bool:
-        return all(
-            sum(c * tv for c, tv in zip(coeffs, t)) <= rhs for coeffs, rhs in rows
-        )
-
+    # -s <= 0, then each row as coeffs . t - rhs s <= 0, scaled to coprime integers
+    cone = [[0] * d + [-1]] + [_primitive(list(c) + [-r]) for c, r in rows]
     verts: list[list[Fraction]] = []
-    for t in _double_description(rows, d):
-        if not satisfied(t):
-            raise RuntimeError(f"double description produced {t}, outside the rows")
-        verts.append(sol.point(t))
+    for ray in _double_description(cone, d):
+        s = ray[d]
+        if s <= 0 or any(sum(a * x for a, x in zip(row, ray)) > 0 for row in cone):
+            raise RuntimeError(f"double description produced the ray {ray}, outside the rows")
+        # x = particular + basis t with t = ray[:d] / s
+        verts.append([
+            F(p * s + sum(col[i] * r for col, r in zip(sol.basis, ray)), s)
+            for i, p in enumerate(sol.particular)
+        ])
 
     if not verts:
         cert, dense_rows = _dense_certificate(a_rows, b_vals, n)

@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from numbers import Rational
 
 import numpy as np
 
 from .effect_algebras import FiniteEffectAlgebra
-from .exact import InfeasibilityCertificate, enumerate_box_vertices, rref
+from .exact import InfeasibilityCertificate, enumerate_box_vertices, integer_rank
 from .order_unit import (
     Element,
     ExtendedLinearMap,
@@ -158,19 +159,11 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
     """
     if isinstance(structure, FiniteEffectAlgebra):
         vals = _ea_state_values(structure, candidate)
-        exact = all(isinstance(v, Rational) for v in vals)
-        if exact:
-            one = Fraction(1)
-            if vals[structure.one] != one:
-                return False
-            if any(v < 0 or v > 1 for v in vals):
-                return False
-            for e in range(structure.n):
-                for f in range(structure.n):
-                    g = structure.table[e][f]
-                    if g is not None and vals[e] + vals[f] != vals[g]:
-                        return False
-            return True
+        if all(isinstance(v, Rational) for v in vals):
+            return _is_exact_ea_state(structure, vals)
+        # float() overflows on a huge exact value, so those meet the bounds first
+        if any(isinstance(v, Rational) and not -tol <= v <= 1.0 + tol for v in vals):
+            return False
         fvals = [float(v) for v in vals]
         if abs(fvals[structure.one] - 1.0) > tol:
             return False
@@ -187,6 +180,26 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
         raise TypeError(f"no state notion for {structure!r}")
     density = candidate.density if isinstance(candidate, _DensityState) else candidate
     return structure.is_density(np.asarray(density, dtype=float), tol)
+
+
+def _is_exact_ea_state(ea: FiniteEffectAlgebra, vals) -> bool:
+    """The exact state conditions, in integers over one common denominator.
+
+    With L the lcm of the denominators, w = num / L: w(one) = 1, each
+    w in [0, 1] and every defined orthosum additive read num[one] = L,
+    0 <= num <= L and num[e] + num[f] = num[g]. int() keeps numpy
+    integers from overflowing.
+    """
+    dens = [int(v.denominator) for v in vals]
+    L = lcm(*dens)
+    nums = [int(v.numerator) * (L // q) for v, q in zip(vals, dens)]
+    if nums[ea.one] != L or any(x < 0 or x > L for x in nums):
+        return False
+    for ne, row in zip(nums, ea.table):
+        for nf, g in zip(nums, row):
+            if g is not None and ne + nf != nums[g]:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +275,24 @@ def state_polytope(ea: FiniteEffectAlgebra) -> StatePolytope:
 
 
 def _assert_vertices_are_extreme(rows: list[list[int]], verts: list[EffectAlgebraState]) -> None:
-    """Exact vertex test in x-space, over Fraction.
+    """Exact vertex test in x-space, in integers.
 
     x is a vertex of {x in [0,1]^n : A x = b} exactly when the rows of A
     and the unit rows of the coordinates where x is 0 or 1 have rank n.
     The unit rows pivot on their own columns, so the test is that A,
-    restricted to the other coordinates, has full column rank.
+    restricted to the other coordinates, has full column rank. A is an
+    integer matrix, so its distinct nonzero restricted rows go to the
+    fraction-free integer_rank.
     """
     for k, st in enumerate(verts):
         free = [i for i, v in enumerate(st.values) if v != 0 and v != 1]
         if not free:
             continue  # the unit rows alone have rank n
-        _, pivots = rref([[Fraction(row[i]) for i in free] for row in rows])
-        if len(pivots) < len(free):
+        restricted = dict.fromkeys(tuple(row[i] for i in free) for row in rows)
+        rank = integer_rank([row for row in restricted if any(row)])
+        if rank < len(free):
             raise AssertionError(
-                f"vertex {k} is not extreme: the equalities fix only {len(pivots)} "
+                f"vertex {k} is not extreme: the equalities fix only {rank} "
                 f"of its {len(free)} coordinates strictly inside (0, 1)"
             )
 

@@ -12,6 +12,12 @@ are the vertices. It is slow but has nothing to get wrong about
 adjacency, so it checks the library's double-description enumeration
 for completeness as well as soundness.
 
+The exact state oracle is the n^2 loop over every ordered pair of a
+partial-sum table in Fraction arithmetic, which checks the library's
+integer test over one common denominator. The rank oracle is Gauss-Jordan
+elimination over Fractions, which checks the library's fraction-free
+integer_rank.
+
 The commutative extremality oracle scans each of the five conditions
 one indicator or one subset at a time, where the library evaluates
 them over whole arrays.
@@ -408,6 +414,29 @@ def _refute(rows):
             return ("inequalities", tuple(sorted((k, v) for k, v in mults.items() if v != 0)),
                     f"nonnegative combination of inequality rows gives 0 <= {rhs}")
     return None
+
+
+def rank_by_elimination(rows, ncols) -> int:
+    """Rank of a rational matrix with ncols columns, over Fractions."""
+    return len(_eliminate([[Fraction(v) for v in row] for row in rows], ncols))
+
+
+def is_state_by_loops(table, one, values) -> bool:
+    """The exact state conditions on a partial-sum table, pair by pair.
+
+    values are exact rationals (ints, bools, Fractions, numpy integers),
+    each read as a Fraction of Python ints first.
+    """
+    vals = [Fraction(int(v.numerator), int(v.denominator)) for v in values]
+    if vals[one] != 1 or any(v < 0 or v > 1 for v in vals):
+        return False
+    n = len(table)
+    for e in range(n):
+        for f in range(n):
+            g = table[e][f]
+            if g is not None and vals[e] + vals[f] != vals[g]:
+                return False
+    return True
 
 
 def state_equalities(table, zero, one):

@@ -481,6 +481,23 @@ def test_unusable_state_bodies_exit_two(tmp_path, capsys, command, over, state, 
     assert "reshape" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "states"])
+def test_huge_exact_value_beside_a_float_is_no_state(tmp_path, capsys, command):
+    # the float sends the table down the float path, and 1e400 has no float
+    doc = {"kind": "state", "over": "halves", "table": ["0", 0.5, "1e400"]}
+    path = write_json(tmp_path, "s.json", [CHAIN_EA, doc])
+    rc = main([command, path])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    if command == "check":
+        assert rc == 1
+        [violation] = report["files"][0]["documents"][1]["violations"]
+        assert violation["axiom"] == "state"
+    else:
+        assert rc == 0 and report["structures"][1]["is_state"] is False
+
+
 def test_states_axiom_failure_exits_one(tmp_path, capsys):
     # probe:states:axiom-failure -- the three-element chain without h + h,
     # so h has no orthosupplement and there is no state space to report

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_vertices_by_scan, state_equalities
+from helpers import box_vertices_by_scan, rank_by_elimination, state_equalities
+from synaptica import exact
 from synaptica.catalog import (
     boolean_effect_algebra,
     chain_effect_algebra,
@@ -18,6 +19,7 @@ from synaptica.exact import (
     InfeasibilityCertificate,
     affine_solution_set,
     enumerate_box_vertices,
+    integer_rank,
     rref,
     solve_square,
 )
@@ -29,6 +31,36 @@ def test_rref_pivots():
     reduced, pivots = rref([[F(2), F(4)], [F(1), F(2)]])
     assert pivots == [0]
     assert reduced[0] == [F(1), F(2)]
+
+
+def test_integer_rank_of_large_entries():
+    assert integer_rank([[10**20, 1], [10**20 + 1, 1]]) == 2
+    assert integer_rank([[10**20, 3], [2 * 10**20, 6], [0, 0]]) == 1
+    assert integer_rank([]) == 0 and integer_rank([[], []]) == 0
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    extra = []
+    for row in rows:
+        kind = draw(st.sampled_from(["none", "duplicate", "multiple", "zero"]))
+        if kind == "duplicate":
+            extra.append(row[:])
+        elif kind == "multiple":
+            extra.append([-2 * v for v in row])
+        elif kind == "zero":
+            extra.append([0] * ncols)
+    return draw(st.permutations(rows + extra)), ncols
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_rank_agrees_with_elimination(case):
+    rows, ncols = case
+    assert integer_rank(rows) == rank_by_elimination(rows, ncols)
 
 
 def test_solve_square():
@@ -126,6 +158,21 @@ def test_vertices_satisfy_constraints_exactly():
         assert all(c in (F(0), F(1)) for c in v)  # product of two segments
 
 
+@pytest.mark.parametrize(
+    "stray", [[2, 2, 1], [1, 0, 0]], ids=["outside-the-box", "no-s-coordinate"]
+)
+def test_a_ray_outside_the_rows_is_rejected(monkeypatch, stray):
+    # every ray is re-checked against every cone row before it is read off
+    real = exact._double_description
+
+    def with_stray_ray(cone, d):
+        return real(cone, d) + [stray]
+
+    monkeypatch.setattr(exact, "_double_description", with_stray_ray)
+    with pytest.raises(RuntimeError, match="outside the rows"):
+        enumerate_box_vertices([[1, 1, 1]], [1], 3)
+
+
 @st.composite
 def random_systems(draw):
     n = draw(st.integers(min_value=1, max_value=4))
@@ -170,6 +217,8 @@ def assert_agrees_with_scan(rows, rhs, n):
     assert enum.feasible == scan.feasible
     assert enum.dimension == scan.dimension
     assert enum.vertices == scan.vertices
+    # Fractions in every path, the d == 0 point included, never bare ints
+    assert all(type(x) is F for v in enum.vertices for x in v)
     cert = enum.certificate
     assert (cert and (cert.kind, cert.multipliers, cert.detail)) == scan.certificate
     return enum

@@ -6,8 +6,10 @@ hand; the polytope code must reproduce them exactly (as Fractions, not
 floats).
 """
 
+import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from helpers import commutative_extremality_by_loops, proper_combination
+from helpers import commutative_extremality_by_loops, is_state_by_loops, proper_combination
 from synaptica.catalog import (
     boolean_effect_algebra,
     chain_effect_algebra,
@@ -127,6 +129,20 @@ def test_non_extreme_point_is_rejected(monkeypatch):
     assert proper_combination(pts + [mid]) == (4, 0, 1)
 
 
+def test_non_state_vertex_is_rejected(monkeypatch):
+    # a vertex that breaks additivity must be caught by the is_state re-check
+    def with_non_state(rows, rhs, n):
+        enum = enumerate_box_vertices(rows, rhs, n)
+        bad = enum.vertices[0][:]
+        bad[1] = F(1, 2)  # a = 1/2 while a' stays 0 or 1
+        enum.vertices.append(bad)
+        return enum
+
+    monkeypatch.setattr(stt, "enumerate_box_vertices", with_non_state)
+    with pytest.raises(AssertionError, match="enumerated vertex is not a state"):
+        state_polytope(mo2_effect_algebra())
+
+
 # ---------------------------------------------------------------------------
 # Product polytopes, each held to one wall budget
 #
@@ -203,20 +219,26 @@ def test_three_factor_product_vertices_are_the_padded_factor_vertices():
 def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
     # 2^6 has 367 state equalities; substitution along the orthosum table
     # expresses every element through a few parameters, so no exact
-    # elimination may see more rows than twice the parameter space
+    # elimination, over Fractions or in integers, may see more rows than
+    # twice the parameter space, and states itself calls no rref
     from synaptica import exact
 
-    sizes = []
+    sizes, callers = [], []
 
-    def counting(rows, ncols=None, _real=exact.rref):
-        sizes.append(len(rows))
-        return _real(rows, ncols)
+    def counted(real):
+        def counting(rows, *args):
+            sizes.append(len(rows))
+            callers.append((real.__name__, sys._getframe(1).f_globals["__name__"]))
+            return real(rows, *args)
+        return counting
 
-    monkeypatch.setattr(exact, "rref", counting)
-    monkeypatch.setattr(stt, "rref", counting)
+    monkeypatch.setattr(exact, "rref", counted(exact.rref))
+    monkeypatch.setattr(exact, "integer_rank", counted(exact.integer_rank))
+    monkeypatch.setattr(stt, "integer_rank", exact.integer_rank)  # bound by name there
     poly = state_polytope(boolean_effect_algebra(6))
     assert poly.dimension == 5 and len(poly.vertices) == 6
     assert sizes and max(sizes) <= 2 * (poly.dimension + 1), sizes
+    assert not hasattr(stt, "rref") and ("rref", "synaptica.states") not in callers
 
 
 def test_cold_eight_point_simplex():
@@ -241,6 +263,61 @@ def test_is_state_float_path_uses_the_tolerance():
     assert is_state(ea, [0.0, 0.5 + 1e-12, 1.0])
     assert not is_state(ea, [0.0, 0.5 + 1e-6, 1.0])
     assert is_state(ea, [0.0, 0.5 + 1e-6, 1.0], tol=1e-5)
+
+
+def test_is_state_float_path_survives_huge_exact_values():
+    # one float sends the values down the float path, where 1e400 has no float
+    ea = chain_effect_algebra(2)
+    assert not is_state(ea, [F(0), 0.5, F(10**400)])
+    assert not is_state(ea, [F(-(10**400)), 0.5, 1.0])
+    assert is_state(ea, [F(0), 0.5, F(1)])
+
+
+ORACLE_ALGEBRAS = {
+    **{f"chain({s})": (lambda s=s: chain_effect_algebra(s)) for s in range(1, 6)},
+    **{f"2^{k}": (lambda k=k: boolean_effect_algebra(k)) for k in range(1, 4)},
+    "MO2": mo2_effect_algebra,
+    "diamond": diamond_pair,
+    "MO2x2^1": lambda: product_effect_algebra(mo2_effect_algebra(), boolean_effect_algebra(1)),
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_algebra(name):
+    ea = ORACLE_ALGEBRAS[name]()
+    return ea, [st.values for st in state_polytope(ea).vertices]
+
+
+@hs.composite
+def exact_candidates(draw):
+    """A convex combination of vertices, perhaps nudged, in mixed exact types."""
+    ea, verts = oracle_algebra(draw(hs.sampled_from(sorted(ORACLE_ALGEBRAS))))
+    scale = draw(hs.sampled_from([5, 10**30 + 57]))  # small or large denominators
+    weights = draw(hs.lists(hs.integers(0, scale), min_size=len(verts), max_size=len(verts)))
+    weights[0] += 1
+    total = sum(weights)
+    vals = [sum(F(w, total) * v[i] for w, v in zip(weights, verts)) for i in range(ea.n)]
+    nudge = draw(hs.sampled_from([None, F(1, 10**12), F(-1, 10**12), F(1, 3), F(-1)]))
+    if nudge is not None:
+        vals[draw(hs.integers(0, ea.n - 1))] += nudge
+    typed = []
+    for v in vals:
+        if v.denominator == 1:
+            kinds = [int, np.int64, F] + ([bool] if v in (0, 1) else [])
+            typed.append(draw(hs.sampled_from(kinds))(int(v)))
+        else:
+            typed.append(v)
+    return ea, typed, nudge is None
+
+
+@given(exact_candidates())
+@settings(max_examples=150, deadline=None)
+def test_exact_is_state_agrees_with_the_loop_oracle(case):
+    ea, vals, untouched = case
+    verdict = is_state(ea, vals)
+    assert verdict == is_state_by_loops(ea.table, ea.one, vals)
+    if untouched:
+        assert verdict  # a convex combination of vertices is a state
 
 
 def test_is_state_accepts_label_dicts():
