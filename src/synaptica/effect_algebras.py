@@ -15,6 +15,7 @@ restricts back to an effect algebra on the pairs x <= perp(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,20 @@ class FiniteEffectAlgebra:
     @property
     def n(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def orthosums(self) -> tuple[tuple[int, int, int], ...]:
+        """Every defined orthosum (e, f, g = e + f) with e <= f, row by row.
+
+        The table is commutative, so these triples carry every condition
+        that an ordered pair of the table imposes.
+        """
+        return tuple(
+            (e, f, g)
+            for e, row in enumerate(self.table)
+            for f, g in enumerate(row[e:], e)
+            if g is not None
+        )
 
     def osum(self, e: int, f: int) -> int | None:
         return self.table[e][f]

@@ -38,6 +38,13 @@ q are Elements.
   projection_meet(p, q)   range intersection by SVD, or the minimum
   is_density(d, tol)      d represents a state through the pairing
 
+eigh, assemble, rank_tol and norm_of also take a stack: leading batch
+axes in front of the payload (or eigenvalue) axes, as numpy.linalg
+does, with one result per slice. Each slice's result is bit for bit
+the unbatched call's, and the unbatched results keep their types
+(norm_of a Python float, the function rank_tol a scalar 0.0 that
+broadcasts over any stack).
+
 Each method is defined directly on each class, with no shared base:
 perfbench/tracer.py wraps the construction, norm, cone and product
 methods by reading them out of each class's own namespace.
@@ -140,6 +147,9 @@ class SymmetricMatrixSpace:
             raise ValueError("n must be positive")
         self.n = int(n)
         self.dimension = self.n * (self.n + 1) // 2
+        # shared by every unit() and projection_meet; read-only, like any payload
+        self._eye = np.eye(self.n)
+        self._eye.flags.writeable = False
 
     def element(self, data) -> Element:
         m = np.asarray(data, dtype=float)
@@ -153,13 +163,14 @@ class SymmetricMatrixSpace:
         return Element(self, sym)
 
     def unit(self) -> Element:
-        return Element(self, np.eye(self.n))
+        return Element(self, self._eye)
 
     def zero_element(self) -> Element:
         return Element(self, np.zeros((self.n, self.n)))
 
-    def norm_of(self, payload: np.ndarray) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(payload)))) if payload.size else 0.0
+    def norm_of(self, payload: np.ndarray):
+        radii = np.abs(np.linalg.eigvalsh(payload)).max(axis=-1)
+        return radii if payload.ndim > 2 else float(radii)
 
     def contains_positive(self, a: Element) -> bool:
         w = np.linalg.eigvalsh(a.payload)
@@ -172,8 +183,10 @@ class SymmetricMatrixSpace:
 
     def commutes(self, a: Element, b: Element, tol: float = 1e-9) -> bool:
         ab = a.payload @ b.payload
-        scale = max(1.0, a.norm() * b.norm())
-        return bool(np.max(np.abs(ab - ab.T)) <= tol * scale)
+        gap = float(np.max(np.abs(ab - ab.T)))
+        # the allowance tol * max(1, ||a|| ||b||) >= tol, so the norms
+        # (two eigenvalue computations) are needed only past tol
+        return gap <= tol or gap <= tol * max(1.0, a.norm() * b.norm())
 
     def basis(self) -> list[Element]:
         """Canonical basis of Sym(n): E_ii, then (E_ij + E_ji) for i < j."""
@@ -210,14 +223,15 @@ class SymmetricMatrixSpace:
         return np.linalg.eigh(x)
 
     def assemble(self, frame: np.ndarray, values) -> np.ndarray:
-        return (frame * values) @ frame.T
+        return (frame * values[..., None, :]) @ np.swapaxes(frame, -1, -2)
 
     def projector(self, frame: np.ndarray, idx) -> np.ndarray:
         cols = frame[:, idx]
         return cols @ cols.T
 
-    def rank_tol(self, values: np.ndarray) -> float:
-        return RANK_RTOL * max(1.0, float(np.max(np.abs(values))))
+    def rank_tol(self, values: np.ndarray):
+        # fmax, like the builtin max, keeps 1.0 against a NaN
+        return RANK_RTOL * np.fmax(1.0, np.abs(values).max(axis=-1))
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.trace(x @ y))
@@ -248,8 +262,10 @@ class SymmetricMatrixSpace:
 
     def projection_meet(self, p: Element, q: Element) -> Element:
         """Null space of the stacked [1-p; 1-q]; no commutativity assumed."""
-        eye = np.eye(self.n)
-        _, sv, vt = np.linalg.svd(np.vstack([eye - p.payload, eye - q.payload]))
+        stacked = np.empty((2, self.n, self.n))
+        np.subtract(self._eye, p.payload, out=stacked[0])
+        np.subtract(self._eye, q.payload, out=stacked[1])
+        _, sv, vt = np.linalg.svd(stacked.reshape(2 * self.n, self.n))
         null = vt[int(np.sum(sv > self.rank_tol(sv))):]  # orthonormal rows spanning the meet
         return Element(self, null.T @ null)
 
@@ -285,6 +301,8 @@ class FunctionSpace:
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be unique")
         self.dimension = len(self.points)
+        self._ones = np.ones(self.dimension)
+        self._ones.flags.writeable = False
 
     def element(self, data) -> Element:
         v = np.asarray(data, dtype=float)
@@ -301,13 +319,14 @@ class FunctionSpace:
         return Element(self, v)
 
     def unit(self) -> Element:
-        return Element(self, np.ones(self.dimension))
+        return Element(self, self._ones)
 
     def zero_element(self) -> Element:
         return Element(self, np.zeros(self.dimension))
 
-    def norm_of(self, payload: np.ndarray) -> float:
-        return float(np.max(np.abs(payload)))
+    def norm_of(self, payload: np.ndarray):
+        radii = np.abs(payload).max(axis=-1)
+        return radii if payload.ndim > 1 else float(radii)
 
     def contains_positive(self, a: Element) -> bool:
         return bool(a.payload.min() >= -POINTWISE_TOL)
@@ -332,12 +351,12 @@ class FunctionSpace:
         return Element(self, v)
 
     def eigh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(x, kind="stable")
-        return x[order], order
+        order = np.argsort(x, axis=-1, kind="stable")
+        return np.take_along_axis(x, order, axis=-1), order
 
     def assemble(self, frame: np.ndarray, values) -> np.ndarray:
-        out = np.empty(self.dimension)
-        out[frame] = values
+        out = np.empty(frame.shape)
+        np.put_along_axis(out, frame, values, axis=-1)
         return out
 
     def projector(self, frame: np.ndarray, idx) -> np.ndarray:

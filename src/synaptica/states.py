@@ -169,12 +169,8 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
             return False
         if any(v < -tol or v > 1.0 + tol for v in fvals):
             return False
-        for e in range(structure.n):
-            for f in range(structure.n):
-                g = structure.table[e][f]
-                if g is not None and abs(fvals[e] + fvals[f] - fvals[g]) > tol:
-                    return False
-        return True
+        return not any(abs(fvals[e] + fvals[f] - fvals[g]) > tol
+                       for e, f, g in structure.orthosums)
 
     if not hasattr(structure, "is_density"):
         raise TypeError(f"no state notion for {structure!r}")
@@ -188,18 +184,15 @@ def _is_exact_ea_state(ea: FiniteEffectAlgebra, vals) -> bool:
     With L the lcm of the denominators, w = num / L: w(one) = 1, each
     w in [0, 1] and every defined orthosum additive read num[one] = L,
     0 <= num <= L and num[e] + num[f] = num[g]. int() keeps numpy
-    integers from overflowing.
+    integers from overflowing. The orthosums are the table's defined
+    entries with e <= f, which by commutativity carry every ordered pair.
     """
     dens = [int(v.denominator) for v in vals]
     L = lcm(*dens)
     nums = [int(v.numerator) * (L // q) for v, q in zip(vals, dens)]
     if nums[ea.one] != L or any(x < 0 or x > L for x in nums):
         return False
-    for ne, row in zip(nums, ea.table):
-        for nf, g in zip(nums, row):
-            if g is not None and ne + nf != nums[g]:
-                return False
-    return True
+    return all(nums[e] + nums[f] == nums[g] for e, f, g in ea.orthosums)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +225,7 @@ def state_polytope(ea: FiniteEffectAlgebra) -> StatePolytope:
     no other point of the polytope is 0 and 1 where the vertex is.
     """
     n = ea.n
-    triples = []
-    for e in range(n):
-        for f in range(e, n):
-            g = ea.table[e][f]
-            if g is not None:
-                triples.append((e, f, g))
+    triples = list(ea.orthosums)
 
     rows: list[list[int]] = []
     rhs: list[int] = []

@@ -13,6 +13,12 @@ separate from the eigendecomposition oracle used to test them:
   step(a, lam)    1 - carrier((a - lam)^+), the spectral step family
   reconstruction  Riemann-Stieltjes sums against the step family
 
+The step formula is evaluated on a stack of lam values at once through
+the stack-aware space methods, slice for slice the float operations of
+decompose and carrier; step_projection is its one-point case, and the
+resolution's cross-check evaluates it at every eigenvalue and midpoint
+in one call.
+
 Numerical policy: eigenvalue clustering and rank thresholds are
 relative at 1e-8 (RANK_RTOL), the projection test allows a residual of
 1e-9 (PROJ_TOL); both constants and the cone tests live in order_unit.
@@ -53,6 +59,7 @@ __all__ = [
     "double_commutant",
     "center",
     "in_span",
+    "span_members",
     "proj_meet",
     "proj_join",
     "SynapticMorphismReport",
@@ -151,17 +158,14 @@ class SpectralResolution:
         return acc
 
 
-def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
-    """Cluster the spectrum of a and build its projection family.
+def _clustered_spectrum(a: Element) -> tuple[tuple[float, ...], list[list[int]], np.ndarray]:
+    """(distinct values, index clusters, frame) of a's eigendecomposition.
 
-    verify re-checks the family (projections, pairwise orthogonality,
-    sum one, reconstruction) and cross-checks the step family against
-    the defining formula 1 - carrier((a - lam)^+) at every eigenvalue
-    and midpoint. Disable it inside tight loops.
+    Ascending eigenvalues within rank_tol of the previous member of a
+    cluster join it; each cluster's value is its mean.
     """
-    space = a.space
-    w, frame = space.eigh(a.payload)
-    tol = space.rank_tol(w)
+    w, frame = a.space.eigh(a.payload)
+    tol = a.space.rank_tol(w)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[clusters[-1][-1]] <= tol:
@@ -172,6 +176,19 @@ def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
     values = tuple(
         float(w[c[0]]) if w[c[0]] == w[c[-1]] else float(np.mean(w[c])) for c in clusters
     )
+    return values, clusters, frame
+
+
+def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
+    """Cluster the spectrum of a and build its projection family.
+
+    verify re-checks the family (projections, pairwise orthogonality,
+    sum one, reconstruction) and cross-checks the step family against
+    the defining formula 1 - carrier((a - lam)^+) at every eigenvalue
+    and midpoint. Disable it inside tight loops.
+    """
+    space = a.space
+    values, clusters, frame = _clustered_spectrum(a)
     projections = tuple(Element(space, space.projector(frame, c)) for c in clusters)
     res = SpectralResolution(a, values, projections)
     if verify:
@@ -197,23 +214,47 @@ def _verify_resolution(res: SpectralResolution, tol: float = 1e-9) -> None:
     recon = res.reconstruct()
     if np.max(np.abs(recon.payload - a.payload)) > tol * scale:
         raise AssertionError("resolution does not reconstruct the element")
-    # cross-check the step family against the carrier formula
+    # cross-check the step family against the carrier formula, at every
+    # eigenvalue and midpoint at once. res.step(lam) adds the projections
+    # in order up to the first value above lam: that is the running sum
+    # after the leading run of values <= lam, in the same float order.
     points = list(res.eigenvalues)
     points += [
         (x + y) / 2.0 for x, y in zip(res.eigenvalues, res.eigenvalues[1:])
     ]
-    for lam in points:
-        direct = res.step(lam)
-        formula = step_projection(a, lam)
-        if np.max(np.abs(direct.payload - formula.payload)) > tol * scale:
-            raise AssertionError(f"step family disagrees with carrier formula at {lam}")
+    running = np.cumsum([a.space.zero_element().payload] + [p.payload for p in res.projections],
+                        axis=0)
+    below = np.greater_equal.outer(points, res.eigenvalues)
+    direct = running[np.logical_and.accumulate(below, axis=1).sum(axis=1)]
+    formula = _step_stack(a, points)
+    gaps = np.max(np.abs(direct - formula).reshape(len(points), -1), axis=1)
+    bad = np.flatnonzero(gaps > tol * scale)
+    if bad.size:
+        raise AssertionError(
+            f"step family disagrees with carrier formula at {points[bad[0]]}"
+        )
+
+
+def _step_stack(a: Element, lams) -> np.ndarray:
+    """1 - carrier((a - lam)^+) for each lam in lams, as one stack of payloads.
+
+    The shifted elements, their positive parts and the carriers of those
+    are each one stacked call to the space, slice for slice the float
+    operations of decompose and carrier on a single element.
+    """
+    space = a.space
+    one = space.unit().payload
+    shifted = a.payload - np.reshape(lams, (-1,) + (1,) * one.ndim) * one
+    w, frame = space.eigh(shifted)
+    plus = 0.5 * (space.assemble(frame, np.abs(w)) + shifted)
+    w, frame = space.eigh(plus)
+    support = np.abs(w) > np.expand_dims(space.rank_tol(w), -1)
+    return one - np.stack([space.projector(f, s) for f, s in zip(frame, support)])
 
 
 def step_projection(a: Element, lam: float) -> Element:
     """The defining formula for the resolution: 1 - carrier((a - lam)^+)."""
-    shifted = a - float(lam) * a.space.unit()
-    _, plus, _ = decompose(shifted)
-    return a.space.unit() - carrier(plus)
+    return Element(a.space, _step_stack(a, [float(lam)])[0])
 
 
 def stieltjes_reconstruct(a: Element, mesh: float, partition=None) -> Element:
@@ -248,7 +289,8 @@ def stieltjes_reconstruct(a: Element, mesh: float, partition=None) -> Element:
 
 
 def spectrum(a: Element) -> tuple[float, ...]:
-    return spectral_resolution(a, verify=False).eigenvalues
+    """The distinct eigenvalues, clustered as spectral_resolution does."""
+    return _clustered_spectrum(a)[0]
 
 
 def is_invertible(a: Element) -> bool:
@@ -344,10 +386,25 @@ def in_span(basis: list[Element], a: Element, tol: float = 1e-8) -> bool:
     if not basis:
         return bool(np.max(np.abs(a.payload)) <= tol)
     mat = np.stack([b.payload.ravel() for b in basis], axis=1)
-    target = a.payload.ravel()
-    coeffs, *_ = np.linalg.lstsq(mat, target, rcond=None)
-    residual = mat @ coeffs - target
-    return bool(np.max(np.abs(residual)) <= tol * max(1.0, a.norm()))
+    return bool(span_members(mat, a.space, a.payload[None], tol)[0])
+
+
+def span_members(mat: np.ndarray, space, stack: np.ndarray, tol: float) -> np.ndarray:
+    """For each payload in stack: is it in the column span of mat?
+
+    One least-squares solve with a right-hand side per payload; a
+    payload passes when its residual is at most tol * max(1, ||a||).
+    That allowance is at least tol, so the norms (one stacked
+    eigenvalue computation) are taken only for residuals past tol.
+    """
+    targets = stack.reshape(len(stack), -1).T
+    coeffs, *_ = np.linalg.lstsq(mat, targets, rcond=None)
+    residual = np.max(np.abs(mat @ coeffs - targets), axis=0)
+    ok = residual <= tol
+    far = ~ok
+    if far.any():
+        ok[far] = residual[far] <= tol * np.fmax(1.0, space.norm_of(stack[far]))
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ for completeness as well as soundness.
 
 The exact state oracle is the n^2 loop over every ordered pair of a
 partial-sum table in Fraction arithmetic, which checks the library's
-integer test over one common denominator. The rank oracle is Gauss-Jordan
+integer test over one common denominator; its float twin checks the
+tolerance test. Both walk the whole table, where the library walks only
+its list of defined orthosums. The rank oracle is Gauss-Jordan
 elimination over Fractions, which checks the library's fraction-free
 integer_rank.
 
@@ -435,6 +437,20 @@ def is_state_by_loops(table, one, values) -> bool:
         for f in range(n):
             g = table[e][f]
             if g is not None and vals[e] + vals[f] != vals[g]:
+                return False
+    return True
+
+
+def is_float_state_by_loops(table, one, values, tol) -> bool:
+    """The float state conditions, to tol, pair by pair over the whole table."""
+    vals = [float(v) for v in values]
+    if abs(vals[one] - 1.0) > tol or any(v < -tol or v > 1.0 + tol for v in vals):
+        return False
+    n = len(table)
+    for e in range(n):
+        for f in range(n):
+            g = table[e][f]
+            if g is not None and abs(vals[e] + vals[f] - vals[g]) > tol:
                 return False
     return True
 

@@ -175,3 +175,121 @@ def test_indicator(fn3):
     e = fn3.indicator(["x", "z"])
     assert e.payload.tolist() == [1.0, 0.0, 1.0]
     assert fn3.indicator([]).payload.tolist() == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# The stack-aware part of the protocol: eigh, assemble, rank_tol, norm_of
+
+
+def _matrix_stack(rng, n, shape):
+    """Symmetric matrices, half of them with repeated eigenvalues."""
+    space = SymmetricMatrixSpace(n)
+    out = []
+    for i in range(int(np.prod(shape))):
+        if i % 2:
+            u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            out.append(space.element((u * rng.integers(-2, 3, n).astype(float)) @ u.T).payload)
+        else:
+            out.append(space.random_element(rng).payload)
+    return space, np.stack(out).reshape(shape + (n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_stacked_matrix_calls_are_the_slice_calls_bit_for_bit(n):
+    space, stack = _matrix_stack(np.random.default_rng(n), n, (3, 4))
+    w, frame = space.eigh(stack)
+    rebuilt = space.assemble(frame, np.abs(w))
+    tols = space.rank_tol(w)
+    norms = space.norm_of(stack)
+    assert w.shape == (3, 4, n) and frame.shape == rebuilt.shape == stack.shape
+    assert tols.shape == norms.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            wi, fi = space.eigh(stack[i, j])
+            assert np.array_equal(w[i, j], wi) and np.array_equal(frame[i, j], fi)
+            assert np.array_equal(rebuilt[i, j], space.assemble(fi, np.abs(wi)))
+            assert tols[i, j] == space.rank_tol(wi)
+            assert norms[i, j] == space.norm_of(stack[i, j])
+    assert type(space.norm_of(stack[0, 0])) is float
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_stacked_function_calls_are_the_slice_calls_bit_for_bit(d):
+    space = FunctionSpace([f"p{i}" for i in range(d)])
+    rng = np.random.default_rng(d)
+    stack = rng.integers(-3, 4, (2, 5, d)) / 2.0  # ties, so the stable order matters
+    w, frame = space.eigh(stack)
+    rebuilt = space.assemble(frame, 2.0 * w)
+    norms = space.norm_of(stack)
+    assert norms.shape == (2, 5)
+    for i in range(2):
+        for j in range(5):
+            wi, fi = space.eigh(stack[i, j])
+            assert np.array_equal(w[i, j], wi) and np.array_equal(frame[i, j], fi)
+            assert np.array_equal(rebuilt[i, j], space.assemble(fi, 2.0 * wi))
+            assert np.array_equal(rebuilt[i, j], 2.0 * stack[i, j])
+            assert norms[i, j] == space.norm_of(stack[i, j])
+    # the exact instance's threshold is a scalar 0.0 that broadcasts over any stack
+    assert space.rank_tol(w) == 0.0 and space.rank_tol(w[0, 0]) == 0.0
+    assert type(space.norm_of(stack[0, 0])) is float
+
+
+def test_unit_is_shared_and_read_only(sym4, fn3):
+    for space in (sym4, fn3):
+        one = space.unit()
+        assert one.payload is space.unit().payload
+        with pytest.raises(ValueError):
+            one.payload[0] = 2.0
+    assert np.array_equal(sym4.unit().payload, np.eye(4))
+    assert np.array_equal(fn3.unit().payload, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# commutes: the norms only past the bare tolerance
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def full_commutes_rule(a, b, tol=1e-9) -> bool:
+    ab = a.payload @ b.payload
+    scale = max(1.0, sym_norm(a.payload) * sym_norm(b.payload))
+    return bool(np.max(np.abs(ab - ab.T)) <= tol * scale)
+
+
+def test_commutes_gives_the_full_rules_verdict(sym4):
+    rng = np.random.default_rng(31)
+    u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    pairs = []
+    for _ in range(40):
+        pairs.append((sym4.random_element(rng, 3.0), sym4.random_element(rng)))
+        # commuting up to rounding: a shared eigenbasis
+        pairs.append(tuple(sym4.element((u * rng.uniform(-5, 5, 4)) @ u.T) for _ in range(2)))
+    for a, b in pairs:
+        assert sym4.commutes(a, b) is full_commutes_rule(a, b)
+
+
+def test_commutes_borderline_needs_the_norms(monkeypatch):
+    # a = s diag(1, -1) against b = diag(1, 0) + delta [[0, 1], [1, 0]]:
+    # the gap is 2 s delta, above tol, against the allowance tol * s * ||b||
+    space = SymmetricMatrixSpace(2)
+    s = 1e3
+    a = space.element(s * np.diag([1.0, -1.0]))
+    for delta, verdict in ((4e-10, True), (6e-10, False)):
+        b = space.element(np.array([[1.0, delta], [delta, 0.0]]))
+        assert full_commutes_rule(a, b) is verdict
+        calls = count_eigvalsh(monkeypatch)
+        assert space.commutes(a, b) is verdict
+        assert len(calls) == 2
+    calls = count_eigvalsh(monkeypatch)
+    assert space.commutes(a, space.element(np.diag([3.0, 4.0])))
+    assert calls == []

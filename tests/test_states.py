@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from helpers import commutative_extremality_by_loops, is_state_by_loops, proper_combination
+from helpers import (
+    commutative_extremality_by_loops,
+    is_float_state_by_loops,
+    is_state_by_loops,
+    proper_combination,
+)
 from synaptica.catalog import (
     boolean_effect_algebra,
     chain_effect_algebra,
@@ -318,6 +323,25 @@ def test_exact_is_state_agrees_with_the_loop_oracle(case):
     assert verdict == is_state_by_loops(ea.table, ea.one, vals)
     if untouched:
         assert verdict  # a convex combination of vertices is a state
+
+
+@given(exact_candidates(), hs.sampled_from([0.0, 1e-10, -1e-10, 1e-8, 1e-3]))
+@settings(max_examples=150, deadline=None)
+def test_float_is_state_agrees_with_the_loop_oracle(case, jitter):
+    ea, vals, _ = case
+    floats = [float(v) + jitter * (-1) ** i for i, v in enumerate(vals)]
+    assert is_state(ea, floats) == is_float_state_by_loops(ea.table, ea.one, floats, 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_orthosums_carry_every_defined_ordered_pair(name):
+    ea = ORACLE_ALGEBRAS[name]()
+    defined = {(e, f, g) for e, row in enumerate(ea.table) for f, g in enumerate(row)
+               if g is not None}
+    assert len(set(ea.orthosums)) == len(ea.orthosums)
+    assert all(e <= f for e, f, _ in ea.orthosums)
+    assert {(min(e, f), max(e, f), g) for e, f, g in defined} == set(ea.orthosums)
+    assert ea.orthosums is ea.orthosums  # built once per algebra
 
 
 def test_is_state_accepts_label_dicts():

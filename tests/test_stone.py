@@ -132,6 +132,10 @@ def test_empty_generator_list_gives_one_point(sym3):
     assert rep.report.passed
     fa = rep.to_function(sym3.unit() * 4.5)
     assert np.allclose(fa.payload, [4.5])
+    fs = FunctionSpace(("u", "v"))
+    rep = functional_representation(fs, [])
+    assert rep.patterns == ((),) and rep.report.passed
+    assert rep.to_function(fs.unit() * -2.0).payload.tolist() == [-2.0]
 
 
 def test_single_projection_gives_two_points(sym3):
@@ -159,6 +163,57 @@ def test_rejections(sym3):
         rep.to_function(off)
     with pytest.raises(ValueError, match="projections only"):
         rep.psi(diag(sym3, 2.0, 0.0, 0.0))
+
+
+def corrupted(rep, index, factor):
+    """rep with atom index scaled by factor, the stacked atom data rebuilt to match."""
+    atoms = list(rep.atoms)
+    atoms[index] = atoms[index] * factor
+    rep.atoms = tuple(atoms)
+    rep._atom_matrix = np.stack([q.payload.ravel() for q in atoms], axis=1)
+    rep._atom_weights = np.array([rep.space.pairing(q.payload, q.payload) for q in atoms])
+    return rep
+
+
+def test_batched_checks_catch_a_corrupted_atom(sym3):
+    # 1.5 q is no projection: the unit maps to 1/1.5 on it, and squares go wrong
+    report = corrupted(functional_representation(sym3, []), 0, 1.5)._verify()
+    assert not report.unital and not report.multiplicative and not report.passed
+    assert report.linear and report.round_trip  # still a linear bijection
+    # with generators, a generator's image leaves the indicators
+    space, gens = rotated_family(np.random.default_rng(45), 4, [(1, 1, 0, 0), (0, 1, 1, 0)])
+    rep = functional_representation(space, gens)
+    assert rep.report.passed
+    with pytest.raises(ValueError, match="does not map to an indicator"):
+        corrupted(rep, 1, 1.5)._verify()
+
+
+def test_batched_checks_catch_a_generator_off_its_indicator(monkeypatch):
+    space, gens = rotated_family(np.random.default_rng(46), 3, [(1, 0, 0), (1, 1, 0)])
+    rep = functional_representation(space, gens)
+    # the second generator's pattern column read as the first's
+    monkeypatch.setattr(rep, "patterns", tuple((p[0], p[0]) for p in rep.patterns))
+    report = rep._verify()
+    assert not report.projections_to_indicators
+    assert report.linear and report.unital and report.round_trip
+
+
+def test_nearly_commuting_generators_are_rejected():
+    rng = np.random.default_rng(47)
+    n = 4
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    space = SymmetricMatrixSpace(n)
+    p = space.element((u * [1.0, 1.0, 0.0, 0.0]) @ u.T)
+    for angle, commuting in ((1e-13, True), (1e-6, False)):
+        turn = np.eye(n)
+        turn[1:3, 1:3] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        w = u @ turn
+        q = space.element((w * [0.0, 1.0, 0.0, 0.0]) @ w.T)
+        if commuting:
+            assert functional_representation(space, [p, q]).report.passed
+        else:
+            with pytest.raises(ValueError, match="do not commute"):
+                functional_representation(space, [p, q])
 
 
 def test_round_trip_and_spectrum_on_random_spans(sym3):
@@ -248,13 +303,14 @@ def test_construction_work_is_counted_and_bounded(monkeypatch):
     rng = np.random.default_rng(7)
     space, gens = rotated_family(rng, n, (rng.random((m, n)) < 0.5).astype(int))
     counts = Counter()
-    to_function = FunctionalRepresentation.to_function
+    functions_of = FunctionalRepresentation._functions_of
     product = SymmetricMatrixSpace.product
     verify = FunctionalRepresentation._verify
 
-    def counted_to_function(self, a):
-        counts["to_function"] += 1
-        return to_function(self, a)
+    def counted_functions_of(self, stack):
+        counts["mapped calls"] += 1
+        counts["mapped elements"] += len(stack)
+        return functions_of(self, stack)
 
     def counted_product(self, a, b):
         counts["product"] += 1
@@ -264,12 +320,13 @@ def test_construction_work_is_counted_and_bounded(monkeypatch):
         counts["atom products"] = counts["product"]
         return verify(self)
 
-    monkeypatch.setattr(FunctionalRepresentation, "to_function", counted_to_function)
+    monkeypatch.setattr(FunctionalRepresentation, "_functions_of", counted_functions_of)
     monkeypatch.setattr(SymmetricMatrixSpace, "product", counted_product)
     monkeypatch.setattr(FunctionalRepresentation, "_verify", verify_after_atoms)
     rep = functional_representation(space, gens)
     assert rep.report.passed
-    assert counts["to_function"] <= 15 + m
+    # the report maps all 15 + m of its elements in one batch
+    assert counts["mapped calls"] == 1 and counts["mapped elements"] == 15 + m
     assert 0 < counts["atom products"] <= 2 * n * m
 
 

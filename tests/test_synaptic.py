@@ -38,6 +38,7 @@ from synaptica.synaptic import (
     stieltjes_reconstruct,
     supremum_of_ascending_chain,
 )
+from synaptica.synaptic import _step_stack, _verify_resolution
 
 
 @pytest.fixture
@@ -183,10 +184,47 @@ def test_resolution_verify_catches_forged_family(sym3):
     a = diag(sym3, 1.0, 2.0, 3.0)
     good = spectral_resolution(a)
     bad = SpectralResolution(a, good.eigenvalues, tuple(reversed(good.projections)))
-    from synaptica.synaptic import _verify_resolution
 
     with pytest.raises(AssertionError):
         _verify_resolution(bad)
+
+
+def test_batched_step_check_names_the_first_failing_point(sym3):
+    # values out of order: projections, sum and reconstruction all hold,
+    # but step(1) stops at the leading 2 and misses the projection at 1
+    a = diag(sym3, 1.0, 2.0, 3.0)
+    p1, p2, p3 = spectral_resolution(a).projections
+    bad = SpectralResolution(a, (2.0, 1.0, 3.0), (p2, p1, p3))
+    with pytest.raises(AssertionError, match="carrier formula at 1.0$"):
+        _verify_resolution(bad)
+
+
+def test_step_stack_is_the_single_point_formula_bit_for_bit(sym5, fn4):
+    # the old one-point path, decompose then carrier, is the oracle
+    rng = np.random.default_rng(202)
+    u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    elements = [sym5.random_element(rng) for _ in range(4)]
+    elements += [sym5.element((u * rng.integers(-2, 3, 5).astype(float)) @ u.T) for _ in range(4)]
+    elements += [fn4.element(rng.integers(-2, 3, 4) / 2.0) for _ in range(4)]
+    for a in elements:
+        vals = spectrum(a)
+        lams = list(vals) + [(x + y) / 2.0 for x, y in zip(vals, vals[1:])]
+        lams += [vals[0] - 1.0, vals[-1] + 1.0]
+        stack = _step_stack(a, lams)
+        assert stack.shape == (len(lams),) + a.payload.shape
+        one = a.space.unit()
+        for lam, step in zip(lams, stack):
+            _, plus, _ = decompose(a - lam * one)
+            assert np.array_equal(step, (one - carrier(plus)).payload)
+            assert np.array_equal(step, step_projection(a, lam).payload)
+
+
+def test_spectrum_is_the_resolutions_values(sym5, fn4):
+    rng = np.random.default_rng(203)
+    u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    for a in (sym5.random_element(rng), sym5.element((u * [1.0, 1.0, 2.0, 2.0, 2.0]) @ u.T),
+              fn4.element(np.array([3.0, 1.0, 3.0, 1.0]))):
+        assert spectrum(a) == spectral_resolution(a, verify=False).eigenvalues
 
 
 def test_stieltjes_mesh_bound(sym3):
@@ -273,6 +311,39 @@ def test_in_span(sym3):
     assert in_span(basis, diag(sym3, 0.0, 1.0, 2.0))
     assert not in_span(basis, sym3.element(np.eye(3)[::-1].copy() + np.eye(3)[::-1].T.copy()))
     assert in_span([], sym3.zero_element())
+
+
+def full_in_span_rule(basis, a, tol=1e-8) -> bool:
+    mat = np.stack([b.payload.ravel() for b in basis], axis=1)
+    coeffs = np.linalg.lstsq(mat, a.payload.ravel(), rcond=None)[0]
+    residual = np.max(np.abs(mat @ coeffs - a.payload.ravel()))
+    return bool(residual <= tol * max(1.0, sym_norm(a.payload)))
+
+
+def test_in_span_gives_the_full_rules_verdict(sym3):
+    rng = np.random.default_rng(17)
+    basis = [sym3.unit(), diag(sym3, 1.0, 2.0, 3.0), diag(sym3, 0.0, 0.0, 1.0)]
+    for _ in range(30):
+        inside = sum((b * float(c) for b, c in zip(basis, rng.uniform(-5, 5, 3))),
+                     sym3.zero_element())
+        for a in (inside, sym3.random_element(rng), inside + 1e-7 * sym3.random_element(rng)):
+            assert in_span(basis, a) is full_in_span_rule(basis, a)
+
+
+def test_in_span_borderline_needs_the_norm(monkeypatch):
+    # diag(s, 0) + eps [[0, 1], [1, 0]] against span{diag(1, 0)}: the
+    # residual eps is above tol, against the allowance tol * ||a|| ~ tol * s
+    space = SymmetricMatrixSpace(2)
+    basis = [space.element(np.diag([1.0, 0.0]))]
+    for eps, verdict in ((5e-5, True), (2e-4, False)):
+        a = space.element(np.array([[1e4, eps], [eps, 0.0]]))
+        assert full_in_span_rule(basis, a) is verdict
+        calls = count_eigvalsh(monkeypatch)
+        assert in_span(basis, a) is verdict
+        assert len(calls) == 1
+    calls = count_eigvalsh(monkeypatch)
+    assert in_span(basis, space.element(np.diag([7.0, 0.0])))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
