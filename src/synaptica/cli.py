@@ -5,8 +5,13 @@ tagged with a "kind". Reports are JSON with insertion-ordered keys so
 that identical inputs and seeds produce byte-identical output; --pretty
 switches to human-readable lines. Exit codes: 0 clean, 1 a structure
 violated its axioms or a check failed, 2 parse errors, unknown kinds,
-unknown labels, or unknown suites, fields of the wrong type or shape,
-and spectral elements whose analysis overflows the float range.
+unknown labels, repeated element labels, or unknown suites, fields of
+the wrong type or shape, and spectral elements whose analysis overflows
+the float range.
+
+Each document kind has one builder, which parses the document and
+returns the library's verdict on it; check, states and spectral read
+each document they use through its builder.
 
 SYNAPTICA_TOL overrides the tolerance used to flag residuals in
 reports. Decision thresholds inside the library (rank cutoffs, cone
@@ -34,15 +39,8 @@ from .order_unit import ASYMMETRY_TOL, Element, FunctionSpace, SymmetricMatrixSp
 
 __all__ = ["main"]
 
-KINDS = (
-    "poset",
-    "ortholattice",
-    "effect_algebra",
-    "mv_algebra",
-    "sym_matrix",
-    "function_algebra",
-    "state",
-)
+KINDS = ("poset", "ortholattice", "effect_algebra", "mv_algebra", "sym_matrix",
+         "function_algebra", "state")
 
 
 class CliError(Exception):
@@ -78,6 +76,8 @@ def _load_documents(path: str) -> list[dict]:
         if kind not in KINDS:
             raise CliError(2, f"{path}: unknown kind: {kind!r}")
         label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise CliError(2, f"{path}: label must be a string, got {label!r}")
         if label and label in labels:
             raise CliError(2, f"{path}: duplicate label: {label!r}")
         if label:
@@ -130,18 +130,33 @@ def _violation(v: eff.AxiomViolation, elements: list[str]) -> dict:
     }
 
 
-def _num_repr(v) -> str:
-    return str(v) if isinstance(v, Fraction) else repr(float(v))
+def _per_file(files: list[str], one):
+    """(path, results) file by file: one(doc, docs, path) per document, Nones dropped.
+
+    A file is loaded only once the one before it has run, so the first
+    unusable input in command-line order is the one reported. A
+    document without a field its kind needs is unusable input.
+    """
+    for path in files:
+        docs = _load_documents(path)
+        try:
+            results = [one(doc, docs, path) for doc in docs]
+        except KeyError as exc:
+            raise CliError(2, f"{path}: missing field {exc}")
+        yield path, [r for r in results if r is not None]
 
 
 # ---------------------------------------------------------------------------
-# per-kind builders, returning (report_dict, violated) and objects on demand
+# one builder per document kind, returning the library's verdict on it
 
 
 def _elements(doc: dict, path: str) -> list[str]:
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise CliError(2, f"{path}: elements must be a list of string labels")
+    if len(set(elements)) < len(elements):
+        repeated = next(x for i, x in enumerate(elements) if x in elements[:i])
+        raise CliError(2, f"{path}: repeated element label: {repeated!r}")
     return elements
 
 
@@ -161,13 +176,13 @@ def _perp(doc: dict, elements: list[str], path: str) -> list:
     return perp
 
 
-def _build_poset(doc: dict, path: str):
+def _build_poset(doc: dict, path: str) -> po.FinitePoset:
     elements = _elements(doc, path)
     pairs = _refs(doc.get("leq", []), "leq", elements, path, 2)
     return po.FinitePoset.from_pairs(elements, pairs)
 
 
-def _build_ortholattice(doc: dict, path: str):
+def _build_ortholattice(doc: dict, path: str) -> po.BoundedOrtholattice:
     base = _build_poset(doc, path)
     elements = doc["elements"]
     perp = _perp(doc, elements, path)
@@ -178,7 +193,7 @@ def _build_ortholattice(doc: dict, path: str):
     return po.BoundedOrtholattice(base, zero, one, perp)
 
 
-def _build_effect_algebra(doc: dict, path: str):
+def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.EAValidation, list[str]]:
     elements = _elements(doc, path)
     n = len(elements)
     table = [[None] * n for _ in range(n)]
@@ -186,10 +201,10 @@ def _build_effect_algebra(doc: dict, path: str):
         table[e][f] = g
     zero = _index(elements, doc["zero"], path)
     one = _index(elements, doc["one"], path)
-    return table, zero, one, elements
+    return eff.check_ea_axioms(table, zero, one, elements), elements
 
 
-def _build_mv_algebra(doc: dict, path: str):
+def _build_mv_algebra(doc: dict, path: str) -> tuple[eff.MVValidation, list[str]]:
     elements = _elements(doc, path)
     n = len(elements)
     plus = _refs(doc["plus"], "plus", elements, path, n)
@@ -199,7 +214,7 @@ def _build_mv_algebra(doc: dict, path: str):
     if any(p is None for p in perp):
         raise CliError(2, f"{path}: perp does not cover every element")
     zero = _index(elements, doc["zero"], path)
-    return plus, perp, zero, elements
+    return eff.check_mv_axioms(plus, perp, zero, perp[zero], elements), elements
 
 
 def _build_sym_matrix(doc: dict, path: str):
@@ -252,128 +267,98 @@ def _state_body(doc: dict, field: str, path: str, size: int, parse) -> list:
     return values
 
 
+def _build_state(doc: dict, docs: list[dict], path: str):
+    """(structure, candidate, the detail reported if it is no state).
+
+    The kind of the base document decides the rest: over an effect
+    algebra a "table" of exact or float values, one per element; over
+    Sym(n) a "density" of n * n floats; over R^X a "vector" of floats,
+    one per point. A base effect algebra that fails its axioms raises
+    EffectAlgebraError.
+    """
+    over = _find_doc(docs, doc["over"], path)
+    if over["kind"] == "effect_algebra":
+        checked, _ = _build_effect_algebra(over, path)
+        if not checked.ok:
+            raise eff.EffectAlgebraError(str(checked.violation))
+        ea = checked.structure
+        table = _state_body(doc, "table", path, ea.n, _as_number)
+        return ea, table, "not additive, not normalized, or out of [0,1]"
+    if over["kind"] == "sym_matrix":
+        space, _ = _build_sym_matrix(over, path)
+        n = space.n
+        density = np.array(_state_body(doc, "density", path, n * n, _as_float)).reshape(n, n)
+        return space, density, "density is not symmetric PSD with unit trace"
+    if over["kind"] == "function_algebra":
+        space, _ = _build_function_algebra(over, path)
+        vector = np.array(_state_body(doc, "vector", path, space.dimension, _as_float))
+        return space, vector, "weights are not a probability vector"
+    raise CliError(2, f"{path}: states over {over['kind']} are not defined")
+
+
 # ---------------------------------------------------------------------------
 # check
 
 
-def _check_one(doc: dict, docs: list[dict], path: str, tol: float) -> dict:
-    kind = doc["kind"]
-    label = doc.get("label", "")
-    violations = []
+def _check_one(doc: dict, docs: list[dict], path: str, tol: float):
+    """The check report on one document, and for a state the
+    (structure, candidate, detail) it was judged by; None otherwise.
 
+    A structure the library rejects (a ValueError, StructureError
+    included) is a "structure" violation.
+    """
+    kind = doc["kind"]
+    report = {"label": doc.get("label", ""), "kind": kind, "valid": True, "violations": []}
+    violations = report["violations"]
+    state = None
     try:
         if kind == "poset":
             _build_poset(doc, path)
         elif kind == "ortholattice":
-            lat = _build_ortholattice(doc, path)
-            flags = po.classify(lat)
-            report = {
-                "label": label,
-                "kind": kind,
-                "valid": True,
-                "violations": [],
-                "classification": {
-                    "is_lattice": flags.is_lattice,
-                    "is_distributive": flags.is_distributive,
-                    "is_boolean": flags.is_boolean,
-                    "is_oml": flags.is_oml,
-                },
-            }
-            return report
-        elif kind == "effect_algebra":
-            table, zero, one, elements = _build_effect_algebra(doc, path)
-            v = eff.check_ea_axioms(table, zero, one)
-            if not v.ok:
-                violations.append(_violation(v.violation, elements))
-        elif kind == "mv_algebra":
-            plus, perp, zero, elements = _build_mv_algebra(doc, path)
-            v = eff.check_mv_axioms(plus, perp, zero, perp[zero])
-            if not v.ok:
-                violations.append(_violation(v.violation, elements))
+            flags = po.classify(_build_ortholattice(doc, path))
+            names = ("is_lattice", "is_distributive", "is_boolean", "is_oml")
+            report["classification"] = {name: getattr(flags, name) for name in names}
+        elif kind in ("effect_algebra", "mv_algebra"):
+            build = _build_effect_algebra if kind == "effect_algebra" else _build_mv_algebra
+            checked, elements = build(doc, path)
+            if not checked.ok:
+                violations.append(_violation(checked.violation, elements))
         elif kind == "sym_matrix":
-            space, m = _build_sym_matrix(doc, path)
+            _, m = _build_sym_matrix(doc, path)
             _, asym = symmetrised(m)  # the entries are finite, so is asym
             if asym > ASYMMETRY_TOL:
-                violations.append(
-                    {
-                        "axiom": "symmetry",
-                        "witness": [],
-                        "detail": f"asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:g}",
-                    }
-                )
+                detail = f"asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:g}"
+                violations.append({"axiom": "symmetry", "witness": [], "detail": detail})
         elif kind == "function_algebra":
             _build_function_algebra(doc, path)
-        elif kind == "state":
-            over = _find_doc(docs, doc["over"], path)
-            if over["kind"] == "effect_algebra":
-                table, zero, one, elements = _build_effect_algebra(over, path)
-                ea = eff.FiniteEffectAlgebra(table, zero, one, labels=elements)
-                vals = _state_body(doc, "table", path, ea.n, _as_number)
-                if not stt.is_state(ea, vals, tol=tol):
-                    violations.append(
-                        {
-                            "axiom": "state",
-                            "witness": [],
-                            "detail": "not additive, not normalized, or out of [0,1]",
-                        }
-                    )
-            elif over["kind"] == "sym_matrix":
-                space, _ = _build_sym_matrix(over, path)
-                entries = _state_body(doc, "density", path, space.n * space.n, _as_float)
-                m = np.array(entries).reshape(space.n, space.n)
-                if not stt.is_state(space, m, tol=tol):
-                    violations.append(
-                        {
-                            "axiom": "state",
-                            "witness": [],
-                            "detail": "density is not symmetric PSD with unit trace",
-                        }
-                    )
-            elif over["kind"] == "function_algebra":
-                space, _ = _build_function_algebra(over, path)
-                vec = np.array(_state_body(doc, "vector", path, space.dimension, _as_float))
-                if not stt.is_state(space, vec, tol=tol):
-                    violations.append(
-                        {
-                            "axiom": "state",
-                            "witness": [],
-                            "detail": "weights are not a probability vector",
-                        }
-                    )
-            else:
-                raise CliError(2, f"{path}: states over {over['kind']} are not defined")
+        else:
+            state = structure, candidate, detail = _build_state(doc, docs, path)
+            if not stt.is_state(structure, candidate, tol=tol):
+                violations.append({"axiom": "state", "witness": [], "detail": detail})
     except ValueError as exc:  # StructureError and EffectAlgebraError included
         violations.append({"axiom": "structure", "witness": [], "detail": str(exc)})
-    except KeyError as exc:
-        raise CliError(2, f"{path}: missing field {exc}")
-
-    return {"label": label, "kind": kind, "valid": not violations, "violations": violations}
+    report["valid"] = not violations
+    return report, state
 
 
 def cmd_check(args) -> int:
     tol = _report_tol()
-    files_out = []
-    any_violation = False
-    for path in args.files:
-        docs = _load_documents(path)
-        selected = docs
-        if args.kind:
-            if args.kind not in KINDS:
-                raise CliError(2, f"unknown kind: {args.kind!r}")
-            # narrow what gets reported, not what labels resolve against:
-            # a state kept by the filter may refer to a document dropped by it
-            selected = [d for d in docs if d["kind"] == args.kind]
-        doc_reports = [_check_one(doc, docs, path, tol) for doc in selected]
-        any_violation = any_violation or any(not d["valid"] for d in doc_reports)
-        files_out.append({"path": path, "documents": doc_reports})
-    report = {
-        "command": "check",
-        "tolerance": tol,
-        "files": files_out,
-        "ok": not any_violation,
-    }
+    if args.kind and args.kind not in KINDS:
+        raise CliError(2, f"unknown kind: {args.kind!r}")
+
+    def one(doc, docs, path):
+        # narrow what gets reported, not what labels resolve against:
+        # a state kept by the filter may refer to a document dropped by it
+        if not args.kind or doc["kind"] == args.kind:
+            return _check_one(doc, docs, path, tol)[0]
+
+    files_out = [
+        {"path": path, "documents": reports} for path, reports in _per_file(args.files, one)
+    ]
+    ok = all(d["valid"] for f in files_out for d in f["documents"])
+    report = {"command": "check", "tolerance": tol, "files": files_out, "ok": ok}
     _emit(report, args.pretty, _pretty_check)
-    return 1 if any_violation else 0
+    return 0 if ok else 1
 
 
 def _pretty_violations(violations: list[dict]) -> list[str]:
@@ -423,32 +408,27 @@ def _spectral_report(name: str, a: Element, tol: float) -> dict:
     }
 
 
+def _spectral_elements(doc: dict, docs: list[dict], path: str) -> list[tuple[str, Element]]:
+    """The labeled elements a document offers to spectral: none, one matrix, or its values."""
+    if doc["kind"] == "sym_matrix":
+        space, m = _build_sym_matrix(doc, path)
+        try:
+            return [(doc.get("label", ""), space.element(m))]
+        except ValueError as exc:  # asymmetric entries
+            raise CliError(2, f"{path}: {exc}")
+    if doc["kind"] == "function_algebra":
+        return list(_build_function_algebra(doc, path)[1].items())
+    return []
+
+
 def cmd_spectral(args) -> int:
     tol = _report_tol()
     reports = []
-    for path in args.files:
-        docs = _load_documents(path)
-        candidates = []
-        try:
-            for doc in docs:
-                if doc["kind"] == "sym_matrix":
-                    space, m = _build_sym_matrix(doc, path)
-                    try:
-                        candidates.append((doc.get("label", ""), space.element(m)))
-                    except ValueError as exc:  # asymmetric entries
-                        raise CliError(2, f"{path}: {exc}")
-                elif doc["kind"] == "function_algebra":
-                    space, values = _build_function_algebra(doc, path)
-                    for name, el in values.items():
-                        candidates.append((name, el))
-        except KeyError as exc:
-            raise CliError(2, f"{path}: missing field {exc}")
-        if args.element is not None:
-            chosen = [(n, e) for n, e in candidates if n == args.element]
-            if not chosen:
-                raise CliError(2, f"{path}: unknown element label: {args.element!r}")
-        else:
-            chosen = candidates
+    for path, found in _per_file(args.files, _spectral_elements):
+        chosen = [(n, e) for elements in found for n, e in elements
+                  if args.element in (None, n)]
+        if args.element is not None and not chosen:
+            raise CliError(2, f"{path}: unknown element label: {args.element!r}")
         for name, a in chosen:
             # an element near the end of the float range overflows somewhere
             # in its analysis; that is unusable input, not a warning
@@ -475,6 +455,20 @@ def _pretty_spectral(report) -> list[str]:
 # ---------------------------------------------------------------------------
 # states
 
+# the extremality conditions reported for a state on R^X, in report order
+_EXTREMALITY = (
+    "is_vertex",
+    "point_evaluation",
+    "is_multiplicative",
+    "zero_one_on_projections",
+    "min_rule_holds",
+)
+
+
+def _extremality(space, mu) -> dict:
+    ch = stt.extremal_commutative_characterization(space, mu)
+    return {name: getattr(ch, name) for name in _EXTREMALITY}
+
 
 def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bool):
     """Report for one document, or None for kinds without a state space.
@@ -483,101 +477,55 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
     report names the failed axiom and the witness instead.
     """
     kind = doc["kind"]
+    rep = {"label": doc.get("label", ""), "kind": kind}
     if kind == "effect_algebra":
-        table, zero, one, elements = _build_effect_algebra(doc, path)
-        checked = eff.check_ea_axioms(table, zero, one, elements)
+        checked, elements = _build_effect_algebra(doc, path)
+        rep["n_elements"] = len(elements)
         if not checked.ok:
-            return {
-                "label": doc.get("label", ""),
-                "kind": "effect_algebra",
-                "n_elements": len(elements),
-                "violations": [_violation(checked.violation, elements)],
-            }
-        ea = checked.structure
-        poly = stt.state_polytope(ea)
-        rep = {
-            "label": doc.get("label", ""),
-            "kind": "effect_algebra",
-            "n_elements": ea.n,
-            "equalities": [
-                [elements[e], elements[f], elements[g]]
-                for e, f, g in poly.equalities
-            ],
-            "dimension": poly.dimension,
-            "feasible": poly.feasible,
-            "n_vertices": len(poly.vertices),
-        }
+            rep["violations"] = [_violation(checked.violation, elements)]
+            return rep
+        poly = stt.state_polytope(checked.structure)
+        rep["equalities"] = [[elements[e], elements[f], elements[g]]
+                             for e, f, g in poly.equalities]
+        rep["dimension"] = poly.dimension
+        rep["feasible"] = poly.feasible
+        rep["n_vertices"] = len(poly.vertices)
         if not poly.feasible:
             rep["note"] = "no states"
-            rep["certificate"] = {
-                "kind": poly.certificate.kind,
-                "detail": poly.certificate.detail,
-            }
-        if extremal and poly.feasible:
-            rep["vertices"] = [
-                [str(v) for v in s.values] for s in poly.vertices
-            ]
+            rep["certificate"] = {"kind": poly.certificate.kind, "detail": poly.certificate.detail}
+        elif extremal:
+            rep["vertices"] = [[str(v) for v in s.values] for s in poly.vertices]
         return rep
     if kind == "function_algebra":
         space, _ = _build_function_algebra(doc, path)
         verts = stt.simplex_vertices(space)
-        rep = {
-            "label": doc.get("label", ""),
-            "kind": "function_algebra",
-            "points": list(space.points),
-            "dimension": space.dimension - 1,
-            "n_vertices": len(verts),
-        }
+        rep["points"] = list(space.points)
+        rep["dimension"] = space.dimension - 1
+        rep["n_vertices"] = len(verts)
         if extremal:
-            rep["vertices"] = []
-            for v in verts:
-                mu = np.array([float(x) for x in v])
-                ch = stt.extremal_commutative_characterization(space, mu)
-                rep["vertices"].append(
-                    {
-                        "weights": [str(x) for x in v],
-                        "is_vertex": ch.is_vertex,
-                        "point_evaluation": ch.point_evaluation,
-                        "is_multiplicative": ch.is_multiplicative,
-                        "zero_one_on_projections": ch.zero_one_on_projections,
-                        "min_rule_holds": ch.min_rule_holds,
-                    }
-                )
+            rep["vertices"] = [
+                {"weights": [str(x) for x in v],
+                 **_extremality(space, np.array([float(x) for x in v]))}
+                for v in verts
+            ]
         return rep
     if kind == "state":
+        verdict, state = _check_one(doc, docs, path, tol)
+        rep["over"] = doc["over"]
+        rep["is_state"] = verdict["valid"]
+        # only states on R^X have an extremality characterization to report
         over = _find_doc(docs, doc["over"], path)
-        sub = _check_one(doc, docs, path, tol)
-        rep = {
-            "label": doc.get("label", ""),
-            "kind": "state",
-            "over": doc["over"],
-            "is_state": sub["valid"],
-        }
-        if extremal and over["kind"] == "function_algebra" and sub["valid"]:
-            space, _ = _build_function_algebra(over, path)
-            mu = np.array(_state_body(doc, "vector", path, space.dimension, _as_float))
-            ch = stt.extremal_commutative_characterization(space, mu)
-            rep["is_vertex"] = ch.is_vertex
-            rep["point_evaluation"] = ch.point_evaluation
-            rep["is_multiplicative"] = ch.is_multiplicative
-            rep["zero_one_on_projections"] = ch.zero_one_on_projections
-            rep["min_rule_holds"] = ch.min_rule_holds
+        if extremal and verdict["valid"] and over["kind"] == "function_algebra":
+            space, mu, _ = state
+            rep.update(_extremality(space, mu))
         return rep
     return None
 
 
 def cmd_states(args) -> int:
     tol = _report_tol()
-    reports = []
-    for path in args.files:
-        docs = _load_documents(path)
-        for doc in docs:
-            try:
-                rep = _states_one(doc, docs, path, tol, args.extremal)
-            except KeyError as exc:
-                raise CliError(2, f"{path}: missing field {exc}")
-            if rep is not None:
-                reports.append(rep)
+    one = functools.partial(_states_one, tol=tol, extremal=args.extremal)
+    reports = [r for _, found in _per_file(args.files, one) for r in found]
     report = {"command": "states", "tolerance": tol, "structures": reports}
     _emit(report, args.pretty, _pretty_states)
     return 1 if any("violations" in r for r in reports) else 0

@@ -47,7 +47,6 @@ from math import gcd, lcm
 __all__ = [
     "rref",
     "integer_rank",
-    "solve_square",
     "affine_solution_set",
     "AffineSet",
     "InfeasibilityCertificate",
@@ -127,16 +126,6 @@ def _independent_rows(rows: list[list[int]], limit: int | None = None) -> list[i
 def integer_rank(rows: list[list[int]]) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
     return len(_independent_rows(rows))
-
-
-def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve a d x d system exactly; None when singular."""
-    d = len(a)
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(d)):  # singular coefficient block
-        return None
-    return [reduced[i][d] for i in range(d)]
 
 
 @dataclass(frozen=True)
@@ -252,16 +241,19 @@ def _divide(e: Affine, a: int | Fraction) -> Affine:
     return F(const) / a, {t: F(v) / a for t, v in lin.items()}
 
 
-def _substitute(rows: list[tuple[dict, int | Fraction]], n: int) -> tuple[list[Affine], int]:
+def _substitute(
+    rows: list[tuple[dict, int | Fraction]], n: int
+) -> tuple[list[Affine], int, set[int]]:
     """Express every variable as an affine function of free parameters.
 
     rows are (coeffs, rhs) with coeffs a {variable: nonzero coefficient}
     map. A row with exactly one variable left unexpressed defines it,
     rows whose lone variable has coefficient +-1 first, so that integer
     rows keep integer expressions; when no row can, the lowest
-    unexpressed variable becomes a new parameter. The rows are not yet
-    all satisfied: those that defined nothing still have to be imposed
-    on the parameters. Returns the expressions and the parameter count.
+    unexpressed variable becomes a new parameter. A row that defined a
+    variable holds identically; the others still have to be imposed on
+    the parameters. Returns the expressions, the parameter count and
+    the indices of the rows that defined a variable.
     """
     rows_of: list[list[int]] = [[] for _ in range(n)]
     for r, (coeffs, _) in enumerate(rows):
@@ -269,6 +261,7 @@ def _substitute(rows: list[tuple[dict, int | Fraction]], n: int) -> tuple[list[A
             rows_of[j].append(r)
     left = [len(coeffs) for coeffs, _ in rows]  # unexpressed variables per row
     expr: list[Affine | None] = [None] * n
+    used: set[int] = set()
     unit: list[tuple[int, int]] = []   # (row, its lone variable) by coefficient
     other: list[tuple[int, int]] = []
 
@@ -297,24 +290,31 @@ def _substitute(rows: list[tuple[dict, int | Fraction]], n: int) -> tuple[list[A
             # coeffs[u] * x_u = b - (the rest of the row)
             rest = _combine({j: -v for j, v in coeffs.items() if j != u}, expr, b)
             settle(u, _divide(rest, coeffs[u]))
+            used.add(r)
             continue
         while lowest < n and expr[lowest] is not None:
             lowest += 1
         if lowest == n:
-            return expr, params
+            return expr, params, used
         settle(lowest, (0, {params: 1}))
         params += 1
 
 
-def _residual(rows: list[tuple[dict, int | Fraction]], expr: list[Affine], params: int):
-    """Every row imposed on the parameters: the distinct nonzero rows left.
+def _residual(
+    rows: list[tuple[dict, int | Fraction]], expr: list[Affine], params: int, used: set[int]
+):
+    """The rows that defined no variable, imposed on the parameters.
 
-    Each row is scaled so that its lowest parameter has coefficient 1,
-    so rows that differ by a factor count once. Returns dense
-    coefficient rows over the parameters and their right sides.
+    The used rows hold identically and are skipped. Each other row is
+    scaled so that its lowest parameter has coefficient 1, so rows that
+    differ by a factor count once. Returns the distinct nonzero rows
+    left, as dense coefficient rows over the parameters and their right
+    sides.
     """
     distinct: dict[tuple, None] = {}
-    for coeffs, b in rows:
+    for r, (coeffs, b) in enumerate(rows):
+        if r in used:
+            continue
         const, lin = _combine(coeffs, expr, -b)  # lin . t + const = 0
         if lin:
             const, lin = _divide((const, lin), lin[min(lin)])
@@ -345,8 +345,8 @@ def _parametrize(a_rows, b_vals, n: int) -> AffineSet | None:
         ({j: _exact(row[j]) for j in compress(columns, row)}, _exact(b))
         for row, b in zip(a_rows, b_vals)
     ]
-    expr, params = _substitute(rows, n)
-    sub = affine_solution_set(*_residual(rows, expr, params), params)
+    expr, params, used = _substitute(rows, n)
+    sub = affine_solution_set(*_residual(rows, expr, params, used), params)
     if isinstance(sub, InfeasibilityCertificate):
         return None
     q = [_exact(v) for v in sub.particular]

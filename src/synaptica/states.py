@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isfinite, lcm
 from numbers import Rational
 
 import numpy as np
@@ -155,7 +155,8 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
 
     Effect algebras: value 1 at the top, values in [0, 1], additive on
     every defined orthosum. Matrix instance: symmetric PSD unit-trace
-    density. Function instance: nonnegative weights summing to one.
+    density. Function instance: nonnegative weights summing to one. A
+    NaN or infinite value is never part of a state.
     """
     if isinstance(structure, FiniteEffectAlgebra):
         vals = _ea_state_values(structure, candidate)
@@ -165,7 +166,8 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
         if any(isinstance(v, Rational) and not -tol <= v <= 1.0 + tol for v in vals):
             return False
         fvals = [float(v) for v in vals]
-        if abs(fvals[structure.one] - 1.0) > tol:
+        # every comparison with NaN is false, so no bound below would catch one
+        if not all(map(isfinite, fvals)) or abs(fvals[structure.one] - 1.0) > tol:
             return False
         if any(v < -tol or v > 1.0 + tol for v in fvals):
             return False
@@ -175,7 +177,8 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
     if not hasattr(structure, "is_density"):
         raise TypeError(f"no state notion for {structure!r}")
     density = candidate.density if isinstance(candidate, _DensityState) else candidate
-    return structure.is_density(np.asarray(density, dtype=float), tol)
+    density = np.asarray(density, dtype=float)
+    return bool(np.isfinite(density).all()) and structure.is_density(density, tol)
 
 
 def _is_exact_ea_state(ea: FiniteEffectAlgebra, vals) -> bool:

@@ -5,11 +5,14 @@ Everything runs through main(argv) in-process; stdout is JSON unless
 exit-code contract: 0 clean, 1 violations, 2 unusable input.
 """
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synaptica.catalog import mo2_effect_algebra
 from synaptica import cli
@@ -216,6 +219,7 @@ def test_state_body_must_be_a_list(tmp_path, capsys):
     [
         {"kind": "mystery"},                                   # unknown kind
         [CHAIN_EA, CHAIN_EA],                                  # duplicate label
+        dict(POSET2, label=["p"]),                             # label not a string
         {"kind": "effect_algebra", "elements": ["0", "1"], "zero": "0", "one": "1"},
     ],
 )
@@ -527,6 +531,103 @@ def test_states_non_numeric_function_value_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "bad numeric entry: 'x'" in captured.err
+
+
+# each with its repeated element label
+REPEATED = {
+    "poset": (dict(POSET2, elements=["a", "a"]), "a"),
+    "ortholattice": (dict(SQUARE, elements=["0", "a", "a", "1"]), "a"),
+    "effect_algebra": (dict(CHAIN_EA, elements=["0", "h", "h"]), "h"),
+    "mv_algebra": (dict(MV2, elements=["1", "1"]), "1"),
+    "state": ([dict(CHAIN_EA, elements=["0", "h", "h"]),
+               {"kind": "state", "over": "halves", "table": ["0", "1/2", "1"]}], "h"),
+}
+
+
+# states reads only the kinds with a state space (effect algebras, function
+# algebras and states), so it has no verdict on the other three
+@pytest.mark.parametrize(
+    "command, kind",
+    [("check", kind) for kind in REPEATED] + [("states", "effect_algebra"), ("states", "state")],
+)
+def test_repeated_element_labels_exit_two(tmp_path, capsys, command, kind):
+    payload, label = REPEATED[kind]
+    rc = main([command, write_json(tmp_path, "doc.json", payload)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith(f"repeated element label: {label!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# the boundary under mutation: every document gets a report or a clean exit
+
+
+BOUNDARY_DOCUMENTS = [
+    CHAIN_EA, SQUARE, POSET2, FA2, MV2, SYM2, sym2(),
+    dict(POSET2, leq=[["a", 1]]),
+    dict(FN2, values={"g": [1.0, -2.0]}),
+    [CHAIN_EA, {"kind": "state", "label": "w", "over": "halves", "table": ["0", "1/2", "1"]}],
+    [SYM2, {"kind": "state", "over": "M", "density": [0.5, 0.0, 0.0, 0.5]}],
+    [FN2, {"kind": "state", "over": "F", "vector": [0.5, 0.5]}],
+]
+SWAPS = [None, True, 0, -1, 7, 2.5, "x", "1/0", "nan", float("nan"), float("inf"),
+         -float("inf"), [], {}, ["x"], [[]]]
+
+
+def _nodes(node, at=()):
+    """Every path into a JSON tree, the root's () first."""
+    yield at
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, at + (key,))
+
+
+def _mutate(data, payload):
+    """payload with one to three draws of a type swap, NaN or inf, a truncated
+    list, an unknown label, a repeated entry (element labels among them), a
+    row made wider or narrower, or a dropped field."""
+    payload = copy.deepcopy(payload)
+    for _ in range(data.draw(st.integers(1, 3))):
+        inner = list(_nodes(payload))[1:]
+        if not inner:
+            break
+        at = data.draw(st.sampled_from(inner))
+        parent = payload
+        for key in at[:-1]:
+            parent = parent[key]
+        key, node = at[-1], parent[at[-1]]
+        op = data.draw(st.sampled_from(
+            ["swap", "truncate", "unknown", "repeat", "widen", "narrow", "drop"]))
+        if op == "swap":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(SWAPS)))
+        elif op == "unknown":
+            parent[key] = "no-such-label"
+        elif op == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif isinstance(node, list) and node:
+            if op == "truncate":
+                del node[data.draw(st.integers(0, len(node) - 1)):]
+            elif op == "repeat":
+                node[data.draw(st.integers(0, len(node) - 1))] = node[0]
+            elif op == "widen":
+                node.append(node[-1])
+            elif op == "narrow":
+                node.pop()
+    return payload
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_get_a_report_or_a_clean_exit(tmp_path, capsys, data):
+    payload = _mutate(data, data.draw(st.sampled_from(BOUNDARY_DOCUMENTS)))
+    path = str(tmp_path / "doc.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)  # NaN and Infinity are written as such
+    for argv in (["check", path], ["states", "--extremal", path], ["spectral", path]):
+        assert main(argv) in (0, 1, 2)
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from synaptica.exact import (
     enumerate_box_vertices,
     integer_rank,
     rref,
-    solve_square,
 )
 
 F = Fraction
@@ -61,12 +60,6 @@ def integer_matrices(draw):
 def test_integer_rank_agrees_with_elimination(case):
     rows, ncols = case
     assert integer_rank(rows) == rank_by_elimination(rows, ncols)
-
-
-def test_solve_square():
-    x = solve_square([[F(2), F(0)], [F(0), F(4)]], [F(6), F(8)])
-    assert x == [F(3), F(2)]
-    assert solve_square([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
 
 
 def test_affine_solution_set_parametrizes():

@@ -278,6 +278,28 @@ def test_is_state_float_path_survives_huge_exact_values():
     assert is_state(ea, [F(0), 0.5, F(1)])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "structure, state, non_finite",
+    [
+        (mo2_effect_algebra(), [0.0, 0.5, 0.5, 0.5, 0.5, 1.0],
+         [[NAN] * 6, [0.0, NAN, NAN, NAN, NAN, 1.0], [0.0, INF, 0.5, 0.5, 0.5, 1.0]]),
+        (SymmetricMatrixSpace(2), np.eye(2) / 2,
+         [np.full((2, 2), NAN), np.array([[0.5, NAN], [NAN, 0.5]]), np.diag([INF, 0.5])]),
+        (FunctionSpace(["p", "q"]), np.array([0.5, 0.5]),
+         [np.array([NAN, NAN]), np.array([NAN, 1.0]), np.array([INF, 0.5])]),
+    ],
+    ids=["effect-algebra", "sym-matrix", "function-space"],
+)
+def test_is_state_rejects_non_finite_values(structure, state, non_finite):
+    # NaN fails every comparison, so a bound test alone lets it through
+    assert is_state(structure, state)
+    for candidate in non_finite:
+        assert not is_state(structure, candidate)
+
+
 ORACLE_ALGEBRAS = {
     **{f"chain({s})": (lambda s=s: chain_effect_algebra(s)) for s in range(1, 6)},
     **{f"2^{k}": (lambda k=k: boolean_effect_algebra(k)) for k in range(1, 4)},
