@@ -166,7 +166,11 @@ def _refs(rows, field: str, elements: list[str], path: str, width: int) -> list[
         isinstance(r, list) and len(r) == width for r in rows
     ):
         raise CliError(2, f"{path}: {field} must be a list of {width}-element lists")
-    return [[_index(elements, x, path) for x in r] for r in rows]
+    by_label = {x: i for i, x in enumerate(elements)}
+    try:
+        return [[by_label[x] for x in r] for r in rows]
+    except (KeyError, TypeError):  # an index, a non-label or an unknown label
+        return [[_index(elements, x, path) for x in r] for r in rows]
 
 
 def _perp(doc: dict, elements: list[str], path: str) -> list:
@@ -187,7 +191,7 @@ def _build_ortholattice(doc: dict, path: str) -> po.BoundedOrtholattice:
     elements = doc["elements"]
     perp = _perp(doc, elements, path)
     if any(p is None for p in perp):
-        raise po.StructureError("perp does not cover every element")
+        raise CliError(2, f"{path}: perp does not cover every element")
     zero = _index(elements, doc["zero"], path)
     one = _index(elements, doc["one"], path)
     return po.BoundedOrtholattice(base, zero, one, perp)

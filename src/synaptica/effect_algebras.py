@@ -1,10 +1,13 @@
 """Finite effect algebras and MV-algebras as explicit operation tables.
 
 The partial orthosummation is a dense n x n table whose entries are
-element indices or None where the sum is undefined. Axiom checking is a
-plain exhaustive scan that reports the first violated axiom together
-with a witness, which makes the checker usable as an oracle against
-mutated tables.
+element indices or None where the sum is undefined. Axiom checking is
+exhaustive and reports the first violated axiom together with a witness,
+which makes the checker usable as an oracle against mutated tables. The
+scan compares whole rows as tuples, so its n^3 associativity work runs
+inside tuple comparison and operator.itemgetter, not a Python loop per
+triple; a witness is searched entry by entry only once a row mismatches,
+in the order of the plain triple loop.
 
 The MV side stores a total operation table. The two presentations are
 interconvertible: a lattice-ordered effect algebra in which disjoint
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,12 +75,33 @@ def _normalize_table(table, n: int):
     return tuple(rows)
 
 
+def _row_getters(rows):
+    """getters[e](row) is the tuple of row's entries at the indices in rows[e].
+
+    One C call per row instead of a Python loop over its entries.
+    itemgetter with a single index returns a scalar, so one-entry rows
+    get a getter that returns a 1-tuple.
+    """
+    if rows and len(rows[0]) == 1:
+        return [lambda row, i=r[0]: (row[i],) for r in rows]
+    return [itemgetter(*r) for r in rows]
+
+
+def _first_difference(a, b) -> int:
+    """First index at which the sequences a and b differ."""
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
 class FiniteEffectAlgebra:
-    """Validated effect algebra; construct through check_ea_axioms."""
+    """Validated effect algebra; construct through check_ea_axioms.
+
+    With _checked the table is taken as given: check_ea_axioms hands over
+    the tuple of tuples it has normalised and scanned.
+    """
 
     def __init__(self, table, zero: int, one: int, labels=None, _checked: bool = False):
         n = len(table)
-        self.table = _normalize_table(table, n)
+        self.table = table if _checked else _normalize_table(table, n)
         self.zero = int(zero)
         self.one = int(one)
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
@@ -87,9 +112,7 @@ class FiniteEffectAlgebra:
             if result.violation is not None:
                 raise EffectAlgebraError(str(result.violation))
         # orthosupplement is unique once the axioms hold
-        self.perp = tuple(
-            next(f for f in range(n) if self.table[e][f] == self.one) for e in range(n)
-        )
+        self.perp = tuple(row.index(self.one) for row in self.table)
         self._order: FinitePoset | None = None
 
     @property
@@ -150,32 +173,35 @@ def check_ea_axioms(table, zero, one, labels=None) -> EAValidation:
     def fail(axiom: str, witness: tuple[int, ...], detail: str) -> EAValidation:
         return EAValidation(None, AxiomViolation(axiom, witness, detail))
 
-    for e in range(n):
-        for f in range(n):
-            if t[e][f] != t[f][e]:
-                return fail(
-                    "commutativity",
-                    (e, f),
-                    f"osum({e},{f})={t[e][f]!r} but osum({f},{e})={t[f][e]!r}",
-                )
+    cols = tuple(zip(*t))
+    if t != cols:
+        e = _first_difference(t, cols)
+        f = _first_difference(t[e], cols[e])
+        return fail(
+            "commutativity",
+            (e, f),
+            f"osum({e},{f})={t[e][f]!r} but osum({f},{e})={t[f][e]!r}",
+        )
 
+    # Associativity row by row: with an undefined sum read as index n and
+    # row n all undefined, (d+e)+f over every f is row ext[d][e], and
+    # d+(e+f) is row d read at the indices of row e.
+    ext = tuple(tuple(n if v is None else v for v in row) + (n,) for row in t)
+    ext += ((n,) * (n + 1),)
+    getters = _row_getters(ext[:n])
     for d in range(n):
-        for e in range(n):
-            de = t[d][e]
-            for f in range(n):
-                lhs = t[de][f] if de is not None else None
-                ef = t[e][f]
-                rhs = t[d][ef] if ef is not None else None
-                if lhs != rhs:
-                    return fail(
-                        "associativity",
-                        (d, e, f),
-                        f"(d+e)+f={lhs!r} but d+(e+f)={rhs!r}",
-                    )
+        row = ext[d]
+        lhs = list(map(ext.__getitem__, row[:n]))
+        rhs = [g(row) for g in getters]
+        if lhs != rhs:
+            e = _first_difference(lhs, rhs)
+            f = _first_difference(lhs[e], rhs[e])
+            left, right = (None if v == n else v for v in (lhs[e][f], rhs[e][f]))
+            return fail("associativity", (d, e, f), f"(d+e)+f={left!r} but d+(e+f)={right!r}")
 
-    for e in range(n):
-        sups = [f for f in range(n) if t[e][f] == one]
-        if len(sups) != 1:
+    for e, row in enumerate(t):
+        if row.count(one) != 1:
+            sups = [f for f, v in enumerate(row) if v == one]
             kind = "no orthosupplement" if not sups else f"multiple orthosupplements {sups}"
             return fail("orthosupplement", (e,), kind)
 
@@ -183,15 +209,18 @@ def check_ea_axioms(table, zero, one, labels=None) -> EAValidation:
         if t[e][one] is not None and e != zero:
             return fail("zero-one law", (e,), f"osum({e}, one) is defined but {e} != zero")
 
-    for d in range(n):
-        for e in range(n):
-            for f in range(e + 1, n):
-                if t[e][d] is not None and t[e][d] == t[f][d]:
-                    return fail(
-                        "cancelation",
-                        (e, f, d),
-                        f"osum({e},{d}) == osum({f},{d}) with {e} != {f}",
-                    )
+    # Cancelation: the defined sums down each column are distinct. The
+    # table is commutative by now, so column d is row d.
+    for d, col in enumerate(t):
+        undefined = col.count(None)
+        if len(set(col)) - (undefined > 0) != n - undefined:
+            e = next(e for e, v in enumerate(col) if v is not None and col.count(v) > 1)
+            f = col.index(col[e], e + 1)
+            return fail(
+                "cancelation",
+                (e, f, d),
+                f"osum({e},{d}) == osum({f},{d}) with {e} != {f}",
+            )
 
     ea = FiniteEffectAlgebra(t, zero, one, labels, _checked=True)
     return EAValidation(ea, None)
@@ -353,18 +382,28 @@ class MVValidation:
         return self.violation is None
 
 
+def _mv_operands(plus, perp):
+    """The addition table and perp as tuples, checked for shape and range."""
+    n = len(plus)
+    t = _normalize_table(plus, n)
+    if any(v is None for row in t for v in row):
+        raise StructureError("MV addition must be total")
+    p = tuple(int(x) for x in perp)
+    if len(p) != n or any(not (0 <= v < n) for v in p):
+        raise StructureError("perp must map every element to an element")
+    return t, p
+
+
 class FiniteMVAlgebra:
-    """Validated MV-algebra; construct through check_mv_axioms."""
+    """Validated MV-algebra; construct through check_mv_axioms.
+
+    With _checked the table and perp are taken as given: check_mv_axioms
+    hands over the tuples it has normalised and scanned.
+    """
 
     def __init__(self, plus, perp, zero: int, one: int, labels=None, _checked: bool = False):
         n = len(plus)
-        rows = _normalize_table(plus, n)
-        if any(v is None for row in rows for v in row):
-            raise StructureError("MV addition must be total")
-        self.plus_table = rows
-        self.perp = tuple(int(x) for x in perp)
-        if len(self.perp) != n or any(not (0 <= v < n) for v in self.perp):
-            raise StructureError("perp must map every element to an element")
+        self.plus_table, self.perp = (plus, perp) if _checked else _mv_operands(plus, perp)
         self.zero = int(zero)
         self.one = int(one)
         self.labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(n))
@@ -409,20 +448,24 @@ class FiniteMVAlgebra:
 def check_mv_axioms(plus, perp, zero, one, labels=None) -> MVValidation:
     """Exhaustive check of the seven MV axioms, first violation wins."""
     n = len(plus)
-    t = _normalize_table(plus, n)
-    if any(v is None for row in t for v in row):
-        raise StructureError("MV addition must be total")
-    p = tuple(int(x) for x in perp)
+    t, p = _mv_operands(plus, perp)
     zero, one = int(zero), int(one)
+    if not (0 <= zero < n and 0 <= one < n):
+        raise StructureError("zero/one must be element indices")
 
     def fail(axiom: str, witness: tuple[int, ...], detail: str) -> MVValidation:
         return MVValidation(None, AxiomViolation(axiom, witness, detail))
 
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if t[x][t[y][z]] != t[t[x][y]][z]:
-                    return fail("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
+    # Associativity row by row, as in check_ea_axioms: x+(y+z) over every
+    # z is row x read at the indices of row y, (x+y)+z is row t[x][y].
+    getters = _row_getters(t)
+    for x, row in enumerate(t):
+        lhs = [g(row) for g in getters]
+        rhs = list(map(t.__getitem__, row))
+        if lhs != rhs:
+            y = _first_difference(lhs, rhs)
+            z = _first_difference(lhs[y], rhs[y])
+            return fail("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
     for x in range(n):
         for y in range(n):
             if t[x][y] != t[y][x]:

@@ -182,6 +182,12 @@ def subset_inf_sup(p: FinitePoset, subset) -> tuple[int | None, int | None]:
     return _greatest(p, p.lower_bounds(elems)), _least(p, p.upper_bounds(elems))
 
 
+# Entries of the boolean cube common[a, b, c] built per block of rows a:
+# large enough that small posets take one block, small enough that the
+# largest posets stay at one row per block and peak memory does not grow.
+_BLOCK_ENTRIES = 1 << 14
+
+
 def _glb_table(leq: np.ndarray) -> np.ndarray:
     """Greatest lower bound of every pair under leq, -1 where there is none.
 
@@ -195,11 +201,14 @@ def _glb_table(leq: np.ndarray) -> np.ndarray:
     below = leq.T                          # below[b, c]: c <= b
     down = leq.sum(axis=0)                 # down[c]: size of c's down-set
     table = np.empty((n, n), dtype=np.intp)
-    for a in range(n):
-        common = below & leq[:, a]         # common[b, c]: c <= a and c <= b
-        cand = np.where(common, down, -1).argmax(axis=1)
+    step = max(1, _BLOCK_ENTRIES // (n * n)) if n else 1
+    for start in range(0, n, step):
+        common = below & below[start:start + step, None, :]  # c <= a and c <= b
+        cand = np.where(common, down, -1).argmax(axis=2)
         stray = common & ~below[cand]      # common lower bounds not below cand
-        table[a] = np.where(common.any(axis=1) & ~stray.any(axis=1), cand, -1)
+        table[start:start + step] = np.where(
+            common.any(axis=2) & ~stray.any(axis=2), cand, -1
+        )
     return table
 
 

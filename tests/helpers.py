@@ -4,7 +4,10 @@ Everything here re-derives its answers from raw data (tables, arrays)
 without touching library internals, so a library bug cannot hide by
 breaking its own checker. The effect-algebra oracle collects every
 failure instead of stopping at the first one; validity is the empty
-failure list.
+failure list. Its first-violation twins, ea_first_violation and
+mv_first_violation, are the plain per-triple loops in the library's
+scan order, so they check its row-at-a-time scans for the same axiom,
+witness and detail string.
 
 The vertex oracle is the combinations scan: every d-subset of the box
 rows in parameter space is solved exactly, and the feasible solutions
@@ -32,6 +35,9 @@ The lattice oracles work pair by pair on a raw relation table: every
 meet and join by searching the common bounds, every classification
 flag by its defining loop, and the ortholattice axioms in the order the
 library checks them, so the first failing pair names the same witness.
+glb_table_by_rows is the library's meet-table construction one row at a
+time, which checks its blocked version entry for entry and dtype for
+dtype.
 """
 
 from __future__ import annotations
@@ -249,6 +255,74 @@ def commutative_extremality_by_loops(points, mu, tol: float = 1e-9) -> dict:
     }
 
 
+def ea_first_violation(table, zero, one):
+    """(axiom, witness, detail) of the first failure in scan order, or None.
+
+    Commutativity, associativity, orthosupplement, the zero-one law, then
+    cancelation, each a plain loop over pairs or triples of indices.
+    """
+    n = len(table)
+    for e in range(n):
+        for f in range(n):
+            if table[e][f] != table[f][e]:
+                return ("commutativity", (e, f),
+                        f"osum({e},{f})={table[e][f]!r} but osum({f},{e})={table[f][e]!r}")
+    for d in range(n):
+        for e in range(n):
+            de = table[d][e]
+            for f in range(n):
+                lhs = table[de][f] if de is not None else None
+                ef = table[e][f]
+                rhs = table[d][ef] if ef is not None else None
+                if lhs != rhs:
+                    return ("associativity", (d, e, f), f"(d+e)+f={lhs!r} but d+(e+f)={rhs!r}")
+    for e in range(n):
+        sups = [f for f in range(n) if table[e][f] == one]
+        if len(sups) != 1:
+            kind = "no orthosupplement" if not sups else f"multiple orthosupplements {sups}"
+            return ("orthosupplement", (e,), kind)
+    for e in range(n):
+        if table[e][one] is not None and e != zero:
+            return ("zero-one law", (e,), f"osum({e}, one) is defined but {e} != zero")
+    for d in range(n):
+        for e in range(n):
+            for f in range(e + 1, n):
+                if table[e][d] is not None and table[e][d] == table[f][d]:
+                    return ("cancelation", (e, f, d),
+                            f"osum({e},{d}) == osum({f},{d}) with {e} != {f}")
+    return None
+
+
+def mv_first_violation(plus, perp, zero, one):
+    """(axiom, witness, detail) of the first failing MV axiom, or None."""
+    t, p, n = plus, perp, len(plus)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if t[x][t[y][z]] != t[t[x][y]][z]:
+                    return ("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
+    for x in range(n):
+        for y in range(n):
+            if t[x][y] != t[y][x]:
+                return ("mv-commutativity", (x, y), "x+y != y+x")
+    for x in range(n):
+        if t[x][zero] != x:
+            return ("mv-zero", (x,), "x+0 != x")
+    for x in range(n):
+        if p[p[x]] != x:
+            return ("mv-involution", (x,), "perp(perp(x)) != x")
+    if p[zero] != one:
+        return ("mv-perp-zero", (zero,), "perp(0) != 1")
+    for x in range(n):
+        if t[x][p[x]] != one:
+            return ("mv-complement", (x,), "x+perp(x) != 1")
+    for x in range(n):
+        for y in range(n):
+            if t[x][p[t[x][p[y]]]] != t[y][p[t[y][p[x]]]]:
+                return ("mv-lukasiewicz", (x, y), "x+(x+perp(y))' != y+(y+perp(x))'")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Lattice oracles on a raw relation table: leq[i][j] is True when i <= j
 
@@ -272,6 +346,24 @@ def lattice_tables_by_scan(leq):
             meets[a][b] = greatest(lower, lambda d, c: leq[d][c])
             joins[a][b] = greatest(upper, lambda d, c: leq[c][d])
     return meets, joins
+
+
+def glb_table_by_rows(leq: np.ndarray) -> np.ndarray:
+    """Greatest lower bounds under a boolean relation array, one row a at a time.
+
+    Each pair's candidate is its common lower bound with the largest
+    down-set; it is the meet when every common lower bound lies below it.
+    """
+    n = leq.shape[0]
+    below = leq.T
+    down = leq.sum(axis=0)
+    table = np.empty((n, n), dtype=np.intp)
+    for a in range(n):
+        common = below & leq[:, a]
+        cand = np.where(common, down, -1).argmax(axis=1)
+        stray = common & ~below[cand]
+        table[a] = np.where(common.any(axis=1) & ~stray.any(axis=1), cand, -1)
+    return table
 
 
 def _extreme(leq, below: bool):

@@ -147,6 +147,9 @@ MV2 = {"kind": "mv_algebra", "elements": ["0", "1"], "zero": "0",
         ("states", dict(FA2, points=[]), "point set must be nonempty"),
         ("check", dict(FA2, points=[]), "point set must be nonempty"),
         ("spectral", dict(FA2, points=["p", "p"]), "point labels must be unique"),
+        ("check", dict(MV2, perp=[["0", "1"]]), "perp does not cover every element"),
+        ("check", dict(SQUARE, perp=[["0", "1"], ["a", "b"], ["1", "0"]]),
+         "perp does not cover every element"),
     ],
 )
 def test_malformed_structure_documents_exit_two(tmp_path, capsys, command, doc, message):
@@ -155,6 +158,49 @@ def test_malformed_structure_documents_exit_two(tmp_path, capsys, command, doc, 
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
+
+
+# a reference that is not a known label is read by the general resolver, one
+# reference at a time, so its message names the first unusable reference
+REFERENCE_FIELDS = {
+    "osum": CHAIN_EA,
+    "leq": dict(POSET2, leq=[["a", "b"]]),
+    "plus": MV2,
+}
+
+
+@pytest.mark.parametrize("field", sorted(REFERENCE_FIELDS))
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        (7, "element index out of range: 7"),
+        (-1, "element index out of range: -1"),
+        (True, "bad element reference: True"),
+        (["0"], "unknown element label: ['0']"),
+        ("zz", "unknown element label: 'zz'"),
+    ],
+)
+def test_unusable_references_exit_two(tmp_path, capsys, field, ref, message):
+    doc = copy.deepcopy(REFERENCE_FIELDS[field])
+    doc[field][0][0] = ref
+    doc[field][-1][-1] = "also unknown"
+    rc = main(["check", write_json(tmp_path, "doc.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith(f"{message}\n")
+
+
+@pytest.mark.parametrize("field", sorted(REFERENCE_FIELDS))
+def test_index_references_read_as_their_labels(tmp_path, capsys, field):
+    doc = REFERENCE_FIELDS[field]
+    by_index = copy.deepcopy(doc)
+    by_index[field][0][0] = doc["elements"].index(doc[field][0][0])
+    labelled = run(capsys, "check", write_json(tmp_path, "a.json", doc))
+    indexed = run(capsys, "check", write_json(tmp_path, "b.json", by_index))
+    assert indexed[0] == labelled[0] == 0
+    assert json.loads(indexed[1])["files"][0]["documents"] == (
+        json.loads(labelled[1])["files"][0]["documents"]
+    )
 
 
 def test_well_formed_boundary_documents_still_pass(tmp_path, capsys):

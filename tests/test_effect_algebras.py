@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     ea_axiom_failures,
+    ea_first_violation,
     invalid_mutations,
     is_valid_ea,
+    mv_first_violation,
     replay_witness,
     single_entry_mutations,
 )
 from synaptica import catalog
+from synaptica.posets import StructureError
 from synaptica.effect_algebras import (
     EffectAlgebraError,
     FiniteEffectAlgebra,
@@ -255,3 +258,106 @@ def test_library_verdict_matches_oracle(case):
     assert v.ok == is_valid_ea(table, zero, one)
     if not v.ok:
         assert replay_witness(table, zero, one, v.violation.axiom, v.violation.witness)
+
+
+# --- the row-at-a-time scans against the per-triple loops ------------------
+
+
+_MO2 = catalog.mo2_effect_algebra()
+SCAN_BASES = [
+    catalog.chain_effect_algebra(0),  # n = 1
+    catalog.boolean_effect_algebra(1),  # n = 2
+    catalog.boolean_effect_algebra(2),
+    catalog.boolean_effect_algebra(3),
+    _MO2,
+    catalog.chain_effect_algebra(4),
+    catalog.product_effect_algebra(_MO2, _MO2),  # n = 36
+]
+MV_SCAN_BASES = [
+    ea_to_mv(catalog.chain_effect_algebra(0)),
+    ea_to_mv(catalog.boolean_effect_algebra(1)),
+    ea_to_mv(catalog.boolean_effect_algebra(2)),
+    ea_to_mv(catalog.boolean_effect_algebra(3)),
+    ea_to_mv(catalog.chain_effect_algebra(4)),
+    ea_to_mv(
+        catalog.product_effect_algebra(
+            catalog.boolean_effect_algebra(2), catalog.chain_effect_algebra(2)
+        )
+    ),
+]
+
+
+def _mutate(draw, rows, values):
+    """Up to three entries of rows replaced, each mirrored half of the time."""
+    n = len(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from(values))
+        if draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+    return rows
+
+
+def _unit(draw, base_value, n):
+    """The base's zero or one, and now and then any element instead."""
+    return draw(st.sampled_from([base_value] * 4 + list(range(n))))
+
+
+@st.composite
+def mutated_scan_tables(draw):
+    base = draw(st.sampled_from(SCAN_BASES))
+    n = base.n
+    rows = _mutate(draw, [list(r) for r in base.table], [None] + list(range(n)))
+    return rows, _unit(draw, base.zero, n), _unit(draw, base.one, n)
+
+
+@given(mutated_scan_tables())
+@settings(max_examples=300, deadline=None)
+def test_ea_scan_names_the_loops_first_violation(case):
+    table, zero, one = case
+    v = check_ea_axioms(table, zero, one)
+    expected = ea_first_violation(table, zero, one)
+    if expected is None:
+        assert v.ok
+        assert v.structure.table == tuple(map(tuple, table))
+        assert v.structure.perp == tuple(r.index(one) for r in table)
+    else:
+        violation = v.violation
+        assert (violation.axiom, violation.witness, violation.detail) == expected
+
+
+@st.composite
+def mutated_mv_tables(draw):
+    base = draw(st.sampled_from(MV_SCAN_BASES))
+    n = base.n
+    rows = _mutate(draw, [list(r) for r in base.plus_table], list(range(n)))
+    perp = list(base.perp)
+    if draw(st.booleans()):
+        perp[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return rows, perp, _unit(draw, base.zero, n), _unit(draw, base.one, n)
+
+
+@given(mutated_mv_tables())
+@settings(max_examples=300, deadline=None)
+def test_mv_scan_names_the_loops_first_violation(case):
+    plus, perp, zero, one = case
+    v = check_mv_axioms(plus, perp, zero, one)
+    expected = mv_first_violation(plus, perp, zero, one)
+    if expected is None:
+        assert v.ok and v.structure.plus_table == tuple(map(tuple, plus))
+    else:
+        violation = v.violation
+        assert (violation.axiom, violation.witness, violation.detail) == expected
+
+
+@pytest.mark.parametrize("perp", [[5, 0], [1, 2], [-1, 0], [1], [1, 0, 0]])
+def test_mv_scan_rejects_a_perp_outside_the_elements(perp):
+    with pytest.raises(StructureError, match="perp must map every element to an element"):
+        check_mv_axioms([[0, 1], [1, 1]], perp, 0, 1)
+
+
+@pytest.mark.parametrize("zero,one", [(2, 1), (0, 2), (-1, 1)])
+def test_mv_scan_rejects_zero_or_one_outside_the_elements(zero, one):
+    with pytest.raises(StructureError, match="zero/one must be element indices"):
+        check_mv_axioms([[0, 1], [1, 1]], [1, 0], zero, one)
+

@@ -2,11 +2,18 @@ import dataclasses
 import random
 import re
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import classification_by_scan, lattice_tables_by_scan, ortholattice_failure_by_scan
+from helpers import (
+    classification_by_scan,
+    glb_table_by_rows,
+    lattice_tables_by_scan,
+    ortholattice_failure_by_scan,
+)
 from synaptica import catalog, posets
 from synaptica.posets import (
     BoundedOrtholattice,
@@ -318,3 +325,34 @@ def test_meet_is_a_greatest_lower_bound(p):
             for x in range(p.n):
                 if p.leq(x, a) and p.leq(x, b):
                     assert p.leq(x, m)
+
+
+def random_relation(rng, n):
+    """The order closure of random forward edges under a random relabelling."""
+    leq = np.triu(rng.random((n, n)) < rng.random() * 0.6, 1) | np.eye(n, dtype=bool)
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[[k], :]
+    perm = rng.permutation(n)
+    return leq[perm][:, perm]
+
+
+def test_blocked_tables_match_the_row_loop_on_random_posets():
+    rng = np.random.default_rng(2024)
+    lattices = 0
+    for n in range(1, 41):
+        for _ in range(3):
+            leq = random_relation(rng, n)
+            meets, joins = lattice_tables(FinitePoset(leq))
+            for got, rel in ((meets, leq), (joins, leq.T)):
+                want = glb_table_by_rows(rel)
+                assert got.dtype == want.dtype and np.array_equal(got, want), n
+            lattices += not ((meets < 0).any() or (joins < 0).any())
+    assert 0 < lattices < 120  # lattices and non-lattices both occur
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_blocked_tables_match_the_row_loop_on_boolean_lattices(k):
+    leq = catalog.boolean_lattice(k).poset.relation()
+    for rel in (leq, leq.T):
+        got, want = posets._glb_table(rel), glb_table_by_rows(rel)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
