@@ -478,7 +478,8 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
     """Report for one document, or None for kinds without a state space.
 
     An effect algebra that fails its axioms has no state space; its
-    report names the failed axiom and the witness instead.
+    report names the failed axiom and the witness instead. The other
+    kinds are only built, so that unusable input exits 2 as under check.
     """
     kind = doc["kind"]
     rep = {"label": doc.get("label", ""), "kind": kind}
@@ -523,6 +524,12 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
             space, mu, _ = state
             rep.update(_extremality(space, mu))
         return rep
+    build = {"poset": _build_poset, "ortholattice": _build_ortholattice,
+             "mv_algebra": _build_mv_algebra, "sym_matrix": _build_sym_matrix}[kind]
+    try:
+        build(doc, path)
+    except ValueError:  # a structure the library rejects: check's verdict, not reported here
+        pass
     return None
 
 

@@ -14,8 +14,10 @@ pointwise and exactly, which makes it the oracle for every commutative
 identity. Matrices are symmetrized on construction, and inputs whose
 asymmetry max|m - (m/2 + m.T/2)| exceeds 1e-10 are rejected rather
 than silently repaired; `symmetrised` computes both without overflow,
-and the CLI's `check` measures asymmetry with it too. Either space's
-`element` rejects a NaN or infinite entry.
+and the matrix `is_density` and the CLI's `check` measure asymmetry
+with it too. Either space's `element` rejects a NaN or infinite entry.
+Every threshold is a module constant; no function takes one as an
+argument except `is_density`, which is handed is_state's.
 
 The space protocol. Both classes define the same methods, and synaptic,
 states and stone are written once against them; nothing outside this
@@ -36,7 +38,8 @@ q are Elements.
   is_projection(a)        p^2 = p, to PROJ_TOL, or exactly
   commutant(gens)         null space of the commutators, or everything
   projection_meet(p, q)   range intersection by SVD, or the minimum
-  is_density(d, tol)      d represents a state through the pairing
+  is_density(d, tol)      d represents a state through the pairing, to
+                          is_state's tolerance
 
 eigh, assemble, rank_tol and norm_of also take a stack: leading batch
 axes in front of the payload (or eigenvalue) axes, as numpy.linalg
@@ -72,6 +75,9 @@ POINTWISE_TOL = 1e-12   # function cone: values >= -POINTWISE_TOL
 ASYMMETRY_TOL = 1e-10   # rejected if symmetrization moves the input more than this
 RANK_RTOL = 1e-8        # relative threshold for rank, clustering, invertibility
 PROJ_TOL = 1e-9         # residual allowed in ||p^2 - p|| for the projection test
+COMMUTE_TOL = 1e-9      # ||ab - ba|| allowed, relative to max(1, ||a|| ||b||)
+CLOSE_TOL = 1e-9        # largest entry gap between elements allclose accepts
+MORPHISM_TOL = 1e-9     # gap allowed in the identities a morphism is checked on
 
 
 class Element:
@@ -119,8 +125,8 @@ class Element:
         return f"Element({self.space!r})"
 
 
-def allclose(a: Element, b: Element, tol: float = 1e-9) -> bool:
-    return a.space is b.space and bool(np.max(np.abs(a.payload - b.payload)) <= tol)
+def allclose(a: Element, b: Element) -> bool:
+    return a.space is b.space and bool(np.max(np.abs(a.payload - b.payload)) <= CLOSE_TOL)
 
 
 def symmetrised(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -181,12 +187,12 @@ class SymmetricMatrixSpace:
         """Raw associative product; may leave the symmetric subspace."""
         return a.payload @ b.payload
 
-    def commutes(self, a: Element, b: Element, tol: float = 1e-9) -> bool:
+    def commutes(self, a: Element, b: Element) -> bool:
         ab = a.payload @ b.payload
         gap = float(np.max(np.abs(ab - ab.T)))
-        # the allowance tol * max(1, ||a|| ||b||) >= tol, so the norms
-        # (two eigenvalue computations) are needed only past tol
-        return gap <= tol or gap <= tol * max(1.0, a.norm() * b.norm())
+        # the allowance COMMUTE_TOL * max(1, ||a|| ||b||) >= COMMUTE_TOL, so
+        # the norms (two eigenvalue computations) are needed only past it
+        return gap <= COMMUTE_TOL or gap <= COMMUTE_TOL * max(1.0, a.norm() * b.norm())
 
     def basis(self) -> list[Element]:
         """Canonical basis of Sym(n): E_ii, then (E_ij + E_ji) for i < j."""
@@ -211,9 +217,8 @@ class SymmetricMatrixSpace:
         vals = rng.uniform(0.0, 1.0, self.n)
         return Element(self, (q * vals) @ q.T)
 
-    def random_projection(self, rng: np.random.Generator, rank: int | None = None) -> Element:
-        if rank is None:
-            rank = int(rng.integers(0, self.n + 1))
+    def random_projection(self, rng: np.random.Generator) -> Element:
+        rank = int(rng.integers(0, self.n + 1))
         q, _ = np.linalg.qr(rng.standard_normal((self.n, self.n)))
         vals = np.zeros(self.n)
         vals[:rank] = 1.0
@@ -271,11 +276,12 @@ class SymmetricMatrixSpace:
 
     def is_density(self, d: np.ndarray, tol: float) -> bool:
         """Symmetric, unit trace, PSD, and nonnegative on sampled squares."""
-        if d.shape != (self.n, self.n) or np.max(np.abs(d - d.T)) > 1e-10:
+        if d.shape != (self.n, self.n):
             return False
-        if abs(float(np.trace(d)) - 1.0) > tol:
+        sym, drift = symmetrised(d)  # the asymmetry element() accepts
+        if drift > ASYMMETRY_TOL or abs(float(np.trace(d)) - 1.0) > tol:
             return False
-        if np.linalg.eigvalsh((d + d.T) / 2.0).min() < -tol:
+        if np.linalg.eigvalsh(sym).min() < -tol:
             return False
         # positivity through the functional, on sampled squares
         rng = np.random.default_rng(99)
@@ -334,7 +340,7 @@ class FunctionSpace:
     def product(self, a: Element, b: Element) -> np.ndarray:
         return a.payload * b.payload
 
-    def commutes(self, a: Element, b: Element, tol: float = 1e-9) -> bool:
+    def commutes(self, a: Element, b: Element) -> bool:
         return True
 
     def basis(self) -> list[Element]:
@@ -346,7 +352,7 @@ class FunctionSpace:
     def random_effect(self, rng: np.random.Generator) -> Element:
         return Element(self, rng.uniform(0.0, 1.0, self.dimension))
 
-    def random_projection(self, rng: np.random.Generator, rank: int | None = None) -> Element:
+    def random_projection(self, rng: np.random.Generator) -> Element:
         v = (rng.uniform(0.0, 1.0, self.dimension) < 0.5).astype(float)
         return Element(self, v)
 
@@ -426,7 +432,7 @@ class ExtendedLinearMap:
         return self.on_positive(b) - self.on_positive(b - a)
 
 
-def extend_effect_morphism(omega, space, target_unit, tol: float = 1e-9) -> ExtendedLinearMap:
+def extend_effect_morphism(omega, space, target_unit) -> ExtendedLinearMap:
     """Extend a black-box morphism on the unit interval to a linear map.
 
     Before extending, omega is spot-checked for additivity on 8 random
@@ -448,8 +454,8 @@ def extend_effect_morphism(omega, space, target_unit, tol: float = 1e-9) -> Exte
         f = rng.uniform(0.2, 0.8) * (v - e)
         lhs = omega(e + f)
         rhs = omega(e) + omega(f)
-        if _gap(lhs, rhs) > tol:
+        if _gap(lhs, rhs) > MORPHISM_TOL:
             raise ValueError("not an effect morphism: additivity fails on an orthogonal pair")
-    if _gap(omega(v), target_unit) > tol:
+    if _gap(omega(v), target_unit) > MORPHISM_TOL:
         raise ValueError("not an effect morphism: unit is not preserved")
     return ExtendedLinearMap(omega, space)

@@ -68,7 +68,7 @@ __all__ = [
     "extremal_commutative_characterization",
 ]
 
-STATE_TOL = 1e-9
+STATE_TOL = 1e-9  # is_state's default, and the tolerance of every report here
 
 
 class EffectAlgebraState:
@@ -342,8 +342,8 @@ def restrict_state_to_effects(space, rho) -> RestrictedValuation:
     return RestrictedValuation(space, rho)
 
 
-def extend_effects_valuation(space, omega, tol: float = STATE_TOL) -> FunctionalState:
-    xi = extend_effect_morphism(omega, space, target_unit=1.0, tol=tol)
+def extend_effects_valuation(space, omega) -> FunctionalState:
+    xi = extend_effect_morphism(omega, space, target_unit=1.0)
     return FunctionalState(space, xi)
 
 
@@ -395,7 +395,7 @@ class ElementDualityReport:
     witness_state: object | None
 
 
-def element_duality_report(a: Element, tol: float = STATE_TOL) -> ElementDualityReport:
+def element_duality_report(a: Element) -> ElementDualityReport:
     space = a.space
     w, frame = space.eigh(a.payload)
     min_val = float(w[0])
@@ -408,8 +408,8 @@ def element_duality_report(a: Element, tol: float = STATE_TOL) -> ElementDuality
         sup_abs_extremal=sup_abs,
         norm=a.norm(),
         is_positive=is_pos,
-        positivity_matches=is_pos == (min_val >= -tol),
-        norm_matches=abs(a.norm() - sup_abs) <= tol,
+        positivity_matches=is_pos == (min_val >= -STATE_TOL),
+        norm_matches=abs(a.norm() - sup_abs) <= STATE_TOL,
         witness_state=witness,
     )
 
@@ -425,7 +425,7 @@ class StateNormReport:
     identity_holds: bool
 
 
-def state_norm_report(space, state, tol: float = STATE_TOL) -> StateNormReport:
+def state_norm_report(space, state) -> StateNormReport:
     """The norm of a positive functional is its value at the order unit.
 
     The documented maximizer: the sign combination of eigenprojections
@@ -443,9 +443,9 @@ def state_norm_report(space, state, tol: float = STATE_TOL) -> StateNormReport:
         norm=norm,
         value_at_unit=value_at_unit,
         maximizer=maximizer,
-        maximizer_in_ball=maximizer.norm() <= 1.0 + tol,
-        identity_holds=abs(norm - state(maximizer)) <= tol
-        and abs(norm - value_at_unit) <= tol,
+        maximizer_in_ball=maximizer.norm() <= 1.0 + STATE_TOL,
+        identity_holds=abs(norm - state(maximizer)) <= STATE_TOL
+        and abs(norm - value_at_unit) <= STATE_TOL,
     )
 
 
@@ -475,9 +475,7 @@ class CommutativeExtremalReport:
     min_rule_witness: tuple[str, str] | None
 
 
-def extremal_commutative_characterization(
-    space, state, tol: float = 1e-9
-) -> CommutativeExtremalReport:
+def extremal_commutative_characterization(space, state) -> CommutativeExtremalReport:
     if not isinstance(space, FunctionSpace):
         raise ValueError("commutative algebras only")
     if isinstance(state, ProbabilityVectorState):
@@ -491,6 +489,7 @@ def extremal_commutative_characterization(
         raise ValueError("projection scan is exhaustive; keep the point set small")
 
     # each condition is computed by its own formula, over whole arrays
+    tol = STATE_TOL
     verts = np.array(_simplex_vertex_data(k), dtype=float)
     is_vertex = bool(np.any(np.all(np.abs(verts - mu) <= tol, axis=1)))
 

@@ -16,14 +16,14 @@ the isomorphism.
 The map to functions works on a stack of elements at once. The atoms
 are flattened once, at construction, into the columns of one matrix;
 one least-squares solve with a right-hand side per element tests span
-membership for the whole stack (the norms behind the allowance are
-taken only for residuals past tol), and the coefficients against the
-atoms are one matrix product divided by the atom weights. to_function
-is the one-element case. The verification report builds every element
-its checks map (six samples, three linear combinations, the unit,
-three Jordan products, two shifted samples and the generators), maps
-them in one call, and takes the sample norms from one stacked
-eigenvalue computation.
+membership for the whole stack (the norms behind the relative
+allowance are taken only for residuals past REPRESENTATION_TOL), and
+the coefficients against the atoms are one matrix product divided by
+the atom weights. to_function is the one-element case. The
+verification report builds every element its checks map (six samples,
+three linear combinations, the unit, three Jordan products, two
+shifted samples and the generators), maps them in one call, and takes
+the sample norms from one stacked eigenvalue computation.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ __all__ = [
     "RickartReport",
     "rickart_completeness_report",
 ]
+
+REPRESENTATION_TOL = 1e-9   # span residual and identity gap the representation allows
+RICKART_SAMPLES = 12        # random functions the annihilator check tries
 
 
 @dataclass(frozen=True)
@@ -194,9 +197,8 @@ class FunctionalRepresentation:
     pattern mask, which is the scan's order.
     """
 
-    def __init__(self, space, projections, tol: float = 1e-9):
+    def __init__(self, space, projections):
         self.space = space
-        self.tol = tol
         projections = list(projections)
         for i, p in enumerate(projections):
             if not synaptic.is_projection(p):
@@ -240,7 +242,8 @@ class FunctionalRepresentation:
         flattened arrays on both spaces, so the coefficients against all
         atoms are one matrix product.
         """
-        if not synaptic.span_members(self._atom_matrix, self.space, stack, self.tol).all():
+        if not synaptic.span_members(self._atom_matrix, self.space, stack,
+                                     REPRESENTATION_TOL).all():
             raise ValueError("element is not in the represented span")
         return (stack.reshape(len(stack), -1) @ self._atom_matrix) / self._atom_weights
 
@@ -262,15 +265,15 @@ class FunctionalRepresentation:
         return Element(self.function_space, self._indicators(self.to_function(p).payload))
 
     def _indicators(self, values: np.ndarray) -> np.ndarray:
-        """Function values rounded to integers; raises unless each is within tol of its own."""
+        """Values rounded to integers; raises unless each is within REPRESENTATION_TOL of it."""
         rounded = np.round(values)
-        if values.size and np.max(np.abs(values - rounded)) > self.tol:
+        if values.size and np.max(np.abs(values - rounded)) > REPRESENTATION_TOL:
             raise ValueError("projection does not map to an indicator")
         return rounded
 
     def _verify(self) -> RepresentationReport:
         space, fs = self.space, self.function_space
-        tol = self.tol
+        tol = REPRESENTATION_TOL
         rng = np.random.default_rng(2718)
         sample_stack = self._payloads_of(rng.uniform(-2.0, 2.0, size=(6, len(self.atoms))))
         samples = [Element(space, x) for x in sample_stack]
@@ -339,8 +342,8 @@ class FunctionalRepresentation:
         )
 
 
-def functional_representation(space, projections, tol: float = 1e-9) -> FunctionalRepresentation:
-    return FunctionalRepresentation(space, projections, tol=tol)
+def functional_representation(space, projections) -> FunctionalRepresentation:
+    return FunctionalRepresentation(space, projections)
 
 
 def transport_state(rep: FunctionalRepresentation, rho) -> ProbabilityVectorState:
@@ -382,9 +385,7 @@ class RickartReport:
     note: str
 
 
-def rickart_completeness_report(
-    space: FunctionSpace, seed: int = 0, samples: int = 12
-) -> RickartReport:
+def rickart_completeness_report(space: FunctionSpace, seed: int = 0) -> RickartReport:
     if not isinstance(space, FunctionSpace):
         raise ValueError("commutative algebras only")
     rng = np.random.default_rng(seed)
@@ -394,7 +395,7 @@ def rickart_completeness_report(
     test_fs = [space.zero_element(), unit]
     for i in range(k):
         test_fs.append(space.indicator([i]))
-    for _ in range(samples):
+    for _ in range(RICKART_SAMPLES):
         mask = (rng.random(k) < 0.6).astype(float)
         test_fs.append(Element(space, rng.uniform(-2, 2, size=k) * mask))
 

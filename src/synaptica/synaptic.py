@@ -22,8 +22,11 @@ in one call.
 Numerical policy: eigenvalue clustering and rank thresholds are
 relative at 1e-8 (RANK_RTOL), the projection test allows a residual of
 1e-9 (PROJ_TOL); both constants and the cone tests live in order_unit.
-The FunctionSpace instance computes exactly: its rank_tol is 0, so its
-carriers and spectra involve no tolerance at all.
+The checks made here have their own constants below; only
+span_members, whose two callers allow different residuals, takes a
+threshold as an argument. The FunctionSpace instance computes
+exactly: its rank_tol is 0, so its carriers and spectra involve no
+tolerance at all.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order_unit import PROJ_TOL, RANK_RTOL, Element, in_unit_interval
+from .order_unit import MORPHISM_TOL, PROJ_TOL, RANK_RTOL, Element, allclose, in_unit_interval
 
 __all__ = [
     "RANK_RTOL",
@@ -67,6 +70,10 @@ __all__ = [
     "proper_effect_decomposition",
     "supremum_of_ascending_chain",
 ]
+
+RESOLUTION_TOL = 1e-9   # residual allowed, relative to max(1, ||a||), in a resolution
+SPAN_TOL = 1e-8         # in_span: residual allowed, relative to max(1, ||a||)
+SPLIT_GAP = 1e-6        # an effect splits at an eigenvalue this far inside (0, 1)
 
 
 def _same_space(a: Element, b: Element) -> None:
@@ -196,23 +203,23 @@ def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
     return res
 
 
-def _verify_resolution(res: SpectralResolution, tol: float = 1e-9) -> None:
+def _verify_resolution(res: SpectralResolution) -> None:
     a = res.element
-    scale = max(1.0, a.norm())
+    allowed = RESOLUTION_TOL * max(1.0, a.norm())
     for i, p in enumerate(res.projections):
         pp = p.space.product(p, p)
-        if np.max(np.abs(pp - p.payload)) > tol * scale:
+        if np.max(np.abs(pp - p.payload)) > allowed:
             raise AssertionError(f"resolution member {i} is not a projection")
         for q in res.projections[i + 1 :]:
-            if np.max(np.abs(p.space.product(p, q))) > tol * scale:
+            if np.max(np.abs(p.space.product(p, q))) > allowed:
                 raise AssertionError("resolution projections are not orthogonal")
     total = res.projections[0]
     for p in res.projections[1:]:
         total = total + p
-    if np.max(np.abs(total.payload - a.space.unit().payload)) > tol * scale:
+    if np.max(np.abs(total.payload - a.space.unit().payload)) > allowed:
         raise AssertionError("resolution does not sum to the identity")
     recon = res.reconstruct()
-    if np.max(np.abs(recon.payload - a.payload)) > tol * scale:
+    if np.max(np.abs(recon.payload - a.payload)) > allowed:
         raise AssertionError("resolution does not reconstruct the element")
     # cross-check the step family against the carrier formula, at every
     # eigenvalue and midpoint at once. res.step(lam) adds the projections
@@ -228,7 +235,7 @@ def _verify_resolution(res: SpectralResolution, tol: float = 1e-9) -> None:
     direct = running[np.logical_and.accumulate(below, axis=1).sum(axis=1)]
     formula = _step_stack(a, points)
     gaps = np.max(np.abs(direct - formula).reshape(len(points), -1), axis=1)
-    bad = np.flatnonzero(gaps > tol * scale)
+    bad = np.flatnonzero(gaps > allowed)
     if bad.size:
         raise AssertionError(
             f"step family disagrees with carrier formula at {points[bad[0]]}"
@@ -381,12 +388,12 @@ def center(space) -> list[Element]:
     return commutant(space, space.basis())
 
 
-def in_span(basis: list[Element], a: Element, tol: float = 1e-8) -> bool:
-    """Least-squares membership of a in the linear span of basis."""
+def in_span(basis: list[Element], a: Element) -> bool:
+    """Least-squares membership of a in the linear span of basis, to SPAN_TOL."""
     if not basis:
-        return bool(np.max(np.abs(a.payload)) <= tol)
+        return bool(np.max(np.abs(a.payload)) <= SPAN_TOL)
     mat = np.stack([b.payload.ravel() for b in basis], axis=1)
-    return bool(span_members(mat, a.space, a.payload[None], tol)[0])
+    return bool(span_members(mat, a.space, a.payload[None], SPAN_TOL)[0])
 
 
 def span_members(mat: np.ndarray, space, stack: np.ndarray, tol: float) -> np.ndarray:
@@ -445,24 +452,25 @@ class SynapticMorphismReport:
     violation: str | None = None
 
 
-def check_synaptic_morphism(phi, dom, cod, samples, tol: float = 1e-9) -> SynapticMorphismReport:
+def check_synaptic_morphism(phi, dom, cod, samples) -> SynapticMorphismReport:
     """Check the defining conditions of a synaptic morphism on samples.
 
     phi maps Elements of dom to Elements of cod. Conditions, in order:
     unit preservation, squares (phi(a^2) = phi(a)^2 which with linearity
     gives Jordan multiplicativity), commutation preservation on sample
     pairs that commute, and carrier preservation phi(carrier a) =
-    carrier(phi a).
+    carrier(phi a). Each holds to MORPHISM_TOL, the squares relative to
+    max(1, ||a||^2).
     """
     one_img = phi(dom.unit())
-    if np.max(np.abs(one_img.payload - cod.unit().payload)) > tol:
+    if np.max(np.abs(one_img.payload - cod.unit().payload)) > MORPHISM_TOL:
         return SynapticMorphismReport(False, "unit is not preserved")
     samples = list(samples)
     for i, a in enumerate(samples):
         img = phi(a)
         lhs = phi(jordan(a, a))
         rhs = jordan(img, img)
-        if np.max(np.abs(lhs.payload - rhs.payload)) > tol * max(1.0, a.norm() ** 2):
+        if np.max(np.abs(lhs.payload - rhs.payload)) > MORPHISM_TOL * max(1.0, a.norm() ** 2):
             return SynapticMorphismReport(False, f"square of sample {i} is not preserved")
     for i, a in enumerate(samples):
         for j, b in enumerate(samples):
@@ -475,7 +483,7 @@ def check_synaptic_morphism(phi, dom, cod, samples, tol: float = 1e-9) -> Synapt
     for i, a in enumerate(samples):
         lhs = phi(carrier(a))
         rhs = carrier(phi(a))
-        if np.max(np.abs(lhs.payload - rhs.payload)) > tol:
+        if np.max(np.abs(lhs.payload - rhs.payload)) > MORPHISM_TOL:
             return SynapticMorphismReport(False, f"carrier of sample {i} is not preserved")
     return SynapticMorphismReport(True, None)
 
@@ -484,11 +492,11 @@ def check_synaptic_morphism(phi, dom, cod, samples, tol: float = 1e-9) -> Synapt
 # Extreme points and monotone limits
 
 
-def proper_effect_decomposition(e: Element, gap: float = 1e-6) -> tuple[Element, Element] | None:
+def proper_effect_decomposition(e: Element) -> tuple[Element, Element] | None:
     """Split an effect strictly between two others when possible.
 
     Returns (x, y) with e = (x + y) / 2, x != y, both effects, when e
-    has a spectral value bounded away from {0, 1} by gap; None
+    has a spectral value bounded away from {0, 1} by SPLIT_GAP; None
     otherwise. Projections admit no such split, which is exactly the
     statement that they are the extreme points of the unit interval.
     """
@@ -496,18 +504,18 @@ def proper_effect_decomposition(e: Element, gap: float = 1e-6) -> tuple[Element,
         raise ValueError("not an effect")
     w, frame = e.space.eigh(e.payload)
     for idx, t in enumerate(w):
-        if gap < t < 1.0 - gap:
+        if SPLIT_GAP < t < 1.0 - SPLIT_GAP:
             d = Element(e.space, e.space.projector(frame, [idx]))
             mu = min(t, 1.0 - t)
             return e + mu * d, e - mu * d
     return None
 
 
-def supremum_of_ascending_chain(chain: list[Element], tol: float = 1e-9) -> Element:
+def supremum_of_ascending_chain(chain: list[Element]) -> Element:
     """Supremum of an eventually constant ascending commuting chain.
 
     Finite-dimensional stand-in for monotone completeness: the chain
-    must already have stabilized (last two members equal within tol).
+    must already have stabilized (its last two members allclose).
     """
     chain = list(chain)
     if not chain:
@@ -517,7 +525,6 @@ def supremum_of_ascending_chain(chain: list[Element], tol: float = 1e-9) -> Elem
             raise ValueError("chain is not ascending")
         if not x.space.commutes(x, y):
             raise ValueError("chain members do not commute")
-    if len(chain) >= 2:
-        if np.max(np.abs(chain[-1].payload - chain[-2].payload)) > tol:
-            raise ValueError("chain has not stabilized")
+    if len(chain) >= 2 and not allclose(chain[-1], chain[-2]):
+        raise ValueError("chain has not stabilized")
     return chain[-1]

@@ -164,7 +164,7 @@ def test_criterion_05_order_and_norm_through_extremal_states():
             a = space.random_element(rng)
             if i % 3 == 0:
                 a = a + space.unit() * (a.norm() + 0.1)  # force a positive case
-            rep = stt.element_duality_report(a, tol=1e-9)
+            rep = stt.element_duality_report(a)
             ok = ok and rep.positivity_matches and rep.norm_matches
     _gate(5, "positivity and norm agree with the extremal-state minimum and supremum",
           ok, time.perf_counter() - t0, 5.0)

@@ -407,6 +407,18 @@ def test_check_and_spectral_measure_asymmetry_alike(tmp_path, capsys, off, symme
     capsys.readouterr()
 
 
+def test_a_density_as_asymmetric_as_its_base_matrix_is_a_state(tmp_path, capsys):
+    # [0.5, 1.5e-10, 0, 0.5] moves 7.5e-11 under symmetrisation, within 1e-10
+    entries = [0.5, 1.5e-10, 0.0, 0.5]
+    path = write_json(tmp_path, "s.json",
+                      [sym2(entries=entries), {"kind": "state", "over": "m", "density": entries}])
+    assert run(capsys, "check", path)[0] == 0
+    rc, out = run(capsys, "states", path)
+    assert rc == 0
+    assert json.loads(out)["structures"] == [{"label": "", "kind": "state", "over": "m",
+                                              "is_state": True}]
+
+
 def test_check_keeps_the_symmetry_violation(tmp_path, capsys):
     path = write_json(tmp_path, "m.json", sym2(entries=[1.0, 2.0, 0.0, 1.0]))
     rc, out = run(capsys, "check", path)
@@ -590,11 +602,10 @@ REPEATED = {
 }
 
 
-# states reads only the kinds with a state space (effect algebras, function
-# algebras and states), so it has no verdict on the other three
+# states reports only on the kinds with a state space, but builds the others
+# too, so a poset, ortholattice or MV algebra with a repeated label exits 2
 @pytest.mark.parametrize(
-    "command, kind",
-    [("check", kind) for kind in REPEATED] + [("states", "effect_algebra"), ("states", "state")],
+    "command, kind", [(command, kind) for command in ("check", "states") for kind in REPEATED]
 )
 def test_repeated_element_labels_exit_two(tmp_path, capsys, command, kind):
     payload, label = REPEATED[kind]
@@ -602,6 +613,25 @@ def test_repeated_element_labels_exit_two(tmp_path, capsys, command, kind):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.endswith(f"repeated element label: {label!r}\n")
+
+
+def test_states_exits_two_on_a_non_finite_matrix(tmp_path, capsys):
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.0, float("nan"), 0.0, 1.0]))
+    rc = main(["states", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith("non-finite numeric entry: nan\n")
+
+
+@pytest.mark.parametrize("doc", [
+    POSET2, SQUARE, MV2, SYM2,
+    dict(POSET2, leq=[["a", "b"], ["b", "a"]]),  # no partial order: check's to report
+    sym2(entries=[1.0, 2.0, 0.0, 1.0]),  # asymmetric: check's to report
+])
+def test_states_gives_usable_kinds_without_states_no_report(tmp_path, capsys, doc):
+    rc, out = run(capsys, "states", write_json(tmp_path, "doc.json", doc))
+    assert rc == 0
+    assert json.loads(out)["structures"] == []
 
 
 # ---------------------------------------------------------------------------

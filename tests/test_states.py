@@ -391,6 +391,18 @@ def test_density_state_checks():
     assert not is_state(space, np.eye(2) / 2.0)           # wrong shape
 
 
+@pytest.mark.parametrize("off", [0.0, 1.5e-10, 1.9e-10, 2.1e-10, 3e-10, 1e-3])
+def test_density_asymmetry_is_measured_as_element_measures_it(off):
+    space = SymmetricMatrixSpace(2)
+    d = np.array([[0.5, off], [0.0, 0.5]])
+    try:
+        space.element(d)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert is_state(space, d) is accepted
+
+
 def test_probability_vector_checks():
     space = FunctionSpace(("x", "y", "z"))
     assert is_state(space, [0.2, 0.3, 0.5])
