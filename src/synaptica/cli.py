@@ -85,19 +85,6 @@ def _load_documents(path: str) -> list[dict]:
     return docs
 
 
-def _index(elements: list[str], x, path: str) -> int:
-    if isinstance(x, bool):
-        raise CliError(2, f"{path}: bad element reference: {x!r}")
-    if isinstance(x, int):
-        if not 0 <= x < len(elements):
-            raise CliError(2, f"{path}: element index out of range: {x}")
-        return x
-    try:
-        return elements.index(x)
-    except ValueError:
-        raise CliError(2, f"{path}: unknown element label: {x!r}")
-
-
 def _as_number(x, path: str):
     """Exact rationals from strings and ints; floats stay floats."""
     if isinstance(x, str):
@@ -160,64 +147,76 @@ def _elements(doc: dict, path: str) -> list[str]:
     return elements
 
 
-def _refs(rows, field: str, elements: list[str], path: str, width: int) -> list[list[int]]:
+def _resolver(elements: list[str], path: str):
+    """The index of an element reference: a label, or an index in range."""
+    by_label = {x: i for i, x in enumerate(elements)}
+
+    def index(x) -> int:
+        if isinstance(x, bool):
+            raise CliError(2, f"{path}: bad element reference: {x!r}")
+        if isinstance(x, int):
+            if not 0 <= x < len(elements):
+                raise CliError(2, f"{path}: element index out of range: {x}")
+            return x
+        try:
+            return by_label[x]
+        except (KeyError, TypeError):  # an unknown label, or an unhashable one
+            raise CliError(2, f"{path}: unknown element label: {x!r}") from None
+
+    return index
+
+
+def _refs(rows, field: str, index, path: str, width: int) -> list[list[int]]:
     """rows, a list of lists of width element references, as lists of indices."""
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and len(r) == width for r in rows
     ):
         raise CliError(2, f"{path}: {field} must be a list of {width}-element lists")
-    by_label = {x: i for i, x in enumerate(elements)}
-    try:
-        return [[by_label[x] for x in r] for r in rows]
-    except (KeyError, TypeError):  # an index, a non-label or an unknown label
-        return [[_index(elements, x, path) for x in r] for r in rows]
+    return [[index(x) for x in r] for r in rows]
 
 
-def _perp(doc: dict, elements: list[str], path: str) -> list:
-    perp = [None] * len(elements)
-    for a, b in _refs(doc["perp"], "perp", elements, path, 2):
+def _perp(doc: dict, index, n: int, path: str) -> list:
+    perp = [None] * n
+    for a, b in _refs(doc["perp"], "perp", index, path, 2):
         perp[a] = b
+    if any(p is None for p in perp):
+        raise CliError(2, f"{path}: perp does not cover every element")
     return perp
 
 
 def _build_poset(doc: dict, path: str) -> po.FinitePoset:
     elements = _elements(doc, path)
-    pairs = _refs(doc.get("leq", []), "leq", elements, path, 2)
+    pairs = _refs(doc.get("leq", []), "leq", _resolver(elements, path), path, 2)
     return po.FinitePoset.from_pairs(elements, pairs)
 
 
 def _build_ortholattice(doc: dict, path: str) -> po.BoundedOrtholattice:
     base = _build_poset(doc, path)
-    elements = doc["elements"]
-    perp = _perp(doc, elements, path)
-    if any(p is None for p in perp):
-        raise CliError(2, f"{path}: perp does not cover every element")
-    zero = _index(elements, doc["zero"], path)
-    one = _index(elements, doc["one"], path)
-    return po.BoundedOrtholattice(base, zero, one, perp)
+    index = _resolver(doc["elements"], path)
+    perp = _perp(doc, index, base.n, path)
+    return po.BoundedOrtholattice(base, index(doc["zero"]), index(doc["one"]), perp)
 
 
 def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.EAValidation, list[str]]:
     elements = _elements(doc, path)
+    index = _resolver(elements, path)
     n = len(elements)
     table = [[None] * n for _ in range(n)]
-    for e, f, g in _refs(doc["osum"], "osum", elements, path, 3):
+    for e, f, g in _refs(doc["osum"], "osum", index, path, 3):
         table[e][f] = g
-    zero = _index(elements, doc["zero"], path)
-    one = _index(elements, doc["one"], path)
+    zero, one = index(doc["zero"]), index(doc["one"])
     return eff.check_ea_axioms(table, zero, one, elements), elements
 
 
 def _build_mv_algebra(doc: dict, path: str) -> tuple[eff.MVValidation, list[str]]:
     elements = _elements(doc, path)
+    index = _resolver(elements, path)
     n = len(elements)
-    plus = _refs(doc["plus"], "plus", elements, path, n)
+    plus = _refs(doc["plus"], "plus", index, path, n)
     if len(plus) != n:
         raise CliError(2, f"{path}: plus must have one row per element, got {len(plus)}")
-    perp = _perp(doc, elements, path)
-    if any(p is None for p in perp):
-        raise CliError(2, f"{path}: perp does not cover every element")
-    zero = _index(elements, doc["zero"], path)
+    perp = _perp(doc, index, n, path)
+    zero = index(doc["zero"])
     return eff.check_mv_axioms(plus, perp, zero, perp[zero], elements), elements
 
 

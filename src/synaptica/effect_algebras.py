@@ -210,8 +210,8 @@ def check_ea_axioms(table, zero, one, labels=None) -> EAValidation:
     for e, row in enumerate(t):
         if row.count(one) != 1:
             sups = [f for f, v in enumerate(row) if v == one]
-            kind = "no orthosupplement" if not sups else f"multiple orthosupplements {sups}"
-            return fail("orthosupplement", (e,), kind)
+            detail = "no orthosupplement" if not sups else f"multiple orthosupplements {sups}"
+            return fail("orthosupplement", (e,), detail)
 
     for e in range(n):
         if t[e][one] is not None and e != zero:

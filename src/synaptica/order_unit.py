@@ -146,8 +146,6 @@ def symmetrised(m: np.ndarray) -> tuple[np.ndarray, float]:
 class SymmetricMatrixSpace:
     """Sym(n) with the PSD cone and identity order unit."""
 
-    kind = "sym_matrix"
-
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
@@ -279,7 +277,9 @@ class SymmetricMatrixSpace:
         if d.shape != (self.n, self.n):
             return False
         sym, drift = symmetrised(d)  # the asymmetry element() accepts
-        if drift > ASYMMETRY_TOL or abs(float(np.trace(d)) - 1.0) > tol:
+        with np.errstate(over="ignore"):  # a trace past the float range is inf, not a warning
+            trace = float(np.trace(d))
+        if drift > ASYMMETRY_TOL or abs(trace - 1.0) > tol:
             return False
         if np.linalg.eigvalsh(sym).min() < -tol:
             return False
@@ -297,8 +297,6 @@ class SymmetricMatrixSpace:
 
 class FunctionSpace:
     """R^X for a finite label set X; pointwise order, constant one unit."""
-
-    kind = "function_algebra"
 
     def __init__(self, points):
         self.points = tuple(str(p) for p in points)
@@ -389,7 +387,9 @@ class FunctionSpace:
         """Nonnegative weights summing to one."""
         if d.shape != (self.dimension,):
             return False
-        return bool(d.min() >= -POINTWISE_TOL and abs(float(d.sum()) - 1.0) <= tol)
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, not a warning
+            total = float(d.sum())
+        return bool(d.min() >= -POINTWISE_TOL and abs(total - 1.0) <= tol)
 
     def __repr__(self) -> str:
         return f"FunctionSpace({list(self.points)!r})"

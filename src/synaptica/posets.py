@@ -121,9 +121,6 @@ class FinitePoset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self._leq[a, b])
 
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and bool(self._leq[a, b])
-
     def relation(self) -> np.ndarray:
         return self._leq
 

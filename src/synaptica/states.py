@@ -7,9 +7,10 @@ enumerated exactly over the rationals. States on the two order-unit
 instances are positive normalized linear functionals, represented
 canonically by a density d through the space's pairing: a density
 matrix (rho(a) = trace(D a)) or a probability vector (rho(a) = mu . a).
-The state checks, reports and reconstructions are written once against
-the space protocol of order_unit. The bijection with effect-interval
-morphisms goes through the extension machinery of order_unit.
+One DensityState class holds either, and the state checks, reports and
+reconstructions are written once against the space protocol of
+order_unit. The bijection with effect-interval morphisms goes through
+the extension machinery of order_unit.
 
 The extremal-state story of the commutative instance is implemented in
 full: vertex membership, point evaluations, multiplicativity, zero-one
@@ -39,27 +40,23 @@ from .order_unit import (
     Element,
     ExtendedLinearMap,
     FunctionSpace,
-    SymmetricMatrixSpace,
     extend_effect_morphism,
     in_unit_interval,
 )
 
 __all__ = [
     "EffectAlgebraState",
-    "DensityMatrixState",
-    "ProbabilityVectorState",
+    "DensityState",
     "is_state",
     "StatePolytope",
     "state_polytope",
     "extremal_states",
     "simplex_vertices",
-    "RestrictedValuation",
     "FunctionalState",
     "restrict_state_to_effects",
     "extend_effects_valuation",
     "rho_omega_bijection",
-    "density_matrix_from_functional",
-    "probability_vector_from_functional",
+    "density_from_functional",
     "ElementDualityReport",
     "element_duality_report",
     "StateNormReport",
@@ -87,15 +84,16 @@ class EffectAlgebraState:
     def is_exact(self) -> bool:
         return all(isinstance(v, Rational) for v in self.values)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
-
     def __repr__(self) -> str:
         return f"EffectAlgebraState({list(self.values)!r})"
 
 
-class _DensityState:
-    """rho(a) = pairing(d, a) for the read-only density payload d."""
+class DensityState:
+    """rho(a) = pairing(d, a) for the read-only density payload d.
+
+    On either space: trace(D a) for a density matrix D, or the weighted
+    sum of a over the points for a probability vector.
+    """
 
     def __init__(self, space, density):
         self.space = space
@@ -106,40 +104,8 @@ class _DensityState:
     def __call__(self, a: Element) -> float:
         return self.space.pairing(self.density, a.payload)
 
-
-class DensityMatrixState(_DensityState):
-    """rho(a) = trace(D a) for a symmetric PSD unit-trace D."""
-
-    def __init__(self, space: SymmetricMatrixSpace, matrix):
-        super().__init__(space, matrix)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.density
-
     def __repr__(self) -> str:
-        return f"DensityMatrixState(n={self.space.n})"
-
-
-class ProbabilityVectorState(_DensityState):
-    """rho(a) = sum of mu(x) a(x) over the points of a function algebra."""
-
-    def __init__(self, space: FunctionSpace, weights):
-        super().__init__(space, weights)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.density
-
-    def __repr__(self) -> str:
-        return f"ProbabilityVectorState({self.weights.tolist()!r})"
-
-
-# the canonical state class of each space kind
-_STATE_CLASS = {
-    SymmetricMatrixSpace.kind: DensityMatrixState,
-    FunctionSpace.kind: ProbabilityVectorState,
-}
+        return f"DensityState({self.space!r}, {self.density.tolist()!r})"
 
 
 def _ea_state_values(ea: FiniteEffectAlgebra, candidate):
@@ -176,7 +142,7 @@ def is_state(structure, candidate, tol: float = STATE_TOL) -> bool:
 
     if not hasattr(structure, "is_density"):
         raise TypeError(f"no state notion for {structure!r}")
-    density = candidate.density if isinstance(candidate, _DensityState) else candidate
+    density = candidate.density if isinstance(candidate, DensityState) else candidate
     density = np.asarray(density, dtype=float)
     return bool(np.isfinite(density).all()) and structure.is_density(density, tol)
 
@@ -313,19 +279,6 @@ def simplex_vertices(space: FunctionSpace) -> list[list[Fraction]]:
 # States <-> effect-interval morphisms
 
 
-class RestrictedValuation:
-    """A state restricted to the unit interval; rejects non-effects."""
-
-    def __init__(self, space, rho):
-        self.space = space
-        self.rho = rho
-
-    def __call__(self, e: Element):
-        if not in_unit_interval(e):
-            raise ValueError("argument is not an effect")
-        return self.rho(e)
-
-
 class FunctionalState:
     """State produced by linear extension of an effect valuation."""
 
@@ -338,8 +291,15 @@ class FunctionalState:
         return float(value)
 
 
-def restrict_state_to_effects(space, rho) -> RestrictedValuation:
-    return RestrictedValuation(space, rho)
+def restrict_state_to_effects(space, rho):
+    """The state rho restricted to the unit interval; rejects non-effects."""
+
+    def omega(e: Element):
+        if not in_unit_interval(e):
+            raise ValueError("argument is not an effect")
+        return rho(e)
+
+    return omega
 
 
 def extend_effects_valuation(space, omega) -> FunctionalState:
@@ -353,29 +313,22 @@ def rho_omega_bijection(space, x):
     State-like objects are restricted to the unit interval; a bare
     callable is taken as an effect valuation and extended to a state.
     """
-    if isinstance(x, (_DensityState, FunctionalState)):
+    if isinstance(x, (DensityState, FunctionalState)):
         return restrict_state_to_effects(space, x)
     if callable(x):
         return extend_effects_valuation(space, x)
     raise TypeError("expected a state or an effect valuation")
 
 
-def _density_from_functional(space, rho) -> np.ndarray:
-    """d = sum of rho(b) b / pairing(b, b) over the space's basis.
+def density_from_functional(space, rho) -> DensityState:
+    """The density representing rho: d = sum of rho(b) b / pairing(b, b).
 
-    The basis is orthogonal for the pairing, so b / pairing(b, b) is the
-    dual basis and pairing(d, b) = rho(b) for every b.
+    The sum runs over the space's basis, which is orthogonal for the
+    pairing, so b / pairing(b, b) is the dual basis and pairing(d, b) =
+    rho(b) for every b.
     """
-    return sum(rho(b) / space.pairing(b.payload, b.payload) * b.payload for b in space.basis())
-
-
-def density_matrix_from_functional(space: SymmetricMatrixSpace, rho) -> DensityMatrixState:
-    """Recover the representing density matrix from functional values."""
-    return DensityMatrixState(space, _density_from_functional(space, rho))
-
-
-def probability_vector_from_functional(space: FunctionSpace, rho) -> ProbabilityVectorState:
-    return ProbabilityVectorState(space, _density_from_functional(space, rho))
+    d = sum(rho(b) / space.pairing(b.payload, b.payload) * b.payload for b in space.basis())
+    return DensityState(space, d)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +354,7 @@ def element_duality_report(a: Element) -> ElementDualityReport:
     min_val = float(w[0])
     sup_abs = float(np.max(np.abs(w)))
     # the pure state on the least eigenvalue's first frame member
-    witness = _STATE_CLASS[space.kind](space, space.projector(frame, [0])) if min_val < 0 else None
+    witness = DensityState(space, space.projector(frame, [0])) if min_val < 0 else None
     is_pos = space.contains_positive(a)
     return ElementDualityReport(
         min_extremal=min_val,
@@ -432,7 +385,7 @@ def state_norm_report(space, state) -> StateNormReport:
     of the density matrix, or the sign vector of the weights; for a
     genuine state both collapse to the order unit itself.
     """
-    if not isinstance(state, _DensityState):
+    if not isinstance(state, DensityState):
         raise TypeError("need a canonical state representation")
     w, frame = space.eigh(state.density)
     signs = np.where(w >= 0, 1.0, -1.0)
@@ -478,10 +431,7 @@ class CommutativeExtremalReport:
 def extremal_commutative_characterization(space, state) -> CommutativeExtremalReport:
     if not isinstance(space, FunctionSpace):
         raise ValueError("commutative algebras only")
-    if isinstance(state, ProbabilityVectorState):
-        mu = state.weights
-    else:
-        mu = np.asarray(state, dtype=float)
+    mu = state.density if isinstance(state, DensityState) else np.asarray(state, dtype=float)
     if not is_state(space, mu):
         raise ValueError("not a state on the function algebra")
     k = space.dimension

@@ -35,7 +35,7 @@ import numpy as np
 from .posets import BoundedOrtholattice, StructureError, classify
 from .order_unit import Element, FunctionSpace
 from . import synaptic
-from .states import ProbabilityVectorState
+from .states import DensityState
 
 __all__ = [
     "StoneSpace",
@@ -93,7 +93,10 @@ def stone_space(lat: BoundedOrtholattice) -> StoneSpace:
 
     Verifies, exhaustively, that every point preserves bounds, meets,
     joins, and complements, and that b |-> K_b is a Boolean
-    isomorphism onto the field of all subsets of the point set.
+    isomorphism onto the field of all subsets of the point set. K_b
+    holds the points taking the value 1 at b, so the per-point identities
+    are the map's complement, intersection and union identities read by
+    column; only injectivity and onto are left to check.
     """
     flags = classify(lat)
     if not flags.is_boolean:
@@ -126,14 +129,6 @@ def stone_space(lat: BoundedOrtholattice) -> StoneSpace:
         for mask in range(1 << len(atoms))
     }:
         raise StructureError("clopen-set map is not onto the subset field")
-    for b in range(lat.n):
-        if stone_map(st, lat.perp[b]) != frozenset(range(len(atoms))) - images[b]:
-            raise StructureError("clopen-set map does not send complements to complements")
-        for c in range(lat.n):
-            if stone_map(st, lat.meet(b, c)) != images[b] & images[c]:
-                raise StructureError("clopen-set map does not send meets to intersections")
-            if stone_map(st, lat.join(b, c)) != images[b] | images[c]:
-                raise StructureError("clopen-set map does not send joins to unions")
     return st
 
 
@@ -346,10 +341,10 @@ def functional_representation(space, projections) -> FunctionalRepresentation:
     return FunctionalRepresentation(space, projections)
 
 
-def transport_state(rep: FunctionalRepresentation, rho) -> ProbabilityVectorState:
+def transport_state(rep: FunctionalRepresentation, rho) -> DensityState:
     """Push a state forward: the weight of a point is the state of its atom."""
     mu = [rho(q) / 1.0 for q in rep.atoms]
-    return ProbabilityVectorState(rep.function_space, mu)
+    return DensityState(rep.function_space, mu)
 
 
 def pull_back_state(rep: FunctionalRepresentation, gamma):

@@ -484,7 +484,7 @@ def suite_states(seed: int) -> list[CheckResult]:
     w = rng.random(3)
     w /= w.sum()
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    D = stt.DensityMatrixState(V, q @ np.diag(w) @ q.T)
+    D = stt.DensityState(V, q @ np.diag(w) @ q.T)
     nr = stt.state_norm_report(V, D)
     rest = stt.restrict_state_to_effects(V, D)
     ext = stt.extend_effects_valuation(V, lambda e: D(e))
@@ -563,16 +563,16 @@ def suite_stone(seed: int) -> list[CheckResult]:
 
     w = rng.random(3)
     w /= w.sum()
-    D = stt.DensityMatrixState(V, np.diag(w))
+    D = stt.DensityState(V, np.diag(w))
     mu = stn.transport_state(rep, D)
-    gam = stt.ProbabilityVectorState(rep.function_space, (np.arange(3) == 1).astype(float))
+    gam = stt.DensityState(rep.function_space, (np.arange(3) == 1).astype(float))
     back = stn.pull_back_state(rep, gam)
     atom_vals = sorted(round(back(qq), 9) for qq in rep.atoms)
     out.append(
         CheckResult(
             "stone: states transport across the representation",
             stt.is_state(rep.function_space, mu) and atom_vals == [0.0, 0.0, 1.0],
-            f"transported={[round(float(x), 6) for x in mu.weights]}",
+            f"transported={[round(float(x), 6) for x in mu.density]}",
         )
     )
 

@@ -183,9 +183,9 @@ def test_criterion_06_extension_of_effect_morphisms():
 
     cases = [
         (sym, lambda el: float(np.trace(density @ el.payload)),
-         stt.DensityMatrixState(sym, density)),
+         stt.DensityState(sym, density)),
         (fn, lambda el: float(np.dot(weights, el.payload)),
-         stt.ProbabilityVectorState(fn, weights)),
+         stt.DensityState(fn, weights)),
     ]
     for space, omega, rho in cases:
         xi = extend_effect_morphism(omega, space, target_unit=1.0)
@@ -284,9 +284,9 @@ def test_criterion_08_stone_pipeline():
         for i in range(k):
             d = np.zeros((k, k))
             d[i, i] = 1.0
-            mu = stn.transport_state(rep, stt.DensityMatrixState(space, d))
+            mu = stn.transport_state(rep, stt.DensityState(space, d))
             ok = ok and stt.is_state(rep.function_space, mu)
-            images.append(tuple(np.round(mu.weights, 9)))
+            images.append(tuple(np.round(mu.density, 9)))
             pulled = stn.pull_back_state(rep, mu)
             for q in rep.atoms:
                 ok = ok and abs(pulled(q) - float(np.trace(d @ q.payload))) <= 1e-9

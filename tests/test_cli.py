@@ -160,8 +160,15 @@ def test_malformed_structure_documents_exit_two(tmp_path, capsys, command, doc, 
     assert message in captured.err and "Traceback" not in captured.err
 
 
-# a reference that is not a known label is read by the general resolver, one
-# reference at a time, so its message names the first unusable reference
+# references are resolved one at a time, in document order, so the message
+# names the first unusable reference
+UNUSABLE_REFERENCES = [
+    (7, "element index out of range: 7"),
+    (-1, "element index out of range: -1"),
+    (True, "bad element reference: True"),
+    (["0"], "unknown element label: ['0']"),
+    ("zz", "unknown element label: 'zz'"),
+]
 REFERENCE_FIELDS = {
     "osum": CHAIN_EA,
     "leq": dict(POSET2, leq=[["a", "b"]]),
@@ -170,21 +177,23 @@ REFERENCE_FIELDS = {
 
 
 @pytest.mark.parametrize("field", sorted(REFERENCE_FIELDS))
-@pytest.mark.parametrize(
-    "ref, message",
-    [
-        (7, "element index out of range: 7"),
-        (-1, "element index out of range: -1"),
-        (True, "bad element reference: True"),
-        (["0"], "unknown element label: ['0']"),
-        ("zz", "unknown element label: 'zz'"),
-    ],
-)
+@pytest.mark.parametrize("ref, message", UNUSABLE_REFERENCES)
 def test_unusable_references_exit_two(tmp_path, capsys, field, ref, message):
     doc = copy.deepcopy(REFERENCE_FIELDS[field])
     doc[field][0][0] = ref
     doc[field][-1][-1] = "also unknown"
     rc = main(["check", write_json(tmp_path, "doc.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith(f"{message}\n")
+
+
+@pytest.mark.parametrize("doc, field", [
+    (SQUARE, "zero"), (SQUARE, "one"), (CHAIN_EA, "zero"), (CHAIN_EA, "one"), (MV2, "zero"),
+])
+@pytest.mark.parametrize("ref, message", UNUSABLE_REFERENCES)
+def test_unusable_zero_and_one_references_exit_two(tmp_path, capsys, doc, field, ref, message):
+    rc = main(["check", write_json(tmp_path, "doc.json", dict(doc, **{field: ref}))])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.endswith(f"{message}\n")
@@ -394,6 +403,26 @@ def test_check_reports_a_huge_asymmetry_without_overflow(tmp_path, capsys):
     assert doc["violations"][0]["detail"] == "asymmetry 1.700e+308 exceeds 1e-10"
     rc = main(["spectral", path])
     assert rc == 2 and "asymmetry 1.700e+308" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("over, state", [
+    (sym2(), {"density": [1e308, 1.5e308, 1.5e308, 1e308]}),
+    (dict(FA2, label="F"), {"vector": [1e308, 1e308]}),
+], ids=["sym_matrix", "function_algebra"])
+def test_a_density_past_the_float_range_is_no_state_and_no_warning(tmp_path, capsys, over, state):
+    # its trace (or sum) overflows to inf, which is far from one
+    doc = dict(state, kind="state", over=over["label"])
+    path = write_json(tmp_path, "d.json", [over, doc])
+    rc = main(["check", path])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    (_, verdict) = json.loads(captured.out)["files"][0]["documents"]
+    assert verdict["violations"][0]["axiom"] == "state"
+    rc = main(["states", path])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert json.loads(captured.out)["structures"][-1]["is_state"] is False
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,7 @@ import pytest
 
 from synaptica.order_unit import FunctionSpace, SymmetricMatrixSpace
 from synaptica.states import (
-    DensityMatrixState,
-    ProbabilityVectorState,
+    DensityState,
     element_duality_report,
     is_state,
     state_norm_report,
@@ -106,8 +105,8 @@ def test_diagonal_matrices_agree_with_functions(entries):
         assert rep_m.witness_state(a_m) == rep_f.witness_state(a_f) == lo
 
     for weights in (np.abs(entries) / np.sum(np.abs(entries)), np.array(entries) / n):
-        rho_m = DensityMatrixState(M, np.diag(weights))
-        rho_f = ProbabilityVectorState(F, weights)
+        rho_m = DensityState(M, np.diag(weights))
+        rho_f = DensityState(F, weights)
         assert is_state(M, rho_m) == is_state(F, rho_f)
         nr_m, nr_f = state_norm_report(M, rho_m), state_norm_report(F, rho_f)
         assert nr_m.norm == nr_f.norm

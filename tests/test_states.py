@@ -34,16 +34,14 @@ from synaptica.exact import enumerate_box_vertices
 from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica import states as stt
 from synaptica.states import (
-    DensityMatrixState,
+    DensityState,
     EffectAlgebraState,
-    ProbabilityVectorState,
-    density_matrix_from_functional,
+    density_from_functional,
     element_duality_report,
     extend_effects_valuation,
     extremal_commutative_characterization,
     extremal_states,
     is_state,
-    probability_vector_from_functional,
     restrict_state_to_effects,
     rho_omega_bijection,
     simplex_vertices,
@@ -382,13 +380,27 @@ def test_effect_algebra_state_shape_check():
 def test_density_state_checks():
     space = SymmetricMatrixSpace(3)
     assert is_state(space, np.eye(3) / 3.0)
-    assert is_state(space, DensityMatrixState(space, np.diag([0.5, 0.5, 0.0])))
+    assert is_state(space, DensityState(space, np.diag([0.5, 0.5, 0.0])))
     assert not is_state(space, np.eye(3))                 # trace 3
     assert not is_state(space, np.diag([1.5, -0.5, 0.0]))  # not PSD
     bad = np.eye(3) / 3.0
     bad[0, 1] = 0.2                                       # not symmetric
     assert not is_state(space, bad)
     assert not is_state(space, np.eye(2) / 2.0)           # wrong shape
+
+
+def test_density_state_repr_names_its_space():
+    assert repr(DensityState(FunctionSpace(("x", "y")), [0.25, 0.75])) == (
+        "DensityState(FunctionSpace(['x', 'y']), [0.25, 0.75])")
+    assert repr(DensityState(SymmetricMatrixSpace(2), np.eye(2) / 2.0)) == (
+        "DensityState(SymmetricMatrixSpace(2), [[0.5, 0.0], [0.0, 0.5]])")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_density_past_the_float_range_is_no_state():
+    # the trace (or sum) overflows to inf without a warning, and inf is not one
+    assert not is_state(SymmetricMatrixSpace(2), np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
+    assert not is_state(FunctionSpace(("a", "b")), np.array([1e308, 1e308]))
 
 
 @pytest.mark.parametrize("off", [0.0, 1.5e-10, 1.9e-10, 2.1e-10, 3e-10, 1e-3])
@@ -449,7 +461,7 @@ def test_duality_report_on_functions():
 
 def test_state_norm_report_for_genuine_states():
     space = SymmetricMatrixSpace(3)
-    rho = DensityMatrixState(space, np.diag([0.5, 0.3, 0.2]))
+    rho = DensityState(space, np.diag([0.5, 0.3, 0.2]))
     rep = state_norm_report(space, rho)
     assert rep.identity_holds
     assert rep.maximizer_in_ball
@@ -462,14 +474,14 @@ def test_state_norm_report_for_genuine_states():
 def test_state_norm_report_flags_signed_functionals():
     # trace one but not positive: the norm exceeds the value at the unit
     space = SymmetricMatrixSpace(2)
-    rho = DensityMatrixState(space, np.diag([1.5, -0.5]))
+    rho = DensityState(space, np.diag([1.5, -0.5]))
     rep = state_norm_report(space, rho)
     assert rep.norm == 2.0 and rep.value_at_unit == 1.0
     assert not rep.identity_holds
     assert abs(rho(rep.maximizer) - rep.norm) <= 1e-12
 
     fspace = FunctionSpace(("x", "y", "z"))
-    rep2 = state_norm_report(fspace, ProbabilityVectorState(fspace, [0.25, 0.25, 0.5]))
+    rep2 = state_norm_report(fspace, DensityState(fspace, [0.25, 0.25, 0.5]))
     assert rep2.identity_holds and rep2.norm == 1.0
 
 
@@ -479,7 +491,7 @@ def test_state_norm_report_flags_signed_functionals():
 
 def test_restriction_rejects_non_effects():
     space = SymmetricMatrixSpace(3)
-    rho = DensityMatrixState(space, np.eye(3) / 3.0)
+    rho = DensityState(space, np.eye(3) / 3.0)
     omega = restrict_state_to_effects(space, rho)
     assert abs(omega(space.unit()) - 1.0) <= 1e-12
     with pytest.raises(ValueError, match="not an effect"):
@@ -491,7 +503,7 @@ def test_extension_inverts_restriction():
     rng = np.random.default_rng(77)
     d = space.random_effect(rng)
     dm = d.payload / np.trace(d.payload)
-    rho = DensityMatrixState(space, dm)
+    rho = DensityState(space, dm)
     omega = rho_omega_bijection(space, rho)          # restrict
     back = rho_omega_bijection(space, omega)         # extend
     for _ in range(20):
@@ -507,7 +519,7 @@ def test_extension_rejects_garbage():
 
 def test_extension_of_a_raw_valuation():
     space = FunctionSpace(("x", "y"))
-    mu = ProbabilityVectorState(space, [0.75, 0.25])
+    mu = DensityState(space, [0.75, 0.25])
     xi = extend_effects_valuation(space, lambda e: mu(e))
     a = space.element(np.array([4.0, -8.0]))
     assert abs(xi(a) - mu(a)) <= 1e-9
@@ -517,22 +529,20 @@ def test_extension_of_a_raw_valuation():
 # Reconstruction of the representing data
 
 
-def test_density_matrix_round_trip():
+def _random_density_matrix():
     space = SymmetricMatrixSpace(4)
-    rng = np.random.default_rng(21)
-    e = space.random_effect(rng)
-    d = e.payload / np.trace(e.payload)
-    rho = DensityMatrixState(space, d)
-    rec = density_matrix_from_functional(space, rho)
-    assert np.max(np.abs(rec.matrix - d)) <= 1e-12
+    e = space.random_effect(np.random.default_rng(21))
+    return space, e.payload / np.trace(e.payload)
+
+
+@pytest.mark.parametrize("space, d", [
+    _random_density_matrix(),
+    (FunctionSpace(("x", "y", "z")), np.array([0.1, 0.6, 0.3])),
+], ids=["sym_matrix", "function_algebra"])
+def test_density_round_trip(space, d):
+    rec = density_from_functional(space, DensityState(space, d))
+    assert np.max(np.abs(rec.density - d)) <= 1e-12
     assert is_state(space, rec)
-
-
-def test_probability_vector_round_trip():
-    space = FunctionSpace(("x", "y", "z"))
-    rho = ProbabilityVectorState(space, [0.1, 0.6, 0.3])
-    rec = probability_vector_from_functional(space, rho)
-    assert np.allclose(rec.weights, [0.1, 0.6, 0.3])
 
 
 # ---------------------------------------------------------------------------

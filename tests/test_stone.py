@@ -18,7 +18,7 @@ from helpers import sign_pattern_atoms_by_scan
 from synaptica.catalog import boolean_lattice, mo2, o6
 from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica.posets import StructureError
-from synaptica.states import DensityMatrixState, is_state
+from synaptica.states import DensityState, is_state
 from synaptica.stone import (
     FunctionalRepresentation,
     functional_representation,
@@ -92,6 +92,13 @@ def test_every_two_valued_hom_is_a_point():
         if ok:
             homs.append(vals)
     assert sorted(homs) == sorted(st.char)
+
+
+def test_a_lattice_whose_meet_lies_is_rejected(monkeypatch):
+    lat = boolean_lattice(2)
+    monkeypatch.setattr(lat, "meet", lambda b, c: lat.one)  # classify reads the table
+    with pytest.raises(StructureError, match="does not preserve meets"):
+        stone_space(lat)
 
 
 def test_non_boolean_lattices_are_rejected():
@@ -338,10 +345,10 @@ def test_state_transport_both_directions(sym3):
     p = diag(sym3, 1.0, 0.0, 0.0)
     q = diag(sym3, 0.0, 1.0, 0.0)
     rep = functional_representation(sym3, [p, q])
-    rho = DensityMatrixState(sym3, np.diag([0.5, 0.3, 0.2]))
+    rho = DensityState(sym3, np.diag([0.5, 0.3, 0.2]))
     mu = transport_state(rep, rho)
     assert is_state(rep.function_space, mu)
-    assert sorted(np.round(mu.weights, 12).tolist()) == [0.2, 0.3, 0.5]
+    assert sorted(np.round(mu.density, 12).tolist()) == [0.2, 0.3, 0.5]
 
     back = pull_back_state(rep, mu)
     for a in (p, q, diag(sym3, 1.0, 2.0, 3.0)):
@@ -349,7 +356,7 @@ def test_state_transport_both_directions(sym3):
 
     # transport of the pull-back returns the same weights
     again = transport_state(rep, back)
-    assert np.max(np.abs(again.weights - mu.weights)) <= 1e-12
+    assert np.max(np.abs(again.density - mu.density)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
