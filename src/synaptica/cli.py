@@ -383,9 +383,26 @@ def _pretty_check(report) -> list[str]:
 # spectral
 
 
-def _payload_list(e: Element) -> list:
-    arr = np.asarray(e.payload, dtype=float)
-    return [round(float(x), 12) for x in arr.ravel()]
+def _rounded(values: np.ndarray) -> list[float]:
+    """round(float(x), 12) for every entry, from one vectorised call.
+
+    rint(x 1e12) / 1e12 is exactly what round returns wherever x 1e12
+    is finite and at least 1e-3 + |x 1e12| 1e-15 away from a
+    half-integer: the product is off by far less than that margin, so
+    rint finds the integer of round's correctly rounded decimal, and one
+    division by the exact 1e12 rounds it to the same float. The margin
+    passes 1/2 near |x 1e12| = 5e14, so large entries, like near ties and
+    overflowing products, fall back to round. An overflow here is
+    expected, not an error of the analysis.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e12
+        whole = np.rint(scaled)
+        exact = 0.5 - np.abs(scaled - whole) >= 1e-3 + np.abs(scaled) * 1e-15
+        out = (whole / 1e12).tolist()
+    for i in np.flatnonzero(~exact).tolist():
+        out[i] = round(float(values[i]), 12)
+    return out
 
 
 def _spectral_report(name: str, a: Element, tol: float) -> dict:
@@ -396,16 +413,24 @@ def _spectral_report(name: str, a: Element, tol: float) -> dict:
         raise FloatingPointError("non-finite spectrum")
     mod, plus, minus = sa.decompose(a)
     residual = (res.reconstruct() - a).norm()
+    k, size = len(res.eigenvalues), a.payload.size
+    payloads = [p.payload for p in res.projections] + [
+        sa.carrier(a).payload, mod.payload, plus.payload, minus.payload
+    ]
+    values = _rounded(np.concatenate(
+        [res.eigenvalues, (res.lower, res.upper)] + [x.ravel() for x in payloads]
+    ))
+    lists = [values[i:i + size] for i in range(k + 2, len(values), size)]
     return {
         "label": name,
-        "spectrum": [round(float(v), 12) for v in res.eigenvalues],
-        "lower": round(float(res.lower), 12),
-        "upper": round(float(res.upper), 12),
-        "eigenprojections": [_payload_list(p) for p in res.projections],
-        "carrier": _payload_list(sa.carrier(a)),
-        "abs": _payload_list(mod),
-        "plus": _payload_list(plus),
-        "minus": _payload_list(minus),
+        "spectrum": values[:k],
+        "lower": values[k],
+        "upper": values[k + 1],
+        "eigenprojections": lists[:k],
+        "carrier": lists[k],
+        "abs": lists[k + 1],
+        "plus": lists[k + 2],
+        "minus": lists[k + 3],
         "residual": residual,
         "residual_ok": residual <= tol,
     }

@@ -25,8 +25,14 @@ module asks which instance it holds. x, y, d are payload arrays; a, p,
 q are Elements.
 
   element, unit, zero_element, basis    construction
+  payloads(m)             element's checks and stored form for a stack
   norm_of, contains_positive            order-unit norm and cone
+  in_cone(x)              contains_positive for a stack of payloads
   product, commutes                     ambient associative product
+  multiply(x, y)          that product on payload stacks: matmul, or
+                          pointwise
+  commuting(x, y)         commutes for stacks of pairs, x and y
+                          broadcast against each other
   eigh(x)                 ascending eigenvalues and a frame; on functions
                           the values themselves, sorted, and the points
                           they sit at, with no tolerance
@@ -36,17 +42,22 @@ q are Elements.
                           functions, so one |lam| > tol test is exact there
   pairing(x, y)           trace(xy), or the dot product
   is_projection(a)        p^2 = p, to PROJ_TOL, or exactly
+  idempotent(x)           is_projection for a stack
   commutant(gens)         null space of the commutators, or everything
   projection_meet(p, q)   range intersection by SVD, or the minimum
   is_density(d, tol)      d represents a state through the pairing, to
                           is_state's tolerance
+  commutative             True for R^X, whose elements are functions on
+                          points; False for Sym(n), even Sym(1)
 
-eigh, assemble, rank_tol and norm_of also take a stack: leading batch
-axes in front of the payload (or eigenvalue) axes, as numpy.linalg
-does, with one result per slice. Each slice's result is bit for bit
-the unbatched call's, and the unbatched results keep their types
-(norm_of a Python float, the function rank_tol a scalar 0.0 that
-broadcasts over any stack).
+payloads, multiply, eigh, assemble, rank_tol, norm_of, in_cone,
+idempotent and commuting take a stack: leading batch axes in front of
+the payload (or eigenvalue) axes, as numpy.linalg does, with one result
+per slice. Each slice's result is bit for bit the unbatched call's, and
+the unbatched results keep their types (norm_of a Python float, the
+function rank_tol a scalar 0.0 that broadcasts over any stack). The
+Element methods element, contains_positive, product, is_projection and
+commutes are the one-element case of their stacked twins.
 
 Each method is defined directly on each class, with no shared base:
 perfbench/tracer.py wraps the construction, norm, cone and product
@@ -129,22 +140,48 @@ def allclose(a: Element, b: Element) -> bool:
     return a.space is b.space and bool(np.max(np.abs(a.payload - b.payload)) <= CLOSE_TOL)
 
 
-def symmetrised(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(m/2 + m.T/2, max|m - (m/2 + m.T/2)|), neither of which can overflow.
+def symmetrised(m: np.ndarray):
+    """(m/2 + m^T/2, max|m - (m/2 + m^T/2)|), neither of which can overflow.
 
-    Halving first keeps the sum in range; the halves are exact for all
-    but subnormal entries, so the sum rounds as (m + m.T) / 2 would. The
-    asymmetry is NaN, with no warning, exactly when m has a non-finite
+    The transpose and the maximum are over the last two axes, so m may
+    be a stack of matrices, with one asymmetry per matrix. Halving first
+    keeps the sum in range; the halves are exact for all but subnormal
+    entries, so the sum rounds as (m + m^T) / 2 would. The asymmetry is
+    NaN, with no warning, exactly when the matrix has a non-finite
     entry: inf - inf or a NaN reaches the difference.
     """
     with np.errstate(invalid="ignore"):
-        sym = m / 2.0 + m.T / 2.0
-        drift = float(np.max(np.abs(m - sym))) if m.size else 0.0
+        sym = m / 2.0 + m.swapaxes(-1, -2) / 2.0
+        drift = np.abs(m - sym).max(axis=(-2, -1), initial=0.0)
     return sym, drift
+
+
+def _all(ok) -> bool:
+    """ok.all(), without the cost .all() has on the scalar of one slice."""
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
+def _within(gap: np.ndarray, tol: float, norms) -> np.ndarray:
+    """gap <= tol * max(1, norm), slice by slice.
+
+    The allowance is at least tol, so norms(far), the norms (eigenvalue
+    computations) of the slices the mask far selects, is called only for
+    gaps past tol.
+    """
+    ok = gap <= tol
+    if _all(ok):
+        return ok
+    gap = np.asarray(gap)
+    ok = np.asarray(ok)  # an array, writable, even for one slice
+    far = ~ok
+    ok[far] = gap[far] <= tol * np.fmax(1.0, norms(far))
+    return ok
 
 
 class SymmetricMatrixSpace:
     """Sym(n) with the PSD cone and identity order unit."""
+
+    commutative = False
 
     def __init__(self, n: int):
         if n < 1:
@@ -159,12 +196,22 @@ class SymmetricMatrixSpace:
         m = np.asarray(data, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n} x {self.n} matrix")
+        return Element(self, self.payloads(m))
+
+    def payloads(self, m: np.ndarray) -> np.ndarray:
+        """The symmetrised payloads of a stack of n x n arrays.
+
+        Raises element's ValueError for the first matrix, in C order,
+        with a non-finite entry or an asymmetry past ASYMMETRY_TOL.
+        """
         sym, drift = symmetrised(m)
-        if drift != drift:
-            raise ValueError("non-finite entry")
-        if drift > ASYMMETRY_TOL:
-            raise ValueError(f"matrix is not symmetric (asymmetry {drift:.3e})")
-        return Element(self, sym)
+        ok = drift <= ASYMMETRY_TOL  # False on NaN: a non-finite entry
+        if not _all(ok):
+            worst = drift.flat[np.flatnonzero(~ok)[0]]
+            if worst != worst:
+                raise ValueError("non-finite entry")
+            raise ValueError(f"matrix is not symmetric (asymmetry {worst:.3e})")
+        return sym
 
     def unit(self) -> Element:
         return Element(self, self._eye)
@@ -177,20 +224,32 @@ class SymmetricMatrixSpace:
         return radii if payload.ndim > 2 else float(radii)
 
     def contains_positive(self, a: Element) -> bool:
-        w = np.linalg.eigvalsh(a.payload)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        return bool(w.min() >= -PSD_TOL * scale)
+        return bool(self.in_cone(a.payload))
+
+    def in_cone(self, x: np.ndarray) -> np.ndarray:
+        w = np.linalg.eigvalsh(x)
+        # fmax, like the builtin max, keeps 1.0 against a NaN
+        scale = np.fmax(1.0, np.abs(w).max(axis=-1))
+        return w.min(axis=-1) >= -PSD_TOL * scale
 
     def product(self, a: Element, b: Element) -> np.ndarray:
         """Raw associative product; may leave the symmetric subspace."""
-        return a.payload @ b.payload
+        return self.multiply(a.payload, b.payload)
+
+    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ y
 
     def commutes(self, a: Element, b: Element) -> bool:
-        ab = a.payload @ b.payload
-        gap = float(np.max(np.abs(ab - ab.T)))
-        # the allowance COMMUTE_TOL * max(1, ||a|| ||b||) >= COMMUTE_TOL, so
-        # the norms (two eigenvalue computations) are needed only past it
-        return gap <= COMMUTE_TOL or gap <= COMMUTE_TOL * max(1.0, a.norm() * b.norm())
+        return bool(self.commuting(a.payload, b.payload))
+
+    def commuting(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """||xy - yx|| <= COMMUTE_TOL * max(1, ||x|| ||y||) for each pair; yx is xy^T."""
+        xy = self.multiply(x, y)
+        gap = np.abs(xy - xy.swapaxes(-1, -2)).max(axis=(-2, -1))
+        return _within(gap, COMMUTE_TOL, lambda far: (
+            self.norm_of(np.broadcast_to(x, xy.shape)[far])
+            * self.norm_of(np.broadcast_to(y, xy.shape)[far])
+        ))
 
     def basis(self) -> list[Element]:
         """Canonical basis of Sym(n): E_ii, then (E_ij + E_ji) for i < j."""
@@ -240,10 +299,12 @@ class SymmetricMatrixSpace:
         return float(np.trace(x @ y))
 
     def is_projection(self, a: Element) -> bool:
-        residual = float(np.max(np.abs(self.product(a, a) - a.payload)))
-        # the allowance is PROJ_TOL * max(1, ||a||) >= PROJ_TOL, so the
-        # norm (an eigenvalue computation) is needed only past PROJ_TOL
-        return residual <= PROJ_TOL or residual <= PROJ_TOL * max(1.0, a.norm())
+        return bool(self.idempotent(a.payload))
+
+    def idempotent(self, x: np.ndarray) -> np.ndarray:
+        """||x^2 - x|| <= PROJ_TOL * max(1, ||x||) for each payload."""
+        residual = np.abs(self.multiply(x, x) - x).max(axis=(-2, -1))
+        return _within(residual, PROJ_TOL, lambda far: self.norm_of(x[far]))
 
     def commutant(self, generators: list[Element]) -> list[Element]:
         """Null space of x -> (xg - gx for each g) over the basis coordinates."""
@@ -298,6 +359,8 @@ class SymmetricMatrixSpace:
 class FunctionSpace:
     """R^X for a finite label set X; pointwise order, constant one unit."""
 
+    commutative = True
+
     def __init__(self, points):
         self.points = tuple(str(p) for p in points)
         if not self.points:
@@ -312,9 +375,13 @@ class FunctionSpace:
         v = np.asarray(data, dtype=float)
         if v.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} values")
+        return Element(self, self.payloads(v))
+
+    def payloads(self, v: np.ndarray) -> np.ndarray:
+        """v itself, unless an entry is non-finite (element's ValueError)."""
         if not np.isfinite(v).all():
             raise ValueError("non-finite entry")
-        return Element(self, v)
+        return v
 
     def indicator(self, subset) -> Element:
         v = np.zeros(self.dimension)
@@ -333,13 +400,23 @@ class FunctionSpace:
         return radii if payload.ndim > 1 else float(radii)
 
     def contains_positive(self, a: Element) -> bool:
-        return bool(a.payload.min() >= -POINTWISE_TOL)
+        return bool(self.in_cone(a.payload))
+
+    def in_cone(self, x: np.ndarray) -> np.ndarray:
+        return x.min(axis=-1) >= -POINTWISE_TOL
 
     def product(self, a: Element, b: Element) -> np.ndarray:
-        return a.payload * b.payload
+        return self.multiply(a.payload, b.payload)
+
+    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x * y
 
     def commutes(self, a: Element, b: Element) -> bool:
         return True
+
+    def commuting(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every pair commutes; no product is taken."""
+        return np.ones(np.broadcast_shapes(x.shape, y.shape)[:-1], dtype=bool)
 
     def basis(self) -> list[Element]:
         return [self.indicator([i]) for i in range(self.dimension)]
@@ -375,7 +452,11 @@ class FunctionSpace:
         return float(np.dot(x, y))
 
     def is_projection(self, a: Element) -> bool:
-        return bool(np.all((a.payload == 0.0) | (a.payload == 1.0)))
+        return bool(self.idempotent(a.payload))
+
+    def idempotent(self, x: np.ndarray) -> np.ndarray:
+        """Each payload is exactly an indicator; no product is taken."""
+        return np.all((x == 0.0) | (x == 1.0), axis=-1)
 
     def commutant(self, generators: list[Element]) -> list[Element]:
         return self.basis()

@@ -98,7 +98,14 @@ class DensityState:
     def __init__(self, space, density):
         self.space = space
         d = np.asarray(density, dtype=float)
-        self.density = (d + d.T) / 2.0  # a vector is its own transpose
+        # a vector is its own transpose. Past half the float range the sum
+        # overflows; halving first cannot, and there it is exact
+        with np.errstate(over="ignore"):
+            sym = (d + d.T) / 2.0
+        if not np.isfinite(sym).all():
+            half = d / 2.0 + d.T / 2.0
+            sym = np.where(np.isinf(sym) & np.isfinite(half), half, sym)
+        self.density = sym
         self.density.flags.writeable = False
 
     def __call__(self, a: Element) -> float:
@@ -429,7 +436,7 @@ class CommutativeExtremalReport:
 
 
 def extremal_commutative_characterization(space, state) -> CommutativeExtremalReport:
-    if not isinstance(space, FunctionSpace):
+    if not space.commutative:
         raise ValueError("commutative algebras only")
     mu = state.density if isinstance(state, DensityState) else np.asarray(state, dtype=float)
     if not is_state(space, mu):

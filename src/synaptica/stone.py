@@ -22,8 +22,9 @@ the coefficients against the atoms are one matrix product divided by
 the atom weights. to_function is the one-element case. The
 verification report builds every element its checks map (six samples,
 three linear combinations, the unit, three Jordan products, two
-shifted samples and the generators), maps them in one call, and takes
-the sample norms from one stacked eigenvalue computation.
+shifted samples and the generators) as one array and maps it in one
+call. The sample norms, the cone test of the samples and shifted
+samples, and the samples' spectra are one stacked call each.
 """
 
 from __future__ import annotations
@@ -168,6 +169,44 @@ class RepresentationReport:
         )
 
 
+def _check_generators(space, generators: np.ndarray) -> None:
+    """Raise ValueError unless the generators are commuting projections.
+
+    All generators are tested as projections in one stacked call, then
+    generator i against the stack of those after it, one call per i, so
+    at most m products are held at once. The first failing generator,
+    then the first failing pair in the order (i, j), i < j, is named.
+    """
+    idempotent = space.idempotent(generators)
+    if not idempotent.all():
+        raise ValueError(f"generator {np.flatnonzero(~idempotent)[0]} is not a projection")
+    for i, p in enumerate(generators[:-1]):
+        commuting = space.commuting(p, generators[i + 1:])
+        if not commuting.all():
+            j = i + 1 + np.flatnonzero(~commuting)[0]
+            raise ValueError(f"generators ({i}, {j}) do not commute; no commutative span")
+
+
+def _sign_pattern_leaves(space, unit: np.ndarray, generators: np.ndarray):
+    """(pattern masks, prefix products) of the prefix tree's last level.
+
+    Level i multiplies the stack of live prefixes by (1 - p_i, p_i) in
+    one stacked product; the children, in the order prefix by prefix
+    and the complement first, are symmetrised and checked by the space
+    in one call, and those of Frobenius norm at most 1/4 are dropped.
+    """
+    masks = [0]  # Python ints: any number of generators
+    live = unit[None]
+    for i, p in enumerate(generators):
+        children = space.multiply(live[:, None], np.stack([unit - p, p]))
+        children = space.payloads(children.reshape((-1,) + unit.shape))
+        keep = np.linalg.norm(children.reshape(len(children), -1), axis=1) > 0.25
+        masks = [mask | bit for mask in masks for bit in (0, 1 << i)]
+        masks = [mask for mask, kept in zip(masks, keep.tolist()) if kept]
+        live = children[keep]
+    return masks, live
+
+
 class FunctionalRepresentation:
     """Isomorphism from a span of commuting projections onto functions.
 
@@ -176,54 +215,50 @@ class FunctionalRepresentation:
     function space. to_function reads coefficients off the atomic
     resolution, from_function assembles them back.
 
-    The sign patterns are walked as a prefix tree: at step i every live
-    prefix product X splits into X(1 - p_i) and X p_i, each symmetrised
-    by the space, exactly the float operations a scan over all 2^m
-    patterns performs for the patterns sharing that prefix. A child
-    whose Frobenius norm is at most 1/4 is dropped. The Frobenius norm
-    bounds the order-unit norm, every factor is a projection or its
-    complement of norm at most 1 + O(n PROJ_TOL), and symmetrising does
-    not raise the norm, so every extension of a dropped prefix stays
-    below the 0.5 at which a full product is rejected. The live prefixes
-    are nearly orthogonal nonzero projections summing to the unit, so at
-    most n survive a level (n the matrix size, or the number of points)
-    and construction takes at most 2 n m products instead of m 2^m.
-    Leaves keep the full product's test, norm > 0.5, and are ordered by
-    pattern mask, which is the scan's order.
+    The generators are checked first: all of them as projections in one
+    stacked call, then each against the generators after it in one
+    stacked call per generator. The first generator that is no
+    projection, then the first pair (i, j), i < j, that does not
+    commute, is named.
+
+    The sign patterns are walked as a prefix tree, one level per
+    generator: the stack of live prefix products X is multiplied by
+    (1 - p_i, p_i) in one stacked product, the children X(1 - p_i) and
+    X p_i are symmetrised and checked as element checks them in one
+    stacked call (the first failing child, prefix by prefix and the
+    complement first, is named), and their Frobenius norms are one
+    stacked call too. Slice for slice these are the float operations a
+    scan over all 2^m patterns performs for the patterns sharing that
+    prefix. A child whose Frobenius norm is at most 1/4 is dropped. The
+    Frobenius norm bounds the order-unit norm, every factor is a
+    projection or its complement of norm at most 1 + O(n PROJ_TOL), and
+    symmetrising does not raise the norm, so every extension of a
+    dropped prefix stays below the 0.5 at which a full product is
+    rejected. The live prefixes are nearly orthogonal nonzero
+    projections summing to the unit, so at most n survive a level (n
+    the matrix size, or the number of points) and construction takes m
+    stacked products of at most 2 n matrices each instead of m 2^m
+    products. Leaves keep the full product's test, norm > 0.5, and are
+    ordered by pattern mask, which is the scan's order.
     """
 
     def __init__(self, space, projections):
         self.space = space
         projections = list(projections)
-        for i, p in enumerate(projections):
-            if not synaptic.is_projection(p):
-                raise ValueError(f"generator {i} is not a projection")
-        for i in range(len(projections)):
-            for j in range(i + 1, len(projections)):
-                if not space.commutes(projections[i], projections[j]):
-                    raise ValueError(
-                        f"generators ({i}, {j}) do not commute; no commutative span"
-                    )
-        self.projections = tuple(projections)
+        unit = space.unit().payload
         m = len(projections)
+        generators = np.reshape([p.payload for p in projections], (m,) + unit.shape)
+        _check_generators(space, generators)
+        self._generators = generators
+        self.projections = tuple(projections)
 
-        unit = space.unit()
-        live: list[tuple[int, Element]] = [(0, unit)]  # (pattern mask, prefix product)
-        for i, p in enumerate(projections):
-            branches = ((0, unit - p), (1 << i, p))
-            grown = []
-            for mask, prod in live:
-                for bit, factor in branches:
-                    child = space.element(space.product(prod, factor))
-                    if np.linalg.norm(child.payload) > 0.25:
-                        grown.append((mask | bit, child))
-            live = grown
-        norms = space.norm_of(np.stack([prod.payload for _, prod in live])) if live else ()
+        masks, live = _sign_pattern_leaves(space, unit, generators)
+        norms = space.norm_of(live)
         leaves = sorted(
-            ((mask, prod) for (mask, prod), norm in zip(live, norms) if norm > 0.5),
+            ((mask, prod) for mask, prod, norm in zip(masks, live, norms) if norm > 0.5),
             key=lambda leaf: leaf[0],
         )
-        self.atoms = tuple(prod for _, prod in leaves)
+        self.atoms = tuple(Element(space, prod) for _, prod in leaves)
         self.patterns = tuple(tuple(mask >> i & 1 for i in range(m)) for mask, _ in leaves)
         self.function_space = FunctionSpace(tuple(f"x{i}" for i in range(len(self.atoms))))
         self._atom_matrix = np.stack([q.payload.ravel() for q in self.atoms], axis=1)
@@ -274,19 +309,24 @@ class FunctionalRepresentation:
         samples = [Element(space, x) for x in sample_stack]
         norms = space.norm_of(sample_stack)
         pairs = ((0, 1), (2, 3), (4, 5))
-        unit = space.unit()
-        shifted = [a + unit * (na + 1.0) for a, na in zip(samples[:2], norms)]
+        first, second = [i for i, _ in pairs], [j for _, j in pairs]
+        unit = space.unit().payload
+        shifted = sample_stack[:2] + np.multiply.outer(norms[:2] + 1.0, unit)
         # every element a check maps, mapped in one call: rows 0-5 the
         # samples, 6-8 the combinations, 9 the unit, 10-12 the Jordan
         # products, 13-14 the shifted samples, then the generators
-        mapped = samples + [samples[i] + samples[j] * 1.5 for i, j in pairs] + [unit]
-        mapped += [synaptic.jordan(samples[i], samples[j]) for i, j in pairs]
-        mapped += shifted + list(self.projections)
-        values = self._functions_of(np.stack([a.payload for a in mapped]))
+        mapped = np.concatenate([
+            sample_stack,
+            sample_stack[first] + sample_stack[second] * 1.5,
+            unit[None],
+            [synaptic.jordan(samples[i], samples[j]).payload for i, j in pairs],
+            shifted,
+            self._generators,
+        ])
+        values = self._functions_of(mapped)
         images, combos, unit_image = values[:6], values[6:9], values[9]
         products, shifted_images, indicators = values[10:13], values[13:15], values[15:]
 
-        first, second = [i for i, _ in pairs], [j for _, j in pairs]
         linear = not np.any(
             np.max(np.abs(combos - (images[first] + images[second] * 1.5)), axis=1) > tol
         )
@@ -299,15 +339,12 @@ class FunctionalRepresentation:
 
         isometric = bool(np.all(np.abs(norms - fs.norm_of(images)) <= tol))
 
-        order_iso = True
-        for a, fa in zip(samples, images):
-            if space.contains_positive(a) != bool(fa.min() >= -tol):
-                order_iso = False
-        if not all(
-            space.contains_positive(a) and fa.min() >= -tol
-            for a, fa in zip(shifted, shifted_images)
-        ):
-            order_iso = False
+        # the samples, then the shifted samples, in one stacked cone test
+        positive = space.in_cone(np.concatenate([sample_stack, shifted]))
+        order_iso = bool(
+            np.array_equal(positive[:6], images.min(axis=1) >= -tol)
+            and positive[6:].all() and (shifted_images.min(axis=1) >= -tol).all()
+        )
 
         # psi on each generator (already tested as a projection), read off the batch
         rounded = self._indicators(indicators)
@@ -319,8 +356,8 @@ class FunctionalRepresentation:
         ))
 
         spectrum_ok = True
-        for a, fa in zip(samples, images):
-            spec_a = np.array(synaptic.spectrum(a))
+        for spec, fa in zip(synaptic._spectra(space, sample_stack), images):
+            spec_a = np.array(spec)
             distinct = np.array(sorted(set(np.round(fa, 9))))
             if len(spec_a) != len(distinct) or np.max(np.abs(spec_a - distinct)) > 1e-6:
                 spectrum_ok = False
@@ -381,7 +418,7 @@ class RickartReport:
 
 
 def rickart_completeness_report(space: FunctionSpace, seed: int = 0) -> RickartReport:
-    if not isinstance(space, FunctionSpace):
+    if not space.commutative:
         raise ValueError("commutative algebras only")
     rng = np.random.default_rng(seed)
     k = space.dimension

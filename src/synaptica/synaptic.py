@@ -166,13 +166,19 @@ class SpectralResolution:
 
 
 def _clustered_spectrum(a: Element) -> tuple[tuple[float, ...], list[list[int]], np.ndarray]:
-    """(distinct values, index clusters, frame) of a's eigendecomposition.
-
-    Ascending eigenvalues within rank_tol of the previous member of a
-    cluster join it; each cluster's value is its mean.
-    """
+    """(distinct values, index clusters, frame) of a's eigendecomposition."""
     w, frame = a.space.eigh(a.payload)
-    tol = a.space.rank_tol(w)
+    values, clusters = _clusters(w, a.space.rank_tol(w))
+    return values, clusters, frame
+
+
+def _clusters(w: np.ndarray, tol) -> tuple[tuple[float, ...], list[list[int]]]:
+    """(distinct values, index clusters) of one row of ascending eigenvalues.
+
+    A value within tol of the previous member of a cluster joins it;
+    each cluster's value is its mean. A stack of rows is clustered row
+    by row, each with its own tol.
+    """
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[clusters[-1][-1]] <= tol:
@@ -183,7 +189,7 @@ def _clustered_spectrum(a: Element) -> tuple[tuple[float, ...], list[list[int]],
     values = tuple(
         float(w[c[0]]) if w[c[0]] == w[c[-1]] else float(np.mean(w[c])) for c in clusters
     )
-    return values, clusters, frame
+    return values, clusters
 
 
 def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
@@ -204,15 +210,26 @@ def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
 
 
 def _verify_resolution(res: SpectralResolution) -> None:
+    """Re-check a resolution; raise AssertionError naming the first failure.
+
+    Row i is one stacked product of p_i with p_i, ..., p_k: the square
+    is compared with p_i and each product p_i p_j, j > i, with zero. So
+    at most k products are held at once, and the first member that is
+    no projection or pair that is not orthogonal is reported in the
+    order i, then j > i, with the square of i before its pairs.
+    """
     a = res.element
+    space = a.space
     allowed = RESOLUTION_TOL * max(1.0, a.norm())
-    for i, p in enumerate(res.projections):
-        pp = p.space.product(p, p)
-        if np.max(np.abs(pp - p.payload)) > allowed:
-            raise AssertionError(f"resolution member {i} is not a projection")
-        for q in res.projections[i + 1 :]:
-            if np.max(np.abs(p.space.product(p, q))) > allowed:
-                raise AssertionError("resolution projections are not orthogonal")
+    members = np.stack([p.payload for p in res.projections])
+    for i, p in enumerate(members):
+        products = space.multiply(p, members[i:])
+        products[0] -= p
+        failed = np.abs(products, out=products).reshape(len(products), -1).max(axis=1) > allowed
+        if failed.any():
+            if failed[0]:
+                raise AssertionError(f"resolution member {i} is not a projection")
+            raise AssertionError("resolution projections are not orthogonal")
     total = res.projections[0]
     for p in res.projections[1:]:
         total = total + p
@@ -298,6 +315,13 @@ def stieltjes_reconstruct(a: Element, mesh: float, partition=None) -> Element:
 def spectrum(a: Element) -> tuple[float, ...]:
     """The distinct eigenvalues, clustered as spectral_resolution does."""
     return _clustered_spectrum(a)[0]
+
+
+def _spectra(space, stack: np.ndarray) -> list[tuple[float, ...]]:
+    """spectrum of each payload in a stack, from one stacked eigh."""
+    w, _ = space.eigh(stack)
+    tols = np.broadcast_to(space.rank_tol(w), len(w))
+    return [_clusters(row, tol)[0] for row, tol in zip(w, tols)]
 
 
 def is_invertible(a: Element) -> bool:

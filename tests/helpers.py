@@ -23,6 +23,16 @@ its list of defined orthosums. The rank oracle is Gauss-Jordan
 elimination over Fractions, which checks the library's fraction-free
 integer_rank.
 
+The prefix-walk oracle is the atom tree grown one child at a time,
+each child a product, a symmetrisation with its asymmetry check and a
+Frobenius norm of its own; it checks the library's level-at-a-time
+stacked tree for the same leaves, bit for bit, and for the same first
+failing child. The generator and resolution oracles are the per-pair
+loops, in the order i, then j > i, that name the first witness the
+stacked checks must name too. The rounding oracle is the per-entry
+round(float(x), 12) that the spectral report's vectorised rounding
+must reproduce.
+
 The commutative extremality oracle scans each of the five conditions
 one indicator or one subset at a time, where the library evaluates
 them over whole arrays.
@@ -210,6 +220,99 @@ def sign_pattern_atoms_by_scan(unit, payloads):
             atoms.append(prod)
             patterns.append(bits)
     return atoms, patterns
+
+
+def _times(x, y):
+    """The ambient product: matrix product, or pointwise on vectors."""
+    return x @ y if x.ndim == 2 else x * y
+
+
+def _order_unit_norm(x) -> float:
+    return sym_norm(x) if x.ndim == 2 else float(np.max(np.abs(x)))
+
+
+def prefix_tree_by_children(unit, payloads):
+    """(masks, leaves) of the pruned prefix tree, one child at a time.
+
+    Every live prefix, in order, is multiplied by 1 - p_i and then by
+    p_i. A matrix child is symmetrised as m/2 + m.T/2 and rejected as an
+    element would be: "non-finite entry" when its asymmetry is NaN,
+    "matrix is not symmetric (asymmetry ...)" past 1e-10; a vector child
+    must be finite. Children of Frobenius norm at most 1/4 are dropped;
+    leaves of order-unit norm above 1/2 are kept, in mask order. Raises
+    ValueError for the first failing child.
+    """
+    unit = np.asarray(unit, dtype=float)
+    live = [(0, unit)]
+    for i, p in enumerate(np.asarray(q, dtype=float) for q in payloads):
+        grown = []
+        for mask, prod in live:
+            for bit, factor in ((0, unit - p), (1 << i, p)):
+                child = _times(prod, factor)
+                if child.ndim == 2:
+                    with np.errstate(invalid="ignore"):
+                        sym = child / 2.0 + child.T / 2.0
+                        drift = float(np.max(np.abs(child - sym)))
+                    if drift != drift:
+                        raise ValueError("non-finite entry")
+                    if drift > 1e-10:
+                        raise ValueError(f"matrix is not symmetric (asymmetry {drift:.3e})")
+                    child = sym
+                elif not np.isfinite(child).all():
+                    raise ValueError("non-finite entry")
+                if np.linalg.norm(child) > 0.25:
+                    grown.append((mask | bit, child))
+        live = grown
+    leaves = sorted(((mask, x) for mask, x in live if _order_unit_norm(x) > 0.5),
+                    key=lambda leaf: leaf[0])
+    return [mask for mask, _ in leaves], [x for _, x in leaves]
+
+
+def generator_failure_by_pairs(payloads):
+    """The message naming the first generator that is no projection, then
+    the first pair (i, j), i < j, that does not commute; None if neither.
+
+    Matrices: ||p^2 - p|| and ||pq - qp|| within 1e-9 times
+    max(1, ||p||), respectively max(1, ||p|| ||q||). Vectors: each entry
+    exactly 0 or 1, and every pair commutes.
+    """
+    payloads = [np.asarray(p, dtype=float) for p in payloads]
+    for i, p in enumerate(payloads):
+        if p.ndim == 2:
+            residual = float(np.max(np.abs(p @ p - p)))
+            ok = residual <= 1e-9 * max(1.0, sym_norm(p))
+        else:
+            ok = bool(np.all((p == 0.0) | (p == 1.0)))
+        if not ok:
+            return f"generator {i} is not a projection"
+    for i, p in enumerate(payloads):
+        for j in range(i + 1, len(payloads)):
+            q = payloads[j]
+            if p.ndim == 2:
+                pq = p @ q
+                scale = max(1.0, sym_norm(p) * sym_norm(q))
+                if float(np.max(np.abs(pq - pq.T))) > 1e-9 * scale:
+                    return f"generators ({i}, {j}) do not commute; no commutative span"
+    return None
+
+
+def resolution_failure_by_pairs(payloads, allowed):
+    """The first member that is no projection, or pair that is not
+    orthogonal, within allowed, as the resolution check words it: the
+    square of i, then each pair (i, j > i), before the next i."""
+    payloads = [np.asarray(p, dtype=float) for p in payloads]
+    for i, p in enumerate(payloads):
+        if np.max(np.abs(_times(p, p) - p)) > allowed:
+            return f"resolution member {i} is not a projection"
+        for q in payloads[i + 1:]:
+            if np.max(np.abs(_times(p, q))) > allowed:
+                return "resolution projections are not orthogonal"
+    return None
+
+
+def rounded_by_entries(values) -> list:
+    """round(float(x), 12) entry by entry, as the spectral report rounded."""
+    return [round(float(x), 12) for x in np.ravel(values)]
 
 
 def commutative_extremality_by_loops(points, mu, tol: float = 1e-9) -> dict:

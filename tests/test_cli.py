@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import rounded_by_entries
 from synaptica.catalog import mo2_effect_algebra
 from synaptica import cli
 from synaptica.cli import main
@@ -320,6 +321,55 @@ def test_spectral_function_elements(tmp_path, capsys):
     assert rc == 0
     r = json.loads(out)["elements"][0]
     assert r["label"] == "f" and r["spectrum"] == [-1.0, 2.0]
+
+
+def near_ties():
+    """(k + 1/2) / 1e12, moved by up to 1e-3 / 1e12: the products rint may misround."""
+    k = st.integers(min_value=-10**14, max_value=10**14)
+    step = st.floats(min_value=-1.0, max_value=1.0)
+    return st.builds(lambda k, t: (k + 0.5 + t * 1e-3) / 1e12, k, step)
+
+
+SPECIAL = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-13,
+                           5e-13, 1e15, -1e15, 1e300, -1e300, 1.7976931348623157e308))
+ENTRIES = (st.floats(min_value=-1.0, max_value=1.0) | st.floats(min_value=-1e4, max_value=1e4)
+           | st.floats(allow_nan=False, allow_infinity=False) | near_ties() | SPECIAL)
+
+
+@given(st.lists(ENTRIES, max_size=40), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_vectorised_rounding_is_round_entry_by_entry(entries, seed):
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([entries, rng.uniform(-3.0, 3.0, 8), rng.standard_normal(8) * 1e3])
+    with np.errstate(over="raise", invalid="raise"):  # as spectral runs it
+        found = cli._rounded(values)
+    assert [repr(x) for x in found] == [repr(x) for x in rounded_by_entries(values)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_report_of_a_1e300_matrix_keeps_exit_zero(tmp_path, capsys):
+    # its entries times 1e12 overflow: the rounding falls back to round
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.5e300, 0.0, 0.0, 1.5e300]))
+    rc, out = run(capsys, "spectral", path)
+    assert rc == 0
+    r = json.loads(out)["elements"][0]
+    assert r["spectrum"] == [1.5e300] and r["abs"] == [1.5e300, 0.0, 0.0, 1.5e300]
+    assert r["eigenprojections"] == [[1.0, 0.0, 0.0, 1.0]] and r["residual_ok"] is True
+
+
+def test_spectral_report_lists_are_rounded_entry_by_entry(tmp_path, capsys):
+    rng = np.random.default_rng(14)
+    u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    m = (u * [-2.5, 1e-13, 1e-13, 3.0, 7.25]) @ u.T
+    m = (m + m.T) / 2.0
+    path = write_json(tmp_path, "m.json", {"kind": "sym_matrix", "label": "m", "n": 5,
+                                           "entries": m.ravel().tolist()})
+    rc, out = run(capsys, "spectral", path)
+    r = json.loads(out)["elements"][0]
+    res = cli.sa.spectral_resolution(cli.SymmetricMatrixSpace(5).element(m))
+    assert r["spectrum"] == rounded_by_entries(res.eigenvalues)
+    assert r["eigenprojections"] == [rounded_by_entries(p.payload) for p in res.projections]
+    assert [r["lower"], r["upper"]] == rounded_by_entries([res.lower, res.upper])
 
 
 def test_spectral_unknown_element(tmp_path, capsys):

@@ -293,3 +293,9 @@ def test_commutes_borderline_needs_the_norms(monkeypatch):
     calls = count_eigvalsh(monkeypatch)
     assert space.commutes(a, space.element(np.diag([3.0, 4.0])))
     assert calls == []
+
+
+def test_commutativity_is_a_protocol_query():
+    # Sym(1) is R as an algebra, but its elements are not read as functions on points
+    assert FunctionSpace(("a",)).commutative
+    assert not SymmetricMatrixSpace(1).commutative and not SymmetricMatrixSpace(3).commutative

@@ -403,6 +403,23 @@ def test_a_density_past_the_float_range_is_no_state():
     assert not is_state(FunctionSpace(("a", "b")), np.array([1e308, 1e308]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_matrix_density_past_half_the_float_range_is_kept_without_overflow():
+    space = SymmetricMatrixSpace(2)
+    huge = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+    assert np.array_equal(DensityState(space, huge).density, huge)
+    # ordinary and subnormal entries keep (d + d.T) / 2 bit for bit
+    for d in (np.array([[0.3, 0.1], [0.7, 0.4]]), np.array([[5e-324, 1e-320], [3e-320, 0.5]])):
+        assert DensityState(space, d).density.tobytes() == ((d + d.T) / 2.0).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_vector_density_past_half_the_float_range_is_kept_without_overflow():
+    space = FunctionSpace(("a", "b", "c"))
+    for d in ([1e308, 1e308, -1.7e308], [5e-324, -1e-320, 0.25], [0.2, 0.3, 0.5]):
+        assert DensityState(space, d).density.tobytes() == np.array(d).tobytes()
+
+
 @pytest.mark.parametrize("off", [0.0, 1.5e-10, 1.9e-10, 2.1e-10, 3e-10, 1e-3])
 def test_density_asymmetry_is_measured_as_element_measures_it(off):
     space = SymmetricMatrixSpace(2)

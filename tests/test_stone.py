@@ -7,6 +7,7 @@ honest homomorphisms must survive, matching the constructed points.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sign_pattern_atoms_by_scan
+from helpers import generator_failure_by_pairs, prefix_tree_by_children, sign_pattern_atoms_by_scan
 from synaptica.catalog import boolean_lattice, mo2, o6
 from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
+from synaptica import stone
 from synaptica.posets import StructureError
 from synaptica.states import DensityState, is_state
 from synaptica.stone import (
@@ -292,6 +294,159 @@ def test_pruned_atoms_are_the_scans_atoms(family):
     assert rep.report.passed
 
 
+def outcome(build):
+    """What build() returns, or the text of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def tree_outcome(space, generators):
+    """The library's masks and leaves, or its ValueError text."""
+    unit = space.unit().payload
+    stack = np.reshape([g.payload for g in generators], (-1,) + unit.shape)
+    return outcome(lambda: stone._sign_pattern_leaves(space, unit, stack))
+
+
+def assert_tree_is_the_child_walk(space, generators):
+    found = tree_outcome(space, generators)
+    expected = outcome(lambda: prefix_tree_by_children(
+        space.unit().payload, [g.payload for g in generators]))
+    if isinstance(expected, str):
+        assert found == expected
+        return
+    masks, live = found
+    norms = space.norm_of(live)
+    kept = sorted((mask, x) for mask, x, norm in zip(masks, live, norms) if norm > 0.5)
+    assert [mask for mask, _ in kept] == expected[0]
+    assert all(np.array_equal(x, y) for (_, x), y in zip(kept, expected[1]))
+
+
+@st.composite
+def indicator_families(draw):
+    """Up to six 0/1 vectors on up to six points, with the zero and unit among them."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    bit = st.sampled_from((0.0, 1.0))
+    space = FunctionSpace([f"x{i}" for i in range(k)])
+    vectors = draw(st.lists(st.lists(bit, min_size=k, max_size=k), max_size=6))
+    return space, [space.element(v) for v in vectors]
+
+
+@given(commuting_families() | indicator_families())
+@settings(max_examples=60, deadline=None)
+def test_stacked_tree_is_the_child_walk(family):
+    space, gens = family
+    assert_tree_is_the_child_walk(space, gens)
+    assert outcome(lambda: stone._check_generators(
+        space, np.reshape([g.payload for g in gens], (-1,) + space.unit().payload.shape)
+    )) is None
+
+
+def test_tree_with_no_generators_is_the_unit():
+    for space in (SymmetricMatrixSpace(3), FunctionSpace("abc")):
+        rep = functional_representation(space, [])
+        assert rep.patterns == ((),)
+        assert np.array_equal(rep.atoms[0].payload, space.unit().payload)
+        assert_tree_is_the_child_walk(space, [])
+
+
+def turned(n, plane, angle):
+    turn = np.eye(n)
+    i, j = plane
+    turn[[i, i, j, j], [i, j, i, j]] = [np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)]
+    return turn
+
+
+@st.composite
+def nearly_commuting_families(draw):
+    """Rank-one and diagonal projections, some turned by angles around the
+    asymmetry allowance, so that a child may be asymmetric while every pair
+    still passes the commutation test."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    space = SymmetricMatrixSpace(n)
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        d = np.diag(draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)))
+        i = draw(st.integers(min_value=0, max_value=n - 2))
+        angle = draw(st.sampled_from((0.0, 1e-10, 3e-10, 6e-10, 1e-9, 3e-9)))
+        u = turned(n, (i, i + 1), angle)
+        gens.append(Element(space, (u @ d) @ u.T))
+    return space, gens
+
+
+@given(nearly_commuting_families())
+@settings(max_examples=150, deadline=None)
+def test_stacked_checks_name_the_loops_first_witness(family):
+    space, gens = family
+    unit = space.unit().payload
+    stack = np.reshape([g.payload for g in gens], (-1,) + unit.shape)
+    expected = generator_failure_by_pairs([g.payload for g in gens])
+    assert outcome(lambda: stone._check_generators(space, stack)) == expected
+    if expected is None:
+        assert_tree_is_the_child_walk(space, gens)
+
+
+def test_planted_generator_failures_are_named():
+    space = SymmetricMatrixSpace(3)
+    p = space.element(np.diag([1.0, 0.0, 0.0]))
+    r = space.element(np.diag([0.0, 1.0, 0.0]))
+    half = space.element(np.diag([0.5, 0.0, 0.0]))
+    q = space.element(np.full((3, 3), 1.0 / 3.0))  # commutes with neither p nor r
+    for gens, message in (
+        ([p, r, half, q, half], "generator 2 is not a projection"),
+        ([p, r, q], "generators (0, 2) do not commute; no commutative span"),
+        ([p, r, space.unit(), q], "generators (0, 3) do not commute; no commutative span"),
+    ):
+        assert generator_failure_by_pairs([g.payload for g in gens]) == message
+        with pytest.raises(ValueError) as caught:
+            functional_representation(space, gens)
+        assert str(caught.value) == message
+
+
+def test_generator_check_holds_at_most_m_products():
+    # all m^2 products at once would be 64 MB on 200 points and 17 MB in
+    # Sym(24); the check takes one generator against the rest at a time
+    rng = np.random.default_rng(14)
+    u = np.linalg.qr(rng.standard_normal((24, 24)))[0]
+    for space, stack in (
+        (FunctionSpace([f"x{i}" for i in range(200)]), np.eye(200)),
+        (SymmetricMatrixSpace(24),
+         np.stack([(u * d) @ u.T for d in (rng.random((60, 24)) < 0.5)])),
+    ):
+        tracemalloc.start()
+        try:
+            stone._check_generators(space, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * stack.nbytes
+
+
+def test_planted_asymmetric_child_names_the_first_drift():
+    # q turned from p by 5e-10: the pair passes the commutation test, but
+    # the first child (1 - p)(1 - q) moves 2.5e-10 under symmetrising
+    space = SymmetricMatrixSpace(3)
+    p = space.element(np.diag([1.0, 0.0, 0.0]))
+    u = turned(3, (0, 1), 5e-10)
+    q = Element(space, (u @ p.payload) @ u.T)
+    message = "matrix is not symmetric (asymmetry 2.500e-10)"
+    assert outcome(lambda: prefix_tree_by_children(np.eye(3), [p.payload, q.payload])) == message
+    with pytest.raises(ValueError) as caught:
+        functional_representation(space, [p, q])
+    assert str(caught.value) == message
+    # exact diagonal p0, p1, then p2 turned by 8e-10 in one plane and by
+    # 5e-10 in another: the third level's first prefix, diag(0, 0, 0, 1),
+    # meets the smaller turn, and its last, diag(1, 0, 0, 0), the larger
+    space = SymmetricMatrixSpace(4)
+    p0 = space.element(np.diag([1.0, 1.0, 0.0, 0.0]))
+    p1 = space.element(np.diag([1.0, 0.0, 1.0, 0.0]))
+    u = turned(4, (0, 1), 8e-10) @ turned(4, (2, 3), 5e-10)
+    p2 = Element(space, (u @ p1.payload) @ u.T)
+    assert tree_outcome(space, [p0, p1, p2]) == message
+    assert_tree_is_the_child_walk(space, [p0, p1, p2])
+
+
 def test_twenty_generators_need_no_exhaustive_scan():
     # 2^20 sign patterns; at most four of them survive in Sym(4)
     rng = np.random.default_rng(20)
@@ -311,30 +466,37 @@ def test_construction_work_is_counted_and_bounded(monkeypatch):
     space, gens = rotated_family(rng, n, (rng.random((m, n)) < 0.5).astype(int))
     counts = Counter()
     functions_of = FunctionalRepresentation._functions_of
-    product = SymmetricMatrixSpace.product
-    verify = FunctionalRepresentation._verify
+    multiply = SymmetricMatrixSpace.multiply
+    leaves = stone._sign_pattern_leaves
 
     def counted_functions_of(self, stack):
         counts["mapped calls"] += 1
         counts["mapped elements"] += len(stack)
         return functions_of(self, stack)
 
-    def counted_product(self, a, b):
-        counts["product"] += 1
-        return product(self, a, b)
+    def counted_multiply(self, x, y):
+        product = multiply(self, x, y)
+        counts["products"] += 1
+        counts["matrices"] += product.size // (n * n)
+        return product
 
-    def verify_after_atoms(self):
-        counts["atom products"] = counts["product"]
-        return verify(self)
+    def counted_leaves(*args):
+        before = counts.copy()
+        found = leaves(*args)
+        counts["tree products"] = counts["products"] - before["products"]
+        counts["tree matrices"] = counts["matrices"] - before["matrices"]
+        return found
 
     monkeypatch.setattr(FunctionalRepresentation, "_functions_of", counted_functions_of)
-    monkeypatch.setattr(SymmetricMatrixSpace, "product", counted_product)
-    monkeypatch.setattr(FunctionalRepresentation, "_verify", verify_after_atoms)
+    monkeypatch.setattr(SymmetricMatrixSpace, "multiply", counted_multiply)
+    monkeypatch.setattr(stone, "_sign_pattern_leaves", counted_leaves)
     rep = functional_representation(space, gens)
     assert rep.report.passed
     # the report maps all 15 + m of its elements in one batch
     assert counts["mapped calls"] == 1 and counts["mapped elements"] == 15 + m
-    assert 0 < counts["atom products"] <= 2 * n * m
+    # one stacked product per generator, of at most 2 n prefix products
+    assert 0 < counts["tree products"] <= m
+    assert 0 < counts["tree matrices"] <= 2 * n * m
 
 
 # ---------------------------------------------------------------------------

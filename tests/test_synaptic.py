@@ -6,10 +6,14 @@ family read straight off numpy's eigendecomposition, and the quadratic
 map written through Jordan products versus a plain a @ b @ a.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import eig_step_family, sym_norm
+from helpers import eig_step_family, resolution_failure_by_pairs, sym_norm
 from synaptica.order_unit import PROJ_TOL, Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica.synaptic import (
     SpectralResolution,
@@ -38,7 +42,7 @@ from synaptica.synaptic import (
     stieltjes_reconstruct,
     supremum_of_ascending_chain,
 )
-from synaptica.synaptic import _step_stack, _verify_resolution
+from synaptica.synaptic import RESOLUTION_TOL, _spectra, _step_stack, _verify_resolution
 
 
 @pytest.fixture
@@ -187,6 +191,105 @@ def test_resolution_verify_catches_forged_family(sym3):
 
     with pytest.raises(AssertionError):
         _verify_resolution(bad)
+
+
+def resolution_outcome(res):
+    try:
+        _verify_resolution(res)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def assert_pairs_checked_as_the_loop(res):
+    allowed = RESOLUTION_TOL * max(1.0, res.element.norm())
+    expected = resolution_failure_by_pairs([p.payload for p in res.projections], allowed)
+    found = resolution_outcome(res)
+    if expected is None:
+        assert found is None or "projection" not in found
+    else:
+        assert found == expected
+
+
+@st.composite
+def forged_resolutions(draw):
+    """The resolution of a random element, its members perturbed, scaled,
+    repeated or swapped for one another, on either space."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=5))
+        space = SymmetricMatrixSpace(n)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = space.element((u * rng.integers(-2, 3, n)) @ u.T)
+    else:
+        n = draw(st.integers(min_value=1, max_value=6))
+        space = FunctionSpace([f"x{i}" for i in range(n)])
+        a = space.element(rng.integers(-2, 3, n).astype(float))
+    res = spectral_resolution(a)
+    members = [p.payload for p in res.projections]
+    for i in range(len(members)):
+        edit = draw(st.sampled_from(("keep", "keep", "noise", "scale", "copy")))
+        if edit == "noise":
+            size = draw(st.sampled_from((1e-12, 1e-8, 1e-3)))
+            noise = rng.standard_normal(members[i].shape) * size
+            members[i] = members[i] + (noise + noise.T) / 2.0
+        elif edit == "scale":
+            members[i] = members[i] * draw(st.sampled_from((1.0 + 1e-6, 1.5)))
+        elif edit == "copy":
+            members[i] = members[draw(st.integers(min_value=0, max_value=len(members) - 1))]
+    return SpectralResolution(a, res.eigenvalues, tuple(Element(space, m) for m in members))
+
+
+@given(forged_resolutions())
+@settings(max_examples=120, deadline=None)
+def test_stacked_resolution_check_names_the_loops_first_witness(res):
+    assert_pairs_checked_as_the_loop(res)
+
+
+def test_stacked_spectra_are_each_elements_spectrum(sym5, fn4):
+    rng = np.random.default_rng(141)
+    u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    for space, stack in (
+        (sym5, np.stack([(u * rng.integers(-2, 3, 5)) @ u.T for _ in range(6)]
+                        + [sym5.random_element(rng).payload for _ in range(3)])),
+        (fn4, rng.integers(-2, 3, (6, 4)).astype(float)),
+    ):
+        assert _spectra(space, stack) == [spectrum(Element(space, x)) for x in stack]
+
+
+def test_planted_resolution_failures_are_named(sym3, fn4):
+    a = diag(sym3, 1.0, 2.0, 3.0)
+    p1, p2, p3 = spectral_resolution(a).projections
+    overlap = p2 + p3  # a projection, but not orthogonal to p3
+    for members, message in (
+        ((p1, p2 * 1.5, p3), "resolution member 1 is not a projection"),
+        ((p1, overlap, p3), "resolution projections are not orthogonal"),
+        ((p1, overlap, p3 * 1.5), "resolution projections are not orthogonal"),
+    ):
+        res = SpectralResolution(a, (1.0, 2.0, 3.0), members)
+        assert resolution_outcome(res) == message
+        assert_pairs_checked_as_the_loop(res)
+    f = fn4.element([0.0, 1.0, 1.0, 2.0])
+    q0, q1, q2 = spectral_resolution(f).projections
+    res = SpectralResolution(f, (0.0, 1.0, 2.0), (q0, q1 + q2, q2))
+    assert resolution_outcome(res) == "resolution projections are not orthogonal"
+
+
+def test_resolution_check_holds_at_most_k_products():
+    # 300 distinct values: all k^2 products at once would be 216 MB, one
+    # row of at most k products is 0.72 MB, and the step cross-check's
+    # stacks of 2k - 1 payloads come to about 13 MB
+    k = 300
+    space = FunctionSpace([f"p{i}" for i in range(k)])
+    a = space.element(np.arange(k, dtype=float))
+    res = spectral_resolution(a, verify=False)
+    tracemalloc.start()
+    try:
+        _verify_resolution(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * k * a.payload.nbytes
 
 
 def test_batched_step_check_names_the_first_failing_point(sym3):

@@ -54,10 +54,11 @@ def test_no_threshold_is_a_parameter():
     assert _threshold_parameters() == KEPT
 
 
-PROTOCOL = {"element", "unit", "zero_element", "norm_of", "contains_positive", "product",
-            "commutes", "basis", "random_element", "random_effect", "random_projection",
-            "eigh", "assemble", "projector", "rank_tol", "pairing", "is_projection",
-            "commutant", "projection_meet", "is_density"}
+PROTOCOL = {"element", "payloads", "unit", "zero_element", "norm_of", "contains_positive",
+            "in_cone", "product", "multiply", "commutes", "commuting", "basis",
+            "random_element", "random_effect", "random_projection", "eigh", "assemble",
+            "projector", "rank_tol", "pairing", "is_projection", "idempotent", "commutant",
+            "projection_meet", "is_density", "commutative"}
 
 
 def test_each_space_defines_the_protocol_itself():
