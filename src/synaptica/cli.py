@@ -14,8 +14,10 @@ returns the library's verdict on it; check, states and spectral read
 each document they use through its builder.
 
 SYNAPTICA_TOL overrides the tolerance used to flag residuals in
-reports. Decision thresholds inside the library (rank cutoffs, cone
-membership) are fixed constants and do not read the environment.
+reports; a spectral residual is judged against it times max(1, ||a||),
+as the library judges a resolution. Decision thresholds inside the
+library (rank cutoffs, cone membership) are fixed constants and do not
+read the environment.
 """
 
 from __future__ import annotations
@@ -432,7 +434,9 @@ def _spectral_report(name: str, a: Element, tol: float) -> dict:
         "plus": lists[k + 2],
         "minus": lists[k + 3],
         "residual": residual,
-        "residual_ok": residual <= tol,
+        # relative to max(1, ||a||), as the resolution check allows it; the
+        # order-unit norm is the larger spectral bound in absolute value
+        "residual_ok": residual <= tol * max(1.0, abs(res.lower), abs(res.upper)),
     }
 
 
@@ -493,8 +497,7 @@ _EXTREMALITY = (
 )
 
 
-def _extremality(space, mu) -> dict:
-    ch = stt.extremal_commutative_characterization(space, mu)
+def _extremality(ch: stt.CommutativeExtremalReport) -> dict:
     return {name: getattr(ch, name) for name in _EXTREMALITY}
 
 
@@ -532,11 +535,10 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
         rep["dimension"] = space.dimension - 1
         rep["n_vertices"] = len(verts)
         if extremal:
-            rep["vertices"] = [
-                {"weights": [str(x) for x in v],
-                 **_extremality(space, np.array([float(x) for x in v]))}
-                for v in verts
-            ]
+            # one stacked characterization for all the vertices
+            found = stt._extremal_reports(space, np.array(verts, dtype=float))
+            rep["vertices"] = [{"weights": [str(x) for x in v], **_extremality(ch)}
+                               for v, ch in zip(verts, found)]
         return rep
     if kind == "state":
         verdict, state = _check_one(doc, docs, path, tol)
@@ -546,7 +548,7 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
         over = _find_doc(docs, doc["over"], path)
         if extremal and verdict["valid"] and over["kind"] == "function_algebra":
             space, mu, _ = state
-            rep.update(_extremality(space, mu))
+            rep.update(_extremality(stt.extremal_commutative_characterization(space, mu)))
         return rep
     build = {"poset": _build_poset, "ortholattice": _build_ortholattice,
              "mv_algebra": _build_mv_algebra, "sym_matrix": _build_sym_matrix}[kind]

@@ -20,14 +20,18 @@ coordinate becomes a Fraction only when it is read off.
 The parametrization is found by substitution first. The equalities of
 a state space are mostly orthosum rows w(e) + w(f) - w(g) = 0, almost
 all of them dependent: a row with one variable left unexpressed
-defines it (in Python integers when its coefficient is +-1), and a
-variable no row can define becomes a parameter. Integral values stay
-Python ints; a Fraction appears only where a coefficient other than
-+-1 divides. Every row is then imposed again on the parameters; the few
-distinct rows left, usually none, are reduced densely over Fractions by
-affine_solution_set. On 2^6 none of its 367 equality rows is left to
-eliminate. integer_rank is the fraction-free rank test of the vertex
-re-check in states.
+defines it, and a variable no row can define becomes a parameter. Each
+expression is a list of integer numerators over one positive
+denominator, which stays 1 while every dividing coefficient is +-1.
+Every row is then imposed again on the parameters, as a primitive
+integer row; the few distinct rows left, usually none, are reduced
+densely over Fractions by affine_solution_set, which is skipped when
+none is left. On 2^6 none of its 367 equality rows is left to
+eliminate. Fractions appear where the entries of the AffineSet are
+read out, as ints when integral. The double description is seeded by
+fraction-free Gauss-Jordan in the manner of Bareiss (1968), and
+integer_rank is the fraction-free rank test of the vertex re-check in
+states.
 
 Certificates are built only when something fails, by the dense route
 over the original rows: the equality elimination is run on all of them,
@@ -124,8 +128,12 @@ def _independent_rows(rows: list[list[int]], limit: int | None = None) -> list[i
 
 
 def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free elimination."""
-    return len(_independent_rows(rows))
+    """Rank of an integer matrix, by fraction-free elimination.
+
+    The rank is at most the column count, so the elimination stops as
+    soon as that many rows are independent.
+    """
+    return len(_independent_rows(rows, len(rows[0]) if rows else None))
 
 
 @dataclass(frozen=True)
@@ -216,40 +224,71 @@ def _exact(v) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-# an affine expression c + sum of coeff * t[param], as (c, {param: coeff})
-Affine = tuple[int | Fraction, dict[int, int | Fraction]]
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num / den for den > 0, read out as _exact reads a value."""
+    return num if den == 1 else _exact(F(num, den))
 
 
-def _combine(coeffs: dict[int, int | Fraction], expr: list[Affine], start) -> Affine:
-    """start + sum of a * expr[j] over coeffs, with zero terms dropped."""
-    const, lin = start, {}
+def _integer_row(row, b, columns) -> tuple[dict[int, int], int]:
+    """A row of A x = b as ({variable: nonzero coefficient}, rhs), in integers.
+
+    A row with a non-integral entry is multiplied by the lcm of its
+    denominators, which leaves its solution set as it is.
+    """
+    coeffs = {j: row[j] for j in compress(columns, row)}
+    if type(b) is int and all(type(v) is int for v in coeffs.values()):
+        return coeffs, b
+    coeffs = {j: _exact(v) for j, v in coeffs.items()}
+    b = _exact(b)
+    scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
+    return {j: int(v * scale) for j, v in coeffs.items()}, int(b * scale)
+
+
+# an affine expression (c + sum of coeff * t[param]) / den, as the integers
+# (den, c, {param: coeff}) with den > 0
+Affine = tuple[int, int, dict[int, int]]
+
+
+def _combine(coeffs: dict[int, int], expr: list[Affine], start: int) -> Affine:
+    """start + sum of a * expr[j] over coeffs, over the lcm of their denominators."""
+    den = 1
+    for j in coeffs:
+        q = expr[j][0]
+        if q != 1:
+            den = lcm(den, q)
+    const, lin = start * den, {}
     for j, a in coeffs.items():
-        c, terms = expr[j]
+        q, c, terms = expr[j]
+        if q != den:
+            a *= den // q
         const += a * c
         for t, v in terms.items():
             lin[t] = lin.get(t, 0) + a * v
-    return const, {t: v for t, v in lin.items() if v}
+    return den, const, {t: v for t, v in lin.items() if v}
 
 
-def _divide(e: Affine, a: int | Fraction) -> Affine:
-    """e / a, staying in integers when a is +-1."""
-    const, lin = e
-    if a == 1:
-        return e
-    if a == -1:
-        return -const, {t: -v for t, v in lin.items()}
-    return F(const) / a, {t: F(v) / a for t, v in lin.items()}
+def _divide(e: Affine, a: int) -> Affine:
+    """e / a for a nonzero integer a, with the gcd of den and the entries divided out."""
+    den, const, lin = e
+    if a < 0:
+        a, const, lin = -a, -const, {t: -v for t, v in lin.items()}
+    den *= a
+    if den != 1:
+        g = gcd(den, const, *lin.values())
+        if g != 1:
+            den, const, lin = den // g, const // g, {t: v // g for t, v in lin.items()}
+    return den, const, lin
 
 
 def _substitute(
-    rows: list[tuple[dict, int | Fraction]], n: int
+    rows: list[tuple[dict[int, int], int]], n: int
 ) -> tuple[list[Affine], int, set[int]]:
     """Express every variable as an affine function of free parameters.
 
-    rows are (coeffs, rhs) with coeffs a {variable: nonzero coefficient}
-    map. A row with exactly one variable left unexpressed defines it,
-    rows whose lone variable has coefficient +-1 first, so that integer
-    rows keep integer expressions; when no row can, the lowest
+    rows are (coeffs, rhs) in integers, with coeffs a {variable: nonzero
+    coefficient} map. A row with exactly one variable left unexpressed
+    defines it, rows whose lone variable has coefficient +-1 first, so
+    that integer rows keep denominators 1; when no row can, the lowest
     unexpressed variable becomes a new parameter. A row that defined a
     variable holds identically; the others still have to be imposed on
     the parameters. Returns the expressions, the parameter count and
@@ -296,28 +335,32 @@ def _substitute(
             lowest += 1
         if lowest == n:
             return expr, params, used
-        settle(lowest, (0, {params: 1}))
+        settle(lowest, (1, 0, {params: 1}))
         params += 1
 
 
 def _residual(
-    rows: list[tuple[dict, int | Fraction]], expr: list[Affine], params: int, used: set[int]
-):
+    rows: list[tuple[dict[int, int], int]], expr: list[Affine], params: int, used: set[int]
+) -> tuple[list[list[int]], list[int]]:
     """The rows that defined no variable, imposed on the parameters.
 
-    The used rows hold identically and are skipped. Each other row is
-    scaled so that its lowest parameter has coefficient 1, so rows that
-    differ by a factor count once. Returns the distinct nonzero rows
-    left, as dense coefficient rows over the parameters and their right
-    sides.
+    The used rows hold identically and are skipped. Each other row,
+    times its positive denominator, is an integer row lin . t + const =
+    0; divided by the gcd of its entries and signed so that its lowest
+    parameter has a positive coefficient, rows that differ by a factor
+    count once. Returns the distinct nonzero rows left, as dense integer
+    coefficient rows over the parameters and their right sides.
     """
     distinct: dict[tuple, None] = {}
     for r, (coeffs, b) in enumerate(rows):
         if r in used:
             continue
-        const, lin = _combine(coeffs, expr, -b)  # lin . t + const = 0
+        _, const, lin = _combine(coeffs, expr, -b)
         if lin:
-            const, lin = _divide((const, lin), lin[min(lin)])
+            g = gcd(const, *lin.values())
+            if lin[min(lin)] < 0:
+                g = -g
+            const, lin = const // g, {t: v // g for t, v in lin.items()}
         elif const:
             const = 1  # 0 = nonzero: one such row is enough
         else:
@@ -334,29 +377,33 @@ def _residual(
 def _parametrize(a_rows, b_vals, n: int) -> AffineSet | None:
     """{x : A x = b} as x = particular + basis @ s, or None if inconsistent.
 
-    Substitution expresses x = c + E t over a few parameters t; the rows
+    Substitution expresses x = (c + E t) / den over a few parameters t.
+    When every row defined a variable, t is s itself. Otherwise the rows
     it has not used up are reduced by affine_solution_set to t = q + C s,
-    and the two compose to particular = c + E q and basis = E C.
-    Integral entries of particular and basis are Python ints, the others
-    Fractions.
+    and the two compose to particular = (c + E q) / den and basis =
+    E C / den. Integral entries of particular and basis are Python ints,
+    the others Fractions.
     """
     columns = range(n)
-    rows = [
-        ({j: _exact(row[j]) for j in compress(columns, row)}, _exact(b))
-        for row, b in zip(a_rows, b_vals)
-    ]
+    rows = [_integer_row(row, b, columns) for row, b in zip(a_rows, b_vals)]
     expr, params, used = _substitute(rows, n)
-    sub = affine_solution_set(*_residual(rows, expr, params, used), params)
+    a_left, b_left = _residual(rows, expr, params, used)
+    if not a_left:
+        return AffineSet(
+            [_ratio(c, den) for den, c, _ in expr],
+            [[_ratio(lin.get(t, 0), den) for den, _, lin in expr] for t in range(params)],
+        )
+    sub = affine_solution_set(a_left, b_left, params)
     if isinstance(sub, InfeasibilityCertificate):
         return None
     q = [_exact(v) for v in sub.particular]
     cols = [[_exact(v) for v in col] for col in sub.basis]
     particular = []
     basis: list[list[int | Fraction]] = [[] for _ in cols]
-    for c, lin in expr:
-        particular.append(_exact(c + sum(v * q[t] for t, v in lin.items())))
+    for den, c, lin in expr:
+        particular.append(_exact(F(c + sum(v * q[t] for t, v in lin.items())) / den))
         for col, out in zip(cols, basis):
-            out.append(_exact(sum(v * col[t] for t, v in lin.items())))
+            out.append(_exact(F(sum(v * col[t] for t, v in lin.items())) / den))
     return AffineSet(particular, basis)
 
 
@@ -407,6 +454,37 @@ def _primitive(vec: list[Fraction]) -> list[int]:
     return [x // g for x in ints]
 
 
+def _simplicial_rays(rows: list[list[int]]) -> list[list[int]]:
+    """The rays r_j solving A r_j = -e_j for a nonsingular integer D x D matrix A.
+
+    They are the extreme rays of the simplicial cone {r : A r <= 0},
+    each as its primitive integer vector. Fraction-free Gauss-Jordan in
+    the manner of Bareiss (1968) takes [A | I] to [diag(p) | M] by
+    integer cross multiplication, dividing each new row by the gcd of
+    its entries, so that A^-1 has the rows M_k / p_k; r_j is column j of
+    -A^-1, scaled by the lcm of the |p_k| and divided by its gcd.
+    """
+    D = len(rows)
+    m = [list(row) + [int(i == j) for j in range(D)] for i, row in enumerate(rows)]
+    for c in range(D):
+        p = next(i for i in range(c, D) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        pivot, a = m[c], m[c][c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if i != c and b:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row]
+    scale = lcm(*(m[k][k] for k in range(D)))
+    rays = []
+    for j in range(D, 2 * D):
+        ray = [-row[j] * (scale // row[k]) for k, row in enumerate(m)]
+        g = gcd(*ray)
+        rays.append([x // g for x in ray])
+    return rays
+
+
 def _double_description(cone: list[list[int]], d: int) -> list[list[int]]:
     """The s > 0 extreme rays of the cone {(t, s) : a . (t, s) <= 0 for each row a}.
 
@@ -426,14 +504,10 @@ def _double_description(cone: list[list[int]], d: int) -> list[list[int]]:
     start = _independent_rows(cone, D)
     if len(start) != D:
         raise RuntimeError("the box rows do not span the parameter space")
-    # [A_K | I] reduces to [I | A_K^-1]; ray j solves A_K r = -e_j
-    inverse, _ = rref(
-        [[F(v) for v in cone[i]] + [F(int(i == j)) for j in start] for i in start], D
-    )
     seeded = sum(1 << i for i in start)
     rays = [
-        (_primitive([-inverse[k][D + j] for k in range(D)]), seeded & ~(1 << i))
-        for j, i in enumerate(start)
+        (ray, seeded & ~(1 << i))
+        for ray, i in zip(_simplicial_rays([cone[i] for i in start]), start)
     ]
 
     for i, a in enumerate(cone):

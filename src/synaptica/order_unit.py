@@ -53,11 +53,13 @@ q are Elements.
 payloads, multiply, eigh, assemble, rank_tol, norm_of, in_cone,
 idempotent and commuting take a stack: leading batch axes in front of
 the payload (or eigenvalue) axes, as numpy.linalg does, with one result
-per slice. Each slice's result is bit for bit the unbatched call's, and
-the unbatched results keep their types (norm_of a Python float, the
-function rank_tol a scalar 0.0 that broadcasts over any stack). The
-Element methods element, contains_positive, product, is_projection and
-commutes are the one-element case of their stacked twins.
+per slice; so does the function instance's is_density, with one verdict
+per row of weights. Each slice's result is bit for bit the unbatched
+call's, and the unbatched results keep their types (norm_of a Python
+float, the function rank_tol a scalar 0.0 that broadcasts over any
+stack). The Element methods element, contains_positive, product,
+is_projection and commutes are the one-element case of their stacked
+twins.
 
 Each method is defined directly on each class, with no shared base:
 perfbench/tracer.py wraps the construction, norm, cone and product
@@ -464,13 +466,14 @@ class FunctionSpace:
     def projection_meet(self, p: Element, q: Element) -> Element:
         return Element(self, np.minimum(p.payload, q.payload))
 
-    def is_density(self, d: np.ndarray, tol: float) -> bool:
-        """Nonnegative weights summing to one."""
-        if d.shape != (self.dimension,):
+    def is_density(self, d: np.ndarray, tol: float):
+        """Nonnegative weights summing to one, for each row of a stack."""
+        if d.shape[-1:] != (self.dimension,):
             return False
         with np.errstate(over="ignore"):  # a sum past the float range is inf, not a warning
-            total = float(d.sum())
-        return bool(d.min() >= -POINTWISE_TOL and abs(total - 1.0) <= tol)
+            total = d.sum(axis=-1)
+        ok = (d.min(axis=-1) >= -POINTWISE_TOL) & (np.abs(total - 1.0) <= tol)
+        return ok if d.ndim > 1 else bool(ok)
 
     def __repr__(self) -> str:
         return f"FunctionSpace({list(self.points)!r})"

@@ -16,12 +16,15 @@ The extremal-state story of the commutative instance is implemented in
 full: vertex membership, point evaluations, multiplicativity, zero-one
 values on projections, and the min-rule on positive pairs are computed
 independently so that their equivalence is a checked fact rather than a
-definition. Each is one formula over whole arrays of the weights:
-distance to the exact simplex vertices, to the rows of the identity,
-the state on all k^2 products of point indicators, on the 2^k x k
-matrix of subset indicators, and on the minima of indicator pairs
-against the minima of their values; the min-rule's witness is the
-first failing pair of distinct points in row-major order.
+definition. Each is one formula over a stack of weight rows: distance
+to the exact simplex vertices, to the rows of the identity, the state
+on all k^2 products of point indicators, on the 2^k x k matrix of
+subset indicators, and on the minima of indicator pairs against the
+minima of their values; the min-rule's witness is the first failing
+pair of distinct points in row-major order. The report on one state is
+the one-row case, and `states --extremal` takes all the simplex
+vertices of a function algebra in one stack; the constant arrays of
+each k are built once.
 """
 
 from __future__ import annotations
@@ -436,50 +439,94 @@ class CommutativeExtremalReport:
 
 
 def extremal_commutative_characterization(space, state) -> CommutativeExtremalReport:
+    """The report on one state: the one-row case of _extremal_reports."""
+    mu = state.density if isinstance(state, DensityState) else np.asarray(state, dtype=float)
+    return _extremal_reports(space, mu[None])[0]
+
+
+@lru_cache(maxsize=None)
+def _simplex_constants(k: int) -> tuple[np.ndarray, ...]:
+    """Read-only arrays of the k-point formulas, built once per k.
+
+    The exact simplex vertices as floats; the point indicators (also the
+    point evaluations); the products and the minima of the k^2 indicator
+    pairs (i, j), row i k + j; the 2^k subset indicators, one per row.
+    """
+    verts = np.array(_simplex_vertex_data(k), dtype=float)
+    gammas = np.eye(k)
+    products = (gammas[:, None, :] * gammas[None, :, :]).reshape(k * k, k)
+    minima = np.minimum(gammas[:, None, :], gammas[None, :, :]).reshape(k * k, k)
+    masks = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
+    for a in (verts, gammas, products, minima, masks):
+        a.flags.writeable = False
+    return verts, gammas, products, minima, masks
+
+
+def _extremal_reports(space, weights: np.ndarray) -> list[CommutativeExtremalReport]:
+    """One report per row of an (m, k) stack of weights, by whole-stack formulas.
+
+    Every row must be a state, by the space's own density rule; the
+    first condition failing on any row raises, in the order below. The
+    first point evaluation and the first failing min-rule pair of each
+    row are read off with argmax over its flattened conditions.
+    """
     if not space.commutative:
         raise ValueError("commutative algebras only")
-    mu = state.density if isinstance(state, DensityState) else np.asarray(state, dtype=float)
-    if not is_state(space, mu):
+    if not (weights.ndim == 2 and np.isfinite(weights).all()
+            and np.all(space.is_density(weights, STATE_TOL))):
         raise ValueError("not a state on the function algebra")
     k = space.dimension
     if k > 16:
         raise ValueError("projection scan is exhaustive; keep the point set small")
 
-    # each condition is computed by its own formula, over whole arrays
     tol = STATE_TOL
-    verts = np.array(_simplex_vertex_data(k), dtype=float)
-    is_vertex = bool(np.any(np.all(np.abs(verts - mu) <= tol, axis=1)))
+    m = len(weights)
+    verts, gammas, products, minima, masks = _simplex_constants(k)
+    is_vertex = np.any(np.all(np.abs(verts - weights[:, None, :]) <= tol, axis=2), axis=1)
 
-    gammas = np.eye(k)  # the point evaluations, also the point indicators
-    at_point = np.flatnonzero(np.max(np.abs(mu - gammas), axis=1) <= tol)
-    point_evaluation = space.points[at_point[0]] if at_point.size else None
+    at_point = np.max(np.abs(weights[:, None, :] - gammas), axis=2) <= tol
+    first_point = np.argmax(at_point, axis=1)
+    has_point = at_point[np.arange(m), first_point]
 
-    rho_ind = gammas @ mu
-    products = gammas[:, None, :] * gammas[None, :, :]
-    is_multiplicative = not np.any(np.abs(products @ mu - np.outer(rho_ind, rho_ind)) > tol)
+    # the state on each member of a family, as one (1, k) @ (k, N) product
+    # per row: a row's values are bit for bit the one-row report's, where
+    # a single (m, k) product may sum in another order
+    rows = weights[:, None, :]
 
-    masks = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
-    v = masks @ mu
-    zero_one = not np.any(np.minimum(np.abs(v), np.abs(v - 1.0)) > tol)
+    def state_on(family: np.ndarray) -> np.ndarray:
+        return (rows @ family.T)[:, 0]
 
-    flags = (is_vertex, point_evaluation is not None, is_multiplicative, zero_one)
-    all_equivalent = len(set(flags)) == 1
+    rho_ind = state_on(gammas)
+    pairs = state_on(products).reshape(m, k, k)
+    is_multiplicative = ~np.any(np.abs(pairs - rho_ind[:, :, None] * rho_ind[:, None, :]) > tol,
+                                axis=(1, 2))
 
-    minima = np.minimum(gammas[:, None, :], gammas[None, :, :])
-    fails = np.abs(minima @ mu - np.minimum.outer(rho_ind, rho_ind)) > tol
-    np.fill_diagonal(fails, False)
-    failing = np.argwhere(fails)
-    witness = None
-    if failing.size:
-        i, j = failing[0]
-        witness = (space.points[i], space.points[j])
+    v = state_on(masks)
+    zero_one = ~np.any(np.minimum(np.abs(v), np.abs(v - 1.0)) > tol, axis=1)
 
-    return CommutativeExtremalReport(
-        is_vertex=is_vertex,
-        point_evaluation=point_evaluation,
-        is_multiplicative=is_multiplicative,
-        zero_one_on_projections=zero_one,
-        all_equivalent=all_equivalent,
-        min_rule_holds=witness is None,
-        min_rule_witness=witness,
-    )
+    met = state_on(minima).reshape(m, k, k)
+    fails = np.abs(met - np.minimum(rho_ind[:, :, None], rho_ind[:, None, :])) > tol
+    fails[:, np.arange(k), np.arange(k)] = False
+    fails = fails.reshape(m, k * k)
+    first_fail = np.argmax(fails, axis=1)
+    has_fail = fails[np.arange(m), first_fail]
+
+    reports = []
+    for r in range(m):
+        point_evaluation = space.points[first_point[r]] if has_point[r] else None
+        flags = (bool(is_vertex[r]), point_evaluation is not None,
+                 bool(is_multiplicative[r]), bool(zero_one[r]))
+        witness = None
+        if has_fail[r]:
+            i, j = divmod(int(first_fail[r]), k)
+            witness = (space.points[i], space.points[j])
+        reports.append(CommutativeExtremalReport(
+            is_vertex=flags[0],
+            point_evaluation=point_evaluation,
+            is_multiplicative=flags[2],
+            zero_one_on_projections=flags[3],
+            all_equivalent=len(set(flags)) == 1,
+            min_rule_holds=witness is None,
+            min_rule_witness=witness,
+        ))
+    return reports

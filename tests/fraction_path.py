@@ -1,0 +1,123 @@
+"""The library's former exact path, the oracle of its integer path.
+
+The substitution over dicts of Fractions and the Fraction Gauss-Jordan
+seed of double description, as the state-polytope pipeline ran them
+before it kept its expressions and its seed in integers. The integer
+path must match them vertex for vertex and, on integer input, entry
+type for entry type. Like tests/helpers.py, this module shares no code
+with src/; it lives apart because perfbench's worker loads helpers.py
+from source in every pass, and its peak memory grows with that file.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from helpers import _eliminate
+
+
+def _exact_value(v):
+    """An integral value as a Python int, any other as a Fraction."""
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
+def affine_by_fraction_substitution(a_rows, b_vals, n):
+    """{x : A x = b} as (particular, basis), or None if inconsistent.
+
+    The substitution the library ran over dicts of Fractions: an
+    expression is (c, {param: coeff}), Python ints until a coefficient
+    other than +-1 divides. A row with one variable left unexpressed
+    defines it, the last queued of the rows whose lone coefficient is
+    +-1 first; a variable no row defines becomes the next parameter. The
+    rows left over, scaled to coefficient 1 at their lowest parameter
+    and deduplicated, are reduced over Fractions; integral entries of
+    the result are ints.
+    """
+    rows = [({j: _exact_value(v) for j, v in enumerate(row) if v}, _exact_value(b))
+            for row, b in zip(a_rows, b_vals)]
+    expr, used, unit, other = [None] * n, set(), [], []
+    left = [len(coeffs) for coeffs, _ in rows]
+
+    def combine(coeffs, const):
+        lin = {}
+        for j, a in coeffs.items():
+            const += a * expr[j][0]
+            for t, v in expr[j][1].items():
+                lin[t] = lin.get(t, 0) + a * v
+        return const, {t: v for t, v in lin.items() if v}
+
+    def divide(const, lin, a):
+        if a in (1, -1):
+            return a * const, {t: a * v for t, v in lin.items()}
+        return Fraction(const) / a, {t: Fraction(v) / a for t, v in lin.items()}
+
+    def settle(j, e):
+        expr[j] = e
+        for r, (coeffs, _) in enumerate(rows):
+            if j in coeffs:
+                left[r] -= 1
+                if left[r] == 1:
+                    u = next(i for i in coeffs if expr[i] is None)
+                    (unit if coeffs[u] in (1, -1) else other).append((r, u))
+
+    for r, (coeffs, _) in enumerate(rows):
+        if left[r] == 1:
+            (unit if next(iter(coeffs.values())) in (1, -1) else other).append((r, *coeffs))
+    params = lowest = 0
+    while unit or other or None in expr:
+        if unit or other:
+            r, u = (unit or other).pop()
+            if expr[u] is None:
+                coeffs, b = rows[r]
+                rest = combine({j: -v for j, v in coeffs.items() if j != u}, b)
+                settle(u, divide(*rest, coeffs[u]))
+                used.add(r)
+            continue
+        while expr[lowest] is not None:
+            lowest += 1
+        settle(lowest, (0, {params: 1}))
+        params += 1
+
+    distinct = {}
+    for r, (coeffs, b) in enumerate(rows):
+        const, lin = combine(coeffs, -b)
+        if r not in used and (lin or const):
+            const, lin = divide(const, lin, lin[min(lin)]) if lin else (1, {})
+            distinct[(tuple(sorted(lin.items())), const)] = None
+    m = [[Fraction(dict(lin).get(t, 0)) for t in range(params)] + [Fraction(-c)]
+         for lin, c in distinct]
+    pivots = _eliminate(m, params)
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        return None
+    q = [0] * params
+    for r, c in enumerate(pivots):
+        q[c] = m[r][-1]
+    cols = []
+    for fc in (c for c in range(params) if c not in pivots):
+        cols.append([int(i == fc) for i in range(params)])
+        for r, c in enumerate(pivots):
+            cols[-1][c] = -m[r][fc]
+    particular = [_exact_value(c + sum(v * q[t] for t, v in lin.items())) for c, lin in expr]
+    basis = [[_exact_value(sum(v * col[t] for t, v in lin.items())) for _, lin in expr]
+             for col in cols]
+    return particular, basis
+
+
+def simplicial_rays_by_rref(rows):
+    """The rays r_j with A r_j = -e_j for a nonsingular integer A, as primitive integers.
+
+    [A | I] is reduced over Fractions to [I | A^-1], and column j of
+    -A^-1 is scaled to coprime integers.
+    """
+    d = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
+         for i, row in enumerate(rows)]
+    _eliminate(m, d)
+    rays = []
+    for j in range(d):
+        vec = [-m[k][d + j] for k in range(d)]
+        ints = [v * lcm(*(w.denominator for w in vec)) for v in vec]
+        rays.append([int(x / gcd(*map(int, ints))) for x in ints])
+    return rays

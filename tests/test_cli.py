@@ -6,6 +6,7 @@ exit-code contract: 0 clean, 1 violations, 2 unusable input.
 """
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -20,6 +21,7 @@ from synaptica import cli
 from synaptica.cli import main
 from synaptica.exact import InfeasibilityCertificate
 from synaptica import states as stt
+from synaptica import synaptic as sa
 
 
 def write_json(tmp_path, name, payload):
@@ -357,6 +359,33 @@ def test_spectral_report_of_a_1e300_matrix_keeps_exit_zero(tmp_path, capsys):
     assert r["eigenprojections"] == [[1.0, 0.0, 0.0, 1.0]] and r["residual_ok"] is True
 
 
+@pytest.mark.parametrize("entries", [[1e300, 0.0, 0.0, 1e300], [2e300, 0.0, 0.0, 2e300],
+                                     [0.0, 1e300, 1e300, 0.0]],
+                         ids=["1e300", "2e300", "off-diagonal"])
+def test_spectral_residual_is_judged_relative_to_the_norm(tmp_path, capsys, entries):
+    # the reconstruction is off by about one ulp of the entries, which the
+    # resolution check allows as 1e-9 max(1, ||a||); so does the report
+    path = write_json(tmp_path, "m.json", sym2(entries=entries))
+    rc, out = run(capsys, "spectral", path)
+    r = json.loads(out)["elements"][0]
+    assert 1e-9 < r["residual"] <= 1e-9 * 2e300
+    assert rc == 0 and r["residual_ok"] is True
+
+
+def test_spectral_bad_reconstruction_of_a_huge_matrix_exits_one(tmp_path, capsys, monkeypatch):
+    real = sa.spectral_resolution
+
+    def planted(a):  # eigenvalues 1e-8 too large: 1.5e292 off, past 1e-9 ||a||
+        res = real(a)
+        return dataclasses.replace(res, eigenvalues=tuple(v * (1.0 + 1e-8)
+                                                          for v in res.eigenvalues))
+
+    monkeypatch.setattr(sa, "spectral_resolution", planted)
+    path = write_json(tmp_path, "m.json", sym2(entries=[1.5e300, 0.0, 0.0, 1.5e300]))
+    rc, out = run(capsys, "spectral", path)
+    assert rc == 1 and json.loads(out)["elements"][0]["residual_ok"] is False
+
+
 def test_spectral_report_lists_are_rounded_entry_by_entry(tmp_path, capsys):
     rng = np.random.default_rng(14)
     u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
@@ -535,6 +564,27 @@ def test_states_function_algebra_simplex(tmp_path, capsys):
     assert r["dimension"] == 2 and r["n_vertices"] == 3
     assert all(v["is_vertex"] and v["min_rule_holds"] for v in r["vertices"])
     assert sorted(v["point_evaluation"] for v in r["vertices"]) == ["x", "y", "z"]
+
+
+def test_states_extremal_characterizes_each_function_algebra_once(tmp_path, capsys,
+                                                                   monkeypatch):
+    # one stacked evaluation of the formulas for all k vertices, not k of them
+    calls = []
+    real = stt._extremal_reports
+
+    def counting(space, weights):
+        calls.append(weights.shape)
+        return real(space, weights)
+
+    monkeypatch.setattr(stt, "_extremal_reports", counting)
+    docs = [{"kind": "function_algebra", "label": f"F{k}", "points": [f"p{i}" for i in range(k)]}
+            for k in (5, 3)]
+    path = write_json(tmp_path, "f.json", docs)
+    rc, out = run(capsys, "states", path, "--extremal")
+    assert rc == 0 and calls == [(5, 5), (3, 3)]
+    found = json.loads(out)["structures"]
+    assert [len(r["vertices"]) for r in found] == [5, 3]
+    assert all(v["is_vertex"] and v["min_rule_holds"] for r in found for v in r["vertices"])
 
 
 def test_states_missing_field_exits_two(tmp_path, capsys):

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fraction_path import affine_by_fraction_substitution, simplicial_rays_by_rref
 from helpers import box_vertices_by_scan, rank_by_elimination, state_equalities
 from synaptica import exact
 from synaptica.catalog import (
@@ -16,6 +17,7 @@ from synaptica.catalog import (
     product_effect_algebra,
 )
 from synaptica.exact import (
+    AffineSet,
     InfeasibilityCertificate,
     affine_solution_set,
     enumerate_box_vertices,
@@ -282,3 +284,104 @@ def test_certificates_agree_with_scan():
     for kind, (rows, rhs, n) in cases.items():
         enum = assert_agrees_with_scan(rows, rhs, n)
         assert not enum.feasible and enum.certificate.kind == kind
+
+
+# ---------------------------------------------------------------------------
+# The integer pipeline against the Fraction path it replaced: the
+# substitution over dicts of Fractions and the Fraction Gauss-Jordan seed
+# of double description, both kept in tests/fraction_path.py.
+
+
+def typed(values) -> list:
+    return [(type(v), v) for v in values]
+
+
+def fraction_path(rows, rhs, n):
+    """enumerate_box_vertices with the Fraction substitution and seed swapped in."""
+    def parametrize(a_rows, b_vals, n):
+        found = affine_by_fraction_substitution(a_rows, b_vals, n)
+        return None if found is None else AffineSet(*found)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_parametrize", parametrize)
+        mp.setattr(exact, "_simplicial_rays", simplicial_rays_by_rref)
+        return enumerate_box_vertices(rows, rhs, n)
+
+
+def assert_matches_fraction_path(rows, rhs, n):
+    """Same vertices, dimension, feasibility and certificate; for integer
+    input also the same AffineSet and box rows, entry types included."""
+    new, old = enumerate_box_vertices(rows, rhs, n), fraction_path(rows, rhs, n)
+    assert (new.feasible, new.dimension, new.vertices) == (old.feasible, old.dimension,
+                                                           old.vertices)
+    assert new.certificate == old.certificate
+    if all(type(v) is int for row in rows for v in row) and all(type(b) is int for b in rhs):
+        found, expected = exact._parametrize(rows, rhs, n), affine_by_fraction_substitution(
+            rows, rhs, n)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert typed(found.particular) == typed(expected[0])
+            assert [typed(col) for col in found.basis] == [typed(col) for col in expected[1]]
+        assert [typed(c + (r,)) for c, r in new.rows] == [typed(c + (r,)) for c, r in old.rows]
+    return new
+
+
+@st.composite
+def rational_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=4))
+    value = st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1,
+                                                                             max_value=3))
+    integral = draw(st.booleans())
+    coeff = st.integers(min_value=-2, max_value=2) if integral else value
+    rows = [[draw(coeff) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(st.integers(min_value=0, max_value=2) if integral else value)
+           for _ in range(m)]
+    return rows, rhs, n
+
+
+@given(rational_systems())
+@settings(max_examples=150, deadline=None)
+def test_integer_pipeline_matches_the_fraction_path(case):
+    assert_matches_fraction_path(*case)
+
+
+@pytest.mark.parametrize("name", list(CATALOG) + sorted(PRODUCT_FACTORS))
+def test_algebras_match_the_fraction_path(name):
+    # the chains' rows carry the coefficient 2 (w(e) + w(e) = w(g))
+    if name in CATALOG:
+        ea = CATALOG[name]()
+    else:
+        ea = product_effect_algebra(*(make() for make in PRODUCT_FACTORS[name]))
+    enum = assert_matches_fraction_path(*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+    assert enum.feasible
+
+
+def test_certificates_match_the_fraction_path():
+    cases = {
+        "equalities": ([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 1], 3),
+        "bound": ([[1, 0], [1, 1]], [2, 2], 2),
+        "inequalities": ([[1, 1, 1]], [4], 3),
+        "equalities, coefficient 2": ([[2, 0], [1, 0]], [1, 1], 2),
+        "bound, coefficient 2": ([[2, 1], [0, 1]], [3, 0], 2),
+        "inequalities, coefficient 2": ([[2, 2, 1]], [F(11, 2)], 3),
+    }
+    for name, (rows, rhs, n) in cases.items():
+        enum = assert_matches_fraction_path(rows, rhs, n)
+        assert not enum.feasible and enum.certificate.kind == name.split(",")[0]
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    rows = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(d)] for _ in range(d)]
+    assume(integer_rank(rows) == d)
+    return rows
+
+
+@given(nonsingular_matrices())
+@settings(max_examples=150, deadline=None)
+def test_integer_seed_rays_match_the_fraction_rref(rows):
+    rays = exact._simplicial_rays(rows)
+    assert rays == simplicial_rays_by_rref(rows)
+    assert all(type(x) is int for ray in rays for x in ray)

@@ -223,7 +223,8 @@ def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
     # 2^6 has 367 state equalities; substitution along the orthosum table
     # expresses every element through a few parameters, so no exact
     # elimination, over Fractions or in integers, may see more rows than
-    # twice the parameter space, and states itself calls no rref
+    # twice the parameter space, and states itself calls no rref. The
+    # integer Gauss-Jordan that seeds double description is counted
     from synaptica import exact
 
     sizes, callers = [], []
@@ -236,12 +237,31 @@ def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
         return counting
 
     monkeypatch.setattr(exact, "rref", counted(exact.rref))
+    monkeypatch.setattr(exact, "_simplicial_rays", counted(exact._simplicial_rays))
     monkeypatch.setattr(exact, "integer_rank", counted(exact.integer_rank))
     monkeypatch.setattr(stt, "integer_rank", exact.integer_rank)  # bound by name there
     poly = state_polytope(boolean_effect_algebra(6))
     assert poly.dimension == 5 and len(poly.vertices) == 6
     assert sizes and max(sizes) <= 2 * (poly.dimension + 1), sizes
     assert not hasattr(stt, "rref") and ("rref", "synaptica.states") not in callers
+
+
+@pytest.mark.parametrize("make", [
+    lambda: boolean_effect_algebra(3),
+    mo2_effect_algebra,
+    lambda: chain_effect_algebra(8),
+    lambda: product_effect_algebra(boolean_effect_algebra(2), boolean_effect_algebra(2)),
+], ids=["2^3", "MO2", "chain(8)", "2^2x2^2"])
+def test_state_polytope_calls_no_rref(monkeypatch, make):
+    # substitution leaves no row to eliminate, and the seed of double
+    # description is the integer Gauss-Jordan: no Fraction elimination runs
+    from synaptica import exact
+
+    calls = []
+    real = exact.rref
+    monkeypatch.setattr(exact, "rref", lambda *args: calls.append(args) or real(*args))
+    poly = state_polytope(make())
+    assert poly.feasible and poly.vertices and calls == []
 
 
 def test_cold_eight_point_simplex():
@@ -674,6 +694,43 @@ def test_characterization_agrees_with_the_loops(case):
         flags = ("is_vertex", "is_multiplicative", "zero_one_on_projections",
                  "all_equivalent", "min_rule_holds")
         assert all(type(got[name]) is bool for name in flags)  # JSON needs Python bools
+
+
+@given(simplex_probes(), hs.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_stacked_characterization_agrees_with_the_loops_row_by_row(case, rnd):
+    # vertices, near-vertices, an interior point and a two-point split in
+    # one stack, in a drawn order: each row's report is the loops' answer,
+    # and the one-row report of the public function
+    k, probes = case
+    space = FunctionSpace(tuple(f"p{i}" for i in range(k)))
+    stack = [mu for mu in probes if mu.min() >= -1e-12 and abs(mu.sum() - 1.0) <= 1e-9]
+    rnd.shuffle(stack)
+    reports = stt._extremal_reports(space, np.array(stack))
+    assert len(reports) == len(stack)
+    flags = ("is_vertex", "is_multiplicative", "zero_one_on_projections",
+             "all_equivalent", "min_rule_holds")
+    for mu, rep in zip(stack, reports):
+        got = {name: getattr(rep, name) for name in REPORT_FIELDS}
+        assert got == commutative_extremality_by_loops(space.points, mu)
+        assert all(type(got[name]) is bool for name in flags)
+        assert rep == extremal_commutative_characterization(space, mu)
+
+
+def test_stacked_characterization_fails_on_one_bad_row_in_order():
+    space = FunctionSpace(("x", "y", "z"))
+    good = np.eye(3)
+    for bad in ([0.9, 0.3, 0.0], [np.nan, 0.5, 0.5], [1.5, -0.5, 0.0]):
+        stack = np.vstack([good[:1], [bad], good[1:]])
+        with pytest.raises(ValueError, match="commutative algebras only"):
+            stt._extremal_reports(SymmetricMatrixSpace(3), stack)
+        with pytest.raises(ValueError, match="not a state on the function algebra"):
+            stt._extremal_reports(space, stack)
+    big = FunctionSpace(tuple(f"p{i}" for i in range(17)))
+    with pytest.raises(ValueError, match="not a state on the function algebra"):
+        stt._extremal_reports(big, np.vstack([np.eye(17)[:2], [[2.0] + [0.0] * 16]]))
+    with pytest.raises(ValueError, match="keep the point set small"):
+        stt._extremal_reports(big, np.eye(17)[:3])
 
 
 def test_characterization_keeps_its_size_guard():
