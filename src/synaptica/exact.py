@@ -25,20 +25,19 @@ expression is a list of integer numerators over one positive
 denominator, which stays 1 while every dividing coefficient is +-1.
 Every row is then imposed again on the parameters, as a primitive
 integer row; the few distinct rows left, usually none, are reduced
-densely over Fractions by affine_solution_set, which is skipped when
-none is left. On 2^6 none of its 367 equality rows is left to
-eliminate. Fractions appear where the entries of the AffineSet are
-read out, as ints when integral. The double description is seeded by
-fraction-free Gauss-Jordan in the manner of Bareiss (1968), and
-integer_rank is the fraction-free rank test of the vertex re-check in
-states.
+densely by affine_solution_set, which is skipped when none is left. On
+2^6 none of its 367 equality rows is left to eliminate. Fractions
+appear where the entries of the AffineSet are read out, as ints when
+integral. The one elimination, fraction-free Gauss-Jordan on Python
+ints (Bareiss 1968), reduces those rows, seeds the double description
+and is integer_rank, the rank test of the vertex re-check in states.
 
 Certificates are built only when something fails, by the dense route
 over the original rows: the equality elimination is run on all of them,
 and re-run with an identity block to trace the combination that reduces
 to 0 = nonzero, and a system without vertices is refuted by
 Fourier-Motzkin elimination of the box rows of that parametrization,
-with the nonnegative multipliers traced back to them.
+over Fractions, with the nonnegative multipliers traced back to them.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from itertools import compress
 from math import gcd, lcm
 
 __all__ = [
-    "rref",
     "integer_rank",
     "affine_solution_set",
     "AffineSet",
@@ -61,79 +59,73 @@ __all__ = [
 F = Fraction
 
 
-def _frac_rows(rows) -> list[list[Fraction]]:
-    return [[F(v) for v in row] for row in rows]
+def _gauss_jordan(
+    rows: list[list[int]], ncols: int, limit: int | None = None
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows: (rows, pivot columns, origin).
 
-
-def rref(
-    rows: list[list[Fraction]], ncols: int | None = None
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy) and the pivot column list.
-
-    Pivots are sought in the first ncols columns only (all columns by
-    default); the columns after them are carried along by the row
-    operations.
+    Column by column over the first ncols columns, the first row at or
+    below the current position with a nonzero entry is the pivot row
+    and is swapped up; origin[i] is the input index of output row i. A
+    row is reduced by a pivot row by integer cross multiplication, in
+    the manner of Bareiss (1968), and divided by the gcd of its entries.
+    Each output row is then a nonzero multiple of the row that the same
+    elimination over Fractions gives: a pivot row is zero at every other
+    pivot column, and a row below the pivot rows is zero in the first
+    ncols columns. A row is reduced only when the pivot search reaches
+    it. With a limit the search stops after that many pivots and the
+    rows are left as far as it reduced them: only the pivots and origin
+    are complete.
     """
-    m = [row[:] for row in rows]
-    if not m:
-        return m, []
+    m = list(rows)
     nrows = len(m)
+    origin = list(range(nrows))
+    done = [0] * nrows  # row i is reduced by the pivot rows before done[i]
     pivots: list[int] = []
-    r = 0
-    for c in range(len(m[0]) if ncols is None else ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
+
+    def reduce(i: int, upto: int) -> None:
+        row = m[i]
+        for k in range(done[i], upto):
+            c = pivots[k]
+            if k != i and row[c]:
+                a, b = m[k][c], row[c]
+                row = [a * x - b * y for x, y in zip(row, m[k])]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        m[i], done[i] = row, upto
+
+    for c in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if done[i] < r:
+                reduce(i, r)
+            if m[i][c]:
+                break
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = F(1) / m[r][c]
-        pivot = m[r] = [v * inv if v else v for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                # the rows are mostly zeros; skipping them changes no value
-                m[i] = [vi - factor * vr if vr else vi for vi, vr in zip(m[i], pivot)]
+        m[r], m[i] = m[i], m[r]
+        origin[r], origin[i] = origin[i], origin[r]
+        done[r], done[i] = done[i], done[r]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        if r + 1 == limit:
+            return m, pivots, origin
+    if limit is None:
+        for i in range(nrows):  # a pivot row i is reduced by the pivot rows after it
+            reduce(i, len(pivots))
+    return m, pivots, origin
 
 
-def _independent_rows(rows: list[list[int]], limit: int | None = None) -> list[int]:
-    """Indices of the rows, in order, independent of the rows before them.
-
-    Fraction-free: each row is reduced by the echelon rows kept so far,
-    by integer cross multiplication at their pivots, and kept, divided
-    by the gcd of its entries, when something nonzero is left. Every
-    echelon row is zero at the pivots before its own, so a row reduces
-    to zero exactly when it lies in their span. Stops after limit rows.
-    """
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    picked: list[int] = []
-    for i, row in enumerate(rows):
-        r = list(row)
-        for c, e in echelon:
-            if r[c]:
-                a, b = e[c], r[c]
-                r = [a * x - b * y for x, y in zip(r, e)]
-        c = next((c for c, x in enumerate(r) if x), None)
-        if c is None:
-            continue
-        g = gcd(*r)
-        echelon.append((c, [x // g for x in r]))
-        picked.append(i)
-        if len(picked) == limit:
-            break
-    return picked
-
-
-def integer_rank(rows: list[list[int]]) -> int:
+def integer_rank(rows) -> int:
     """Rank of an integer matrix, by fraction-free elimination.
 
     The rank is at most the column count, so the elimination stops as
-    soon as that many rows are independent.
+    soon as that many rows are independent. Entries are read as Python
+    ints, so numpy integers cannot overflow.
     """
-    return len(_independent_rows(rows, len(rows[0]) if rows else None))
+    ints = [[int(v) for v in row] for row in rows]
+    width = len(ints[0]) if ints else 0
+    return len(_gauss_jordan(ints, width, width)[1])
 
 
 @dataclass(frozen=True)
@@ -177,56 +169,71 @@ def affine_solution_set(
 ) -> AffineSet | InfeasibilityCertificate:
     """Parametrize {x: A x = b} or certify inconsistency.
 
-    [A | b] is reduced with pivots in the n coefficient columns. Only
-    when a row reduces to 0 = nonzero is the reduction re-run with an
-    identity block, so that the row knows which rational combination of
-    the original equalities produced it; the pivot order is the same.
+    Each row of [A | b] is read as Python ints, times the lcm L of its
+    denominators, and reduced by _gauss_jordan with pivots in the n
+    coefficient columns; the entries come out as Fractions. Only when a
+    row reduces to 0 = nonzero is the reduction re-run on [A | I L | b],
+    so that the row knows which rational combination of the original
+    equalities produced it; the pivot order is the same, and the row is
+    divided by its entry in the column of its own equality.
     """
-    a = _frac_rows(a_rows)
-    b = [F(v) for v in b_vals]
-    nrows = len(a)
-    m, pivots = rref([a[i] + [b[i]] for i in range(nrows)], n)
+    scaled = [_scaled([*a, b]) for a, b in zip(a_rows, b_vals)]
+    m, pivots, _ = _gauss_jordan([row for row, _ in scaled], n)
     r = len(pivots)
 
-    if any(m[i][-1] != 0 for i in range(r, nrows)):
+    if any(row[-1] for row in m[r:]):
+        nrows = len(scaled)
         # layout per row: n coefficient cols | nrows multiplier cols | rhs
-        traced, _ = rref(
-            [a[i] + [F(int(i == j)) for j in range(nrows)] + [b[i]] for i in range(nrows)],
+        traced, _, origin = _gauss_jordan(
+            [row[:n] + [scale * (i == j) for j in range(nrows)] + row[n:]
+             for i, (row, scale) in enumerate(scaled)],
             n,
         )
-        row = next(row for row in traced[r:] if row[-1] != 0)  # 0 = nonzero
-        mults = tuple((j, row[n + j]) for j in range(nrows) if row[n + j] != 0)
+        i = next(i for i in range(r, nrows) if traced[i][-1])  # 0 = nonzero
+        row, unit = traced[i], traced[i][n + origin[i]]
+        mults = tuple((j, F(row[n + j], unit)) for j in range(nrows) if row[n + j])
         return InfeasibilityCertificate(
             "equalities",
             mults,
-            f"combination of equalities reduces to 0 = {row[-1]}",
+            f"combination of equalities reduces to 0 = {F(row[-1], unit)}",
         )
 
-    free_cols = [c for c in range(n) if c not in pivots]
     particular = [F(0)] * n
-    for row_i, c in enumerate(pivots):
-        particular[c] = m[row_i][-1]
+    for row, c in zip(m, pivots):
+        particular[c] = F(row[-1], row[c])
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(n) if c not in pivots):
         col = [F(0)] * n
         col[fc] = F(1)
-        for row_i, c in enumerate(pivots):
-            col[c] = -m[row_i][fc]
+        for row, c in zip(m, pivots):
+            col[c] = F(-row[fc], row[c])
         basis.append(col)
     return AffineSet(particular, basis)
 
 
 def _exact(v) -> int | Fraction:
-    """An integral value as a Python int, any other as a Fraction."""
+    """An integral value as a Python int, any other as a Fraction of Python ints.
+
+    int() keeps a numpy integer, which a Fraction would carry inside it,
+    from overflowing.
+    """
     if type(v) is int:
         return v
     q = v if type(v) is Fraction else F(v)
-    return q.numerator if q.denominator == 1 else q
+    num, den = int(q.numerator), int(q.denominator)
+    return num if den == 1 else F(num, den)
 
 
 def _ratio(num: int, den: int) -> int | Fraction:
     """num / den for den > 0, read out as _exact reads a value."""
     return num if den == 1 else _exact(F(num, den))
+
+
+def _scaled(row) -> tuple[list[int], int]:
+    """A rational row times the lcm of its denominators, in Python ints, and that lcm."""
+    q = [_exact(v) for v in row]
+    scale = lcm(*(v.denominator for v in q))
+    return [v.numerator * (scale // v.denominator) for v in q], scale
 
 
 def _integer_row(row, b, columns) -> tuple[dict[int, int], int]:
@@ -238,10 +245,8 @@ def _integer_row(row, b, columns) -> tuple[dict[int, int], int]:
     coeffs = {j: row[j] for j in compress(columns, row)}
     if type(b) is int and all(type(v) is int for v in coeffs.values()):
         return coeffs, b
-    coeffs = {j: _exact(v) for j, v in coeffs.items()}
-    b = _exact(b)
-    scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
-    return {j: int(v * scale) for j, v in coeffs.items()}, int(b * scale)
+    ints, _ = _scaled([*coeffs.values(), b])
+    return dict(zip(coeffs, ints)), ints[-1]
 
 
 # an affine expression (c + sum of coeff * t[param]) / den, as the integers
@@ -458,24 +463,13 @@ def _simplicial_rays(rows: list[list[int]]) -> list[list[int]]:
     """The rays r_j solving A r_j = -e_j for a nonsingular integer D x D matrix A.
 
     They are the extreme rays of the simplicial cone {r : A r <= 0},
-    each as its primitive integer vector. Fraction-free Gauss-Jordan in
-    the manner of Bareiss (1968) takes [A | I] to [diag(p) | M] by
-    integer cross multiplication, dividing each new row by the gcd of
-    its entries, so that A^-1 has the rows M_k / p_k; r_j is column j of
-    -A^-1, scaled by the lcm of the |p_k| and divided by its gcd.
+    each as its primitive integer vector. _gauss_jordan takes [A | I] to
+    [diag(p) | M], so that A^-1 has the rows M_k / p_k; r_j is column j
+    of -A^-1, scaled by the lcm of the |p_k| and divided by its gcd.
     """
     D = len(rows)
-    m = [list(row) + [int(i == j) for j in range(D)] for i, row in enumerate(rows)]
-    for c in range(D):
-        p = next(i for i in range(c, D) if m[i][c])
-        m[c], m[p] = m[p], m[c]
-        pivot, a = m[c], m[c][c]
-        for i, row in enumerate(m):
-            b = row[c]
-            if i != c and b:
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row]
+    identity = [[int(i == j) for j in range(D)] for i in range(D)]
+    m, _, _ = _gauss_jordan([list(a) + e for a, e in zip(rows, identity)], D)
     scale = lcm(*(m[k][k] for k in range(D)))
     rays = []
     for j in range(D, 2 * D):
@@ -489,8 +483,8 @@ def _double_description(cone: list[list[int]], d: int) -> list[list[int]]:
     """The s > 0 extreme rays of the cone {(t, s) : a . (t, s) <= 0 for each row a}.
 
     cone holds primitive integer rows in D = d + 1 dimensions, row 0
-    being -s <= 0. The first D independent rows give a simplicial cone
-    whose extreme rays seed the list. Every further row keeps the rays
+    being -s <= 0. The D pivot rows of _gauss_jordan give a simplicial
+    cone whose extreme rays seed the list. Every further row keeps the rays
     on its feasible side and adds, for each adjacent pair it separates,
     their positive combination on its hyperplane. Two rays are adjacent
     when the rows they both lie on number at least D - 2 and no other
@@ -501,9 +495,10 @@ def _double_description(cone: list[list[int]], d: int) -> list[list[int]]:
     ray.
     """
     D = d + 1
-    start = _independent_rows(cone, D)
-    if len(start) != D:
+    _, pivots, origin = _gauss_jordan(cone, D, D)
+    if len(pivots) != D:
         raise RuntimeError("the box rows do not span the parameter space")
+    start = origin[:D]
     seeded = sum(1 << i for i in start)
     rays = [
         (ray, seeded & ~(1 << i))

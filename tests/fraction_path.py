@@ -1,10 +1,12 @@
 """The library's former exact path, the oracle of its integer path.
 
-The substitution over dicts of Fractions and the Fraction Gauss-Jordan
-seed of double description, as the state-polytope pipeline ran them
-before it kept its expressions and its seed in integers. The integer
-path must match them vertex for vertex and, on integer input, entry
-type for entry type. Like tests/helpers.py, this module shares no code
+The substitution over dicts of Fractions, the Fraction Gauss-Jordan
+seed of double description and the dense elimination of A x = b over
+Fractions with its traced certificate, as the state-polytope pipeline
+ran them before it kept its expressions and its eliminations in
+integers. The integer path must match them vertex for vertex and
+certificate for certificate and, on integer input, entry type for
+entry type. Like tests/helpers.py, this module shares no code
 with src/; it lives apart because perfbench's worker loads helpers.py
 from source in every pass, and its peak memory grows with that file.
 """
@@ -121,3 +123,37 @@ def simplicial_rays_by_rref(rows):
         ints = [v * lcm(*(w.denominator for w in vec)) for v in vec]
         rays.append([int(x / gcd(*map(int, ints))) for x in ints])
     return rays
+
+
+def affine_by_rref(a_rows, b_vals, n):
+    """{x : A x = b} as (particular, basis) over Fractions, or the certificate
+    (kind, multipliers, detail) of an inconsistent system.
+
+    [A | b] is reduced over Fractions with pivots in the n coefficient
+    columns. When a row reduces to 0 = nonzero, the reduction is re-run
+    on [A | I | b] and the first such row gives the multipliers of the
+    original equalities.
+    """
+    a = [[Fraction(v) for v in row] for row in a_rows]
+    b = [Fraction(v) for v in b_vals]
+    k = len(a)
+    m = [a[i] + [b[i]] for i in range(k)]
+    pivots = _eliminate(m, n)
+    r = len(pivots)
+    if any(row[-1] != 0 for row in m[r:]):
+        traced = [a[i] + [Fraction(int(i == j)) for j in range(k)] + [b[i]] for i in range(k)]
+        _eliminate(traced, n)
+        row = next(row for row in traced[r:] if row[-1] != 0)
+        mults = tuple((j, row[n + j]) for j in range(k) if row[n + j] != 0)
+        return "equalities", mults, f"combination of equalities reduces to 0 = {row[-1]}"
+    particular = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = m[i][-1]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        col = [Fraction(0)] * n
+        col[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            col[c] = -m[i][fc]
+        basis.append(col)
+    return particular, basis

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fraction_path import affine_by_fraction_substitution, simplicial_rays_by_rref
-from helpers import box_vertices_by_scan, rank_by_elimination, state_equalities
+from fraction_path import affine_by_fraction_substitution, affine_by_rref, simplicial_rays_by_rref
+from helpers import _eliminate, box_vertices_by_scan, rank_by_elimination, state_equalities
 from synaptica import exact
 from synaptica.catalog import (
     boolean_effect_algebra,
@@ -22,16 +23,9 @@ from synaptica.exact import (
     affine_solution_set,
     enumerate_box_vertices,
     integer_rank,
-    rref,
 )
 
 F = Fraction
-
-
-def test_rref_pivots():
-    reduced, pivots = rref([[F(2), F(4)], [F(1), F(2)]])
-    assert pivots == [0]
-    assert reduced[0] == [F(1), F(2)]
 
 
 def test_integer_rank_of_large_entries():
@@ -62,6 +56,70 @@ def integer_matrices(draw):
 def test_integer_rank_agrees_with_elimination(case):
     rows, ncols = case
     assert integer_rank(rows) == rank_by_elimination(rows, ncols)
+
+
+class OriginRow(list):
+    origin: int
+
+
+class OriginTracked(list):
+    """Rows for helpers._eliminate that carry their input index along.
+
+    _eliminate swaps two rows by assigning each to the other's place and
+    replaces a row it reduces by a new plain list, which takes the index
+    of the row it replaces.
+    """
+
+    def __init__(self, rows):
+        super().__init__(self._tagged(row, i) for i, row in enumerate(rows))
+
+    @staticmethod
+    def _tagged(row, origin):
+        row = OriginRow(row)
+        row.origin = origin
+        return row
+
+    def __setitem__(self, i, row):
+        if not isinstance(row, OriginRow):
+            row = self._tagged(row, self[i].origin)
+        super().__setitem__(i, row)
+
+
+@given(integer_matrices(), st.integers(min_value=0, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_gauss_jordan_matches_elimination_over_fractions(case, cut):
+    rows, width = case
+    ncols = min(cut, width)  # pivots in the leading columns only, or in all
+    reduced, pivots, origin = exact._gauss_jordan(rows, ncols)
+    oracle = OriginTracked([[F(v) for v in row] for row in rows])
+    assert pivots == _eliminate(oracle, ncols)
+    assert origin == [row.origin for row in oracle]
+    for row, c, expected in zip(reduced, pivots, oracle):
+        assert [F(x, row[c]) for x in row] == expected
+    assert all(not any(row[:ncols]) for row in reduced[len(pivots):])
+    assert all(type(x) is int for row in reduced for x in row)
+    for limit in range(1, len(pivots) + 1):  # stopping early takes the same path
+        _, first, moved = exact._gauss_jordan(rows, ncols, limit)
+        assert first == pivots[:limit] and moved[:limit] == origin[:limit]
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    # products of entries near 2^40 overflow int64, so every entry must
+    # reach the elimination as a Python int
+    rows = [[2**40 + 1, 3, 0], [5, 2**40 + 1, 7], [1, 1, 1]]
+    rhs = [1, 2, 3]
+    assert type(exact._exact(np.int64(3))) is int
+    assert integer_rank(np.array(rows)) == integer_rank(rows) == 3
+    found = affine_solution_set(np.array(rows), np.array(rhs), 3)
+    expected = affine_solution_set(rows, rhs, 3)
+    assert typed(found.particular) == typed(expected.particular)
+    assert [typed(col) for col in found.basis] == [typed(col) for col in expected.basis]
+    # the sum of the first two rows with a right side other than 1 + 2
+    rows, rhs = rows + [[2**40 + 6, 2**40 + 4, 7]], rhs + [4]
+    found = enumerate_box_vertices(np.array(rows), np.array(rhs), 3).certificate
+    expected = enumerate_box_vertices(rows, rhs, 3).certificate
+    assert found.kind == "equalities" and found == expected
+    assert [typed(m) for m in found.multipliers] == [typed(m) for m in expected.multipliers]
 
 
 def test_affine_solution_set_parametrizes():
@@ -344,6 +402,20 @@ def rational_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_integer_pipeline_matches_the_fraction_path(case):
     assert_matches_fraction_path(*case)
+
+
+@given(rational_systems())
+@example(([[0, 1], [0, 1], [1, 0]], [0, 1, 0], 2))  # a swap decides which row is 0 = -1
+@settings(max_examples=150, deadline=None)
+def test_affine_solution_set_matches_the_fraction_rref(case):
+    found, expected = affine_solution_set(*case), affine_by_rref(*case)
+    if isinstance(expected[0], str):
+        kind, mults, detail = expected
+        assert (found.kind, found.detail) == (kind, detail)
+        assert [typed(m) for m in found.multipliers] == [typed(m) for m in mults]
+    else:
+        assert typed(found.particular) == typed(expected[0])
+        assert [typed(col) for col in found.basis] == [typed(col) for col in expected[1]]
 
 
 @pytest.mark.parametrize("name", list(CATALOG) + sorted(PRODUCT_FACTORS))

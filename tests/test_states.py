@@ -222,9 +222,10 @@ def test_three_factor_product_vertices_are_the_padded_factor_vertices():
 def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
     # 2^6 has 367 state equalities; substitution along the orthosum table
     # expresses every element through a few parameters, so no exact
-    # elimination, over Fractions or in integers, may see more rows than
-    # twice the parameter space, and states itself calls no rref. The
-    # integer Gauss-Jordan that seeds double description is counted
+    # elimination of equalities, seed rays or ranks may see more rows than
+    # twice the parameter space, and states itself eliminates no
+    # equalities. The seed's pivot search runs over the box-row cone (63
+    # rows here) and is not counted
     from synaptica import exact
 
     sizes, callers = [], []
@@ -236,14 +237,15 @@ def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
             return real(rows, *args)
         return counting
 
-    monkeypatch.setattr(exact, "rref", counted(exact.rref))
+    monkeypatch.setattr(exact, "affine_solution_set", counted(exact.affine_solution_set))
     monkeypatch.setattr(exact, "_simplicial_rays", counted(exact._simplicial_rays))
     monkeypatch.setattr(exact, "integer_rank", counted(exact.integer_rank))
     monkeypatch.setattr(stt, "integer_rank", exact.integer_rank)  # bound by name there
     poly = state_polytope(boolean_effect_algebra(6))
     assert poly.dimension == 5 and len(poly.vertices) == 6
     assert sizes and max(sizes) <= 2 * (poly.dimension + 1), sizes
-    assert not hasattr(stt, "rref") and ("rref", "synaptica.states") not in callers
+    assert not hasattr(stt, "affine_solution_set")
+    assert ("affine_solution_set", "synaptica.states") not in callers
 
 
 @pytest.mark.parametrize("make", [
@@ -253,13 +255,14 @@ def test_elimination_sees_only_the_rows_substitution_leaves(monkeypatch):
     lambda: product_effect_algebra(boolean_effect_algebra(2), boolean_effect_algebra(2)),
 ], ids=["2^3", "MO2", "chain(8)", "2^2x2^2"])
 def test_state_polytope_calls_no_rref(monkeypatch, make):
-    # substitution leaves no row to eliminate, and the seed of double
-    # description is the integer Gauss-Jordan: no Fraction elimination runs
+    # substitution leaves no row to eliminate, so the dense elimination of
+    # the equalities never runs
     from synaptica import exact
 
     calls = []
-    real = exact.rref
-    monkeypatch.setattr(exact, "rref", lambda *args: calls.append(args) or real(*args))
+    real = exact.affine_solution_set
+    monkeypatch.setattr(exact, "affine_solution_set",
+                        lambda *args: calls.append(args) or real(*args))
     poly = state_polytope(make())
     assert poly.feasible and poly.vertices and calls == []
 
