@@ -6,8 +6,9 @@ that identical inputs and seeds produce byte-identical output; --pretty
 switches to human-readable lines. Exit codes: 0 clean, 1 a structure
 violated its axioms or a check failed, 2 parse errors, unknown kinds,
 unknown labels, repeated element labels, or unknown suites, fields of
-the wrong type or shape, and spectral elements whose analysis overflows
-the float range.
+the wrong type or shape, spectral elements whose analysis overflows
+the float range, a SYNAPTICA_TOL that is not a finite nonnegative
+number, and a negative --seed.
 
 Each document kind has one builder, which parses the document and
 returns the library's verdict on it; check, states and spectral read
@@ -56,9 +57,12 @@ def _report_tol() -> float:
     if not raw:
         return 1e-9
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise CliError(2, f"SYNAPTICA_TOL is not a number: {raw!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise CliError(2, f"SYNAPTICA_TOL must be finite and nonnegative: {raw!r}")
+    return tol
 
 
 def _load_documents(path: str) -> list[dict]:
@@ -199,7 +203,7 @@ def _build_ortholattice(doc: dict, path: str) -> po.BoundedOrtholattice:
     return po.BoundedOrtholattice(base, index(doc["zero"]), index(doc["one"]), perp)
 
 
-def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.EAValidation, list[str]]:
+def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.Validation, list[str]]:
     elements = _elements(doc, path)
     index = _resolver(elements, path)
     n = len(elements)
@@ -210,7 +214,7 @@ def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.EAValidation, list[
     return eff.check_ea_axioms(table, zero, one, elements), elements
 
 
-def _build_mv_algebra(doc: dict, path: str) -> tuple[eff.MVValidation, list[str]]:
+def _build_mv_algebra(doc: dict, path: str) -> tuple[eff.Validation, list[str]]:
     elements = _elements(doc, path)
     index = _resolver(elements, path)
     n = len(elements)
@@ -596,6 +600,8 @@ def _pretty_states(report) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise CliError(2, f"--seed must be nonnegative, got {args.seed}")
     names = args.suites or ["all"]
     expanded = []
     for name in names:

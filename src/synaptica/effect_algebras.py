@@ -28,7 +28,7 @@ from .posets import FinitePoset, StructureError, is_oml, lattice_tables
 __all__ = [
     "AxiomViolation",
     "EffectAlgebraError",
-    "EAValidation",
+    "Validation",
     "FiniteEffectAlgebra",
     "check_ea_axioms",
     "induced_order",
@@ -38,16 +38,11 @@ __all__ = [
     "MorphismReport",
     "check_morphism",
     "is_mv_effect_algebra",
-    "MVValidation",
     "FiniteMVAlgebra",
     "check_mv_axioms",
     "ea_to_mv",
     "mv_to_ea",
 ]
-
-
-class EffectAlgebraError(StructureError):
-    """Raised when a table fails the defining axioms."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,30 @@ class AxiomViolation:
 
     def __str__(self) -> str:
         return f"{self.axiom} fails at {self.witness}: {self.detail}"
+
+
+class EffectAlgebraError(StructureError):
+    """Raised when a table fails the defining axioms.
+
+    A constructor's scan attaches the first violation it found; a
+    derived check raises with violation None.
+    """
+
+    def __init__(self, message: str, violation: AxiomViolation | None = None):
+        super().__init__(message)
+        self.violation = violation
+
+
+@dataclass(frozen=True)
+class Validation:
+    """What check_ea_axioms or check_mv_axioms found: a structure or a violation."""
+
+    structure: FiniteEffectAlgebra | FiniteMVAlgebra | None
+    violation: AxiomViolation | None
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
 
 def _normalize_table(table, n: int):
@@ -98,25 +117,37 @@ def _first_difference(a, b) -> int:
     return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
-class FiniteEffectAlgebra:
-    """Validated effect algebra; construct through check_ea_axioms.
+def _units(zero, one, n: int) -> tuple[int, int]:
+    zero, one = int(zero), int(one)
+    if not (0 <= zero < n and 0 <= one < n):
+        raise StructureError("zero/one must be element indices")
+    return zero, one
 
-    With _checked the table is taken as given: check_ea_axioms hands over
-    the tuple of tuples it has normalised and scanned.
+
+def _labels(labels, n: int, prefix: str) -> tuple:
+    labels = tuple(labels) if labels is not None else tuple(f"{prefix}{i}" for i in range(n))
+    if len(labels) != n or len(set(labels)) != n:
+        raise StructureError("labels must be unique and match element count")
+    return labels
+
+
+class FiniteEffectAlgebra:
+    """Effect algebra on an orthosummation table, validated on construction.
+
+    The table is normalised, zero and one are range-checked, the table
+    is scanned (see _ea_violation) and then the labels are checked. A
+    failing scan raises EffectAlgebraError carrying the violation;
+    check_ea_axioms reports it instead.
     """
 
-    def __init__(self, table, zero: int, one: int, labels=None, _checked: bool = False):
+    def __init__(self, table, zero: int, one: int, labels=None):
         n = len(table)
-        self.table = table if _checked else _normalize_table(table, n)
-        self.zero = int(zero)
-        self.one = int(one)
-        self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise StructureError("labels must be unique and match element count")
-        if not _checked:
-            result = check_ea_axioms(table, zero, one, labels)
-            if result.violation is not None:
-                raise EffectAlgebraError(str(result.violation))
+        self.table = _normalize_table(table, n)
+        self.zero, self.one = _units(zero, one, n)
+        violation = _ea_violation(self.table, self.zero, self.one)
+        if violation is not None:
+            raise EffectAlgebraError(str(violation), violation)
+        self.labels = _labels(labels, n, "e")
         # orthosupplement is unique once the axioms hold
         self.perp = tuple(row.index(self.one) for row in self.table)
         self._order: FinitePoset | None = None
@@ -152,18 +183,8 @@ class FiniteEffectAlgebra:
         return f"FiniteEffectAlgebra(n={self.n})"
 
 
-@dataclass(frozen=True)
-class EAValidation:
-    structure: FiniteEffectAlgebra | None
-    violation: AxiomViolation | None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
-def check_ea_axioms(table, zero, one, labels=None) -> EAValidation:
-    """Exhaustive axiom scan; returns the structure or the first violation.
+def _ea_violation(t, zero: int, one: int) -> AxiomViolation | None:
+    """Exhaustive axiom scan of a normalised table; the first violation or None.
 
     Scan order: commutativity, associativity (in the strong sense that a
     defined side forces the other side to be defined and equal),
@@ -172,20 +193,12 @@ def check_ea_axioms(table, zero, one, labels=None) -> EAValidation:
     scan: given the others, a + b = a + c makes b and c both
     orthosupplements of a + (a + b)', so b = c.
     """
-    n = len(table)
-    t = _normalize_table(table, n)
-    zero, one = int(zero), int(one)
-    if not (0 <= zero < n and 0 <= one < n):
-        raise StructureError("zero/one must be element indices")
-
-    def fail(axiom: str, witness: tuple[int, ...], detail: str) -> EAValidation:
-        return EAValidation(None, AxiomViolation(axiom, witness, detail))
-
+    n = len(t)
     cols = tuple(zip(*t))
     if t != cols:
         e = _first_difference(t, cols)
         f = _first_difference(t[e], cols[e])
-        return fail(
+        return AxiomViolation(
             "commutativity",
             (e, f),
             f"osum({e},{f})={t[e][f]!r} but osum({f},{e})={t[f][e]!r}",
@@ -205,20 +218,34 @@ def check_ea_axioms(table, zero, one, labels=None) -> EAValidation:
             e = _first_difference(lhs, rhs)
             f = _first_difference(lhs[e], rhs[e])
             left, right = (None if v == n else v for v in (lhs[e][f], rhs[e][f]))
-            return fail("associativity", (d, e, f), f"(d+e)+f={left!r} but d+(e+f)={right!r}")
+            return AxiomViolation(
+                "associativity", (d, e, f), f"(d+e)+f={left!r} but d+(e+f)={right!r}"
+            )
 
     for e, row in enumerate(t):
         if row.count(one) != 1:
             sups = [f for f, v in enumerate(row) if v == one]
             detail = "no orthosupplement" if not sups else f"multiple orthosupplements {sups}"
-            return fail("orthosupplement", (e,), detail)
+            return AxiomViolation("orthosupplement", (e,), detail)
 
     for e in range(n):
         if t[e][one] is not None and e != zero:
-            return fail("zero-one law", (e,), f"osum({e}, one) is defined but {e} != zero")
+            return AxiomViolation(
+                "zero-one law", (e,), f"osum({e}, one) is defined but {e} != zero"
+            )
+    return None
 
-    ea = FiniteEffectAlgebra(t, zero, one, labels, _checked=True)
-    return EAValidation(ea, None)
+
+def check_ea_axioms(table, zero, one, labels=None) -> Validation:
+    """The effect algebra on table, or the first violation its scan found.
+
+    Malformed input (shape, entries, zero/one, labels) still raises
+    StructureError, as the constructor does.
+    """
+    try:
+        return Validation(FiniteEffectAlgebra(table, zero, one, labels), None)
+    except EffectAlgebraError as exc:
+        return Validation(None, exc.violation)
 
 
 def induced_order(ea: FiniteEffectAlgebra) -> FinitePoset:
@@ -258,10 +285,7 @@ def oml_to_ea(latt) -> FiniteEffectAlgebra:
         [latt.join(p, q) if latt.leq(p, latt.perp[q]) else None for q in range(n)]
         for p in range(n)
     ]
-    result = check_ea_axioms(table, latt.zero, latt.one, latt.labels)
-    if result.violation is not None:  # cannot happen for an OML
-        raise EffectAlgebraError(f"derived table is not an effect algebra: {result.violation}")
-    ea = result.structure
+    ea = FiniteEffectAlgebra(table, latt.zero, latt.one, latt.labels)
     order = induced_order(ea)
     for a in range(n):
         for b in range(n):
@@ -311,9 +335,24 @@ class MorphismReport:
     violation: str | None = None
 
 
-def check_morphism(
-    dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra, phi, _check_iso: bool = True
-) -> MorphismReport:
+def _morphism_violation(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra, phi) -> str | None:
+    """Why phi is no morphism dom -> cod, or None when it is one."""
+    if phi[dom.one] != cod.one:
+        return "unit is not preserved"
+    for e in range(dom.n):
+        for f in range(dom.n):
+            v = dom.table[e][f]
+            if v is None:
+                continue
+            w = cod.table[phi[e]][phi[f]]
+            if w is None:
+                return f"images of orthogonal pair ({e}, {f}) are not orthogonal"
+            if w != phi[v]:
+                return f"additivity fails on ({e}, {f})"
+    return None
+
+
+def check_morphism(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra, phi) -> MorphismReport:
     """Check unit preservation and additivity on orthogonal pairs.
 
     phi is a sequence mapping domain indices to codomain indices. The
@@ -323,28 +362,15 @@ def check_morphism(
     phi = tuple(int(x) for x in phi)
     if len(phi) != dom.n or any(not (0 <= v < cod.n) for v in phi):
         raise ValueError("phi must map every domain element to a codomain element")
-    if phi[dom.one] != cod.one:
-        return MorphismReport(False, False, "unit is not preserved")
-    for e in range(dom.n):
-        for f in range(dom.n):
-            v = dom.table[e][f]
-            if v is None:
-                continue
-            w = cod.table[phi[e]][phi[f]]
-            if w is None:
-                return MorphismReport(
-                    False, False, f"images of orthogonal pair ({e}, {f}) are not orthogonal"
-                )
-            if w != phi[v]:
-                return MorphismReport(
-                    False, False, f"additivity fails on ({e}, {f})"
-                )
+    violation = _morphism_violation(dom, cod, phi)
+    if violation is not None:
+        return MorphismReport(False, False, violation)
     iso = False
-    if _check_iso and dom.n == cod.n and len(set(phi)) == dom.n:
+    if dom.n == cod.n and len(set(phi)) == dom.n:
         inv = [0] * dom.n
         for i, v in enumerate(phi):
             inv[v] = i
-        iso = check_morphism(cod, dom, inv, _check_iso=False).is_morphism
+        iso = _morphism_violation(cod, dom, inv) is None
     return MorphismReport(True, iso, None)
 
 
@@ -367,16 +393,6 @@ def is_mv_effect_algebra(ea: FiniteEffectAlgebra) -> bool:
 # MV-algebras
 
 
-@dataclass(frozen=True)
-class MVValidation:
-    structure: "FiniteMVAlgebra | None"
-    violation: AxiomViolation | None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
 def _mv_operands(plus, perp):
     """The addition table and perp as tuples, checked for shape and range."""
     n = len(plus)
@@ -390,24 +406,21 @@ def _mv_operands(plus, perp):
 
 
 class FiniteMVAlgebra:
-    """Validated MV-algebra; construct through check_mv_axioms.
+    """MV-algebra on a total addition table and perp, validated on construction.
 
-    With _checked the table and perp are taken as given: check_mv_axioms
-    hands over the tuples it has normalised and scanned.
+    As FiniteEffectAlgebra: normalise the operands, range-check zero and
+    one, scan (see _mv_violation), then check the labels. A failing scan
+    raises EffectAlgebraError carrying the violation.
     """
 
-    def __init__(self, plus, perp, zero: int, one: int, labels=None, _checked: bool = False):
+    def __init__(self, plus, perp, zero: int, one: int, labels=None):
         n = len(plus)
-        self.plus_table, self.perp = (plus, perp) if _checked else _mv_operands(plus, perp)
-        self.zero = int(zero)
-        self.one = int(one)
-        self.labels = tuple(labels) if labels is not None else tuple(f"x{i}" for i in range(n))
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise StructureError("labels must be unique and match element count")
-        if not _checked:
-            result = check_mv_axioms(plus, perp, zero, one, labels)
-            if result.violation is not None:
-                raise EffectAlgebraError(str(result.violation))
+        self.plus_table, self.perp = _mv_operands(plus, perp)
+        self.zero, self.one = _units(zero, one, n)
+        violation = _mv_violation(self.plus_table, self.perp, self.zero, self.one)
+        if violation is not None:
+            raise EffectAlgebraError(str(violation), violation)
+        self.labels = _labels(labels, n, "x")
         self._order: FinitePoset | None = None
 
     @property
@@ -440,18 +453,10 @@ class FiniteMVAlgebra:
         return f"FiniteMVAlgebra(n={self.n})"
 
 
-def check_mv_axioms(plus, perp, zero, one, labels=None) -> MVValidation:
-    """Exhaustive check of the seven MV axioms, first violation wins."""
-    n = len(plus)
-    t, p = _mv_operands(plus, perp)
-    zero, one = int(zero), int(one)
-    if not (0 <= zero < n and 0 <= one < n):
-        raise StructureError("zero/one must be element indices")
-
-    def fail(axiom: str, witness: tuple[int, ...], detail: str) -> MVValidation:
-        return MVValidation(None, AxiomViolation(axiom, witness, detail))
-
-    # Associativity row by row, as in check_ea_axioms: x+(y+z) over every
+def _mv_violation(t, p, zero: int, one: int) -> AxiomViolation | None:
+    """Exhaustive check of the seven MV axioms on normalised operands; first violation wins."""
+    n = len(t)
+    # Associativity row by row, as in _ea_violation: x+(y+z) over every
     # z is row x read at the indices of row y, (x+y)+z is row t[x][y].
     getters = _row_getters(t)
     for x, row in enumerate(t):
@@ -460,35 +465,41 @@ def check_mv_axioms(plus, perp, zero, one, labels=None) -> MVValidation:
         if lhs != rhs:
             y = _first_difference(lhs, rhs)
             z = _first_difference(lhs[y], rhs[y])
-            return fail("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
+            return AxiomViolation("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
     for x in range(n):
         for y in range(n):
             if t[x][y] != t[y][x]:
-                return fail("mv-commutativity", (x, y), "x+y != y+x")
+                return AxiomViolation("mv-commutativity", (x, y), "x+y != y+x")
     for x in range(n):
         if t[x][zero] != x:
-            return fail("mv-zero", (x,), "x+0 != x")
+            return AxiomViolation("mv-zero", (x,), "x+0 != x")
     for x in range(n):
         if p[p[x]] != x:
-            return fail("mv-involution", (x,), "perp(perp(x)) != x")
+            return AxiomViolation("mv-involution", (x,), "perp(perp(x)) != x")
     if p[zero] != one:
-        return fail("mv-perp-zero", (zero,), "perp(0) != 1")
+        return AxiomViolation("mv-perp-zero", (zero,), "perp(0) != 1")
     for x in range(n):
         if t[x][p[x]] != one:
-            return fail("mv-complement", (x,), "x+perp(x) != 1")
+            return AxiomViolation("mv-complement", (x,), "x+perp(x) != 1")
     for x in range(n):
         for y in range(n):
             lhs = t[x][p[t[x][p[y]]]]
             rhs = t[y][p[t[y][p[x]]]]
             if lhs != rhs:
-                return fail(
+                return AxiomViolation(
                     "mv-lukasiewicz",
                     (x, y),
                     "x+(x+perp(y))' != y+(y+perp(x))'",
                 )
+    return None
 
-    mv = FiniteMVAlgebra(t, p, zero, one, labels, _checked=True)
-    return MVValidation(mv, None)
+
+def check_mv_axioms(plus, perp, zero, one, labels=None) -> Validation:
+    """The MV-algebra on plus and perp, or the first violation its scan found."""
+    try:
+        return Validation(FiniteMVAlgebra(plus, perp, zero, one, labels), None)
+    except EffectAlgebraError as exc:
+        return Validation(None, exc.violation)
 
 
 def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:
@@ -512,10 +523,7 @@ def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:
                 raise EffectAlgebraError(f"internal: sum undefined on ({x}, {m})")
             row.append(v)
         plus.append(row)
-    result = check_mv_axioms(plus, ea.perp, ea.zero, ea.one, ea.labels)
-    if result.violation is not None:
-        raise EffectAlgebraError(f"derived table violates MV axioms: {result.violation}")
-    mv = result.structure
+    mv = FiniteMVAlgebra(plus, ea.perp, ea.zero, ea.one, ea.labels)
     mv_order = mv.order()
     for x in range(n):
         for y in range(n):
@@ -531,7 +539,4 @@ def mv_to_ea(mv: FiniteMVAlgebra) -> FiniteEffectAlgebra:
         [mv.plus(x, y) if mv.leq(x, mv.perp[y]) else None for y in range(n)]
         for x in range(n)
     ]
-    result = check_ea_axioms(table, mv.zero, mv.one, mv.labels)
-    if result.violation is not None:
-        raise EffectAlgebraError(f"restricted table is not an effect algebra: {result.violation}")
-    return result.structure
+    return FiniteEffectAlgebra(table, mv.zero, mv.one, mv.labels)

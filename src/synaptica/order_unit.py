@@ -41,8 +41,8 @@ q are Elements.
   rank_tol(vals)          RANK_RTOL * max(1, max|vals|), or 0.0 on
                           functions, so one |lam| > tol test is exact there
   pairing(x, y)           trace(xy), or the dot product
-  is_projection(a)        p^2 = p, to PROJ_TOL, or exactly
-  idempotent(x)           is_projection for a stack
+  idempotent(x)           p^2 = p for each payload of a stack, to
+                          PROJ_TOL, or exactly
   commutant(gens)         null space of the commutators, or everything
   projection_meet(p, q)   range intersection by SVD, or the minimum
   is_density(d, tol)      d represents a state through the pairing, to
@@ -57,9 +57,8 @@ per slice; so does the function instance's is_density, with one verdict
 per row of weights. Each slice's result is bit for bit the unbatched
 call's, and the unbatched results keep their types (norm_of a Python
 float, the function rank_tol a scalar 0.0 that broadcasts over any
-stack). The Element methods element, contains_positive, product,
-is_projection and commutes are the one-element case of their stacked
-twins.
+stack). The Element methods element, contains_positive, product and
+commutes are the one-element case of their stacked twins.
 
 Each method is defined directly on each class, with no shared base:
 perfbench/tracer.py wraps the construction, norm, cone and product
@@ -300,9 +299,6 @@ class SymmetricMatrixSpace:
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.trace(x @ y))
 
-    def is_projection(self, a: Element) -> bool:
-        return bool(self.idempotent(a.payload))
-
     def idempotent(self, x: np.ndarray) -> np.ndarray:
         """||x^2 - x|| <= PROJ_TOL * max(1, ||x||) for each payload."""
         residual = np.abs(self.multiply(x, x) - x).max(axis=(-2, -1))
@@ -452,9 +448,6 @@ class FunctionSpace:
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(x, y))
-
-    def is_projection(self, a: Element) -> bool:
-        return bool(self.idempotent(a.payload))
 
     def idempotent(self, x: np.ndarray) -> np.ndarray:
         """Each payload is exactly an indicator; no product is taken."""

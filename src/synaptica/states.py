@@ -41,7 +41,6 @@ from .effect_algebras import FiniteEffectAlgebra
 from .exact import InfeasibilityCertificate, enumerate_box_vertices, integer_rank
 from .order_unit import (
     Element,
-    ExtendedLinearMap,
     FunctionSpace,
     extend_effect_morphism,
     in_unit_interval,
@@ -55,7 +54,6 @@ __all__ = [
     "state_polytope",
     "extremal_states",
     "simplex_vertices",
-    "FunctionalState",
     "restrict_state_to_effects",
     "extend_effects_valuation",
     "rho_omega_bijection",
@@ -289,18 +287,6 @@ def simplex_vertices(space: FunctionSpace) -> list[list[Fraction]]:
 # States <-> effect-interval morphisms
 
 
-class FunctionalState:
-    """State produced by linear extension of an effect valuation."""
-
-    def __init__(self, space, xi: ExtendedLinearMap):
-        self.space = space
-        self.xi = xi
-
-    def __call__(self, a: Element) -> float:
-        value = self.xi(a)
-        return float(value)
-
-
 def restrict_state_to_effects(space, rho):
     """The state rho restricted to the unit interval; rejects non-effects."""
 
@@ -312,9 +298,9 @@ def restrict_state_to_effects(space, rho):
     return omega
 
 
-def extend_effects_valuation(space, omega) -> FunctionalState:
-    xi = extend_effect_morphism(omega, space, target_unit=1.0)
-    return FunctionalState(space, xi)
+def extend_effects_valuation(space, omega) -> DensityState:
+    """The state extending the effect valuation omega, as its density."""
+    return density_from_functional(space, extend_effect_morphism(omega, space, 1.0))
 
 
 def rho_omega_bijection(space, x):
@@ -323,7 +309,7 @@ def rho_omega_bijection(space, x):
     State-like objects are restricted to the unit interval; a bare
     callable is taken as an effect valuation and extended to a state.
     """
-    if isinstance(x, (DensityState, FunctionalState)):
+    if isinstance(x, DensityState):
         return restrict_state_to_effects(space, x)
     if callable(x):
         return extend_effects_valuation(space, x)

@@ -1,7 +1,7 @@
 """Synaptic-algebra operations, written once against the space protocol.
 
 Each operation is one body over the primitives that both concrete
-instances define (eigh, assemble, projector, rank_tol, is_projection,
+instances define (eigh, assemble, projector, rank_tol, idempotent,
 commutant, projection_meet; see order_unit). The ambient associative
 product is ordinary matrix multiplication for SymmetricMatrixSpace and
 the pointwise product for FunctionSpace; its symmetric part is the
@@ -53,7 +53,6 @@ __all__ = [
     "spectrum",
     "is_invertible",
     "inverse",
-    "is_positive_element",
     "is_projection",
     "is_effect",
     "simple_form",
@@ -336,12 +335,8 @@ def inverse(a: Element) -> Element:
     return Element(a.space, a.space.assemble(frame, 1.0 / w))
 
 
-def is_positive_element(a: Element) -> bool:
-    return a.space.contains_positive(a)
-
-
 def is_projection(a: Element) -> bool:
-    return a.space.is_projection(a)
+    return bool(a.space.idempotent(a.payload))
 
 
 def is_effect(a: Element) -> bool:

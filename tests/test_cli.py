@@ -858,6 +858,12 @@ def test_verify_single_suite_and_unknown(capsys):
     assert run(capsys, "verify", "nonesuch")[0] == 2
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "order-unit", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed must be nonnegative" in captured.err
+
+
 def test_verify_pretty_lines(capsys):
     rc, out = run(capsys, "verify", "posets", "--pretty")
     assert rc == 0
@@ -876,6 +882,12 @@ def test_tolerance_env_is_reflected(tmp_path, capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["tolerance"] == 1e-2
     monkeypatch.setenv("SYNAPTICA_TOL", "not-a-number")
     assert run(capsys, "spectral", path)[0] == 2
+    # NaN or inf would pass every residual, a negative one would fail all
+    for raw in ("nan", "inf", "-inf", "-1"):
+        monkeypatch.setenv("SYNAPTICA_TOL", raw)
+        assert main(["spectral", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite and nonnegative" in captured.err
 
 
 # ---------------------------------------------------------------------------

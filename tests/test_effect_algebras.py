@@ -29,6 +29,7 @@ from synaptica.effect_algebras import (
     _normalize_table,
     EffectAlgebraError,
     FiniteEffectAlgebra,
+    FiniteMVAlgebra,
     check_ea_axioms,
     check_morphism,
     check_mv_axioms,
@@ -68,6 +69,17 @@ def test_mutations_fail_with_replayable_witnesses(name, ea):
         assert replay_witness(
             mutated, ea.zero, ea.one, v.violation.axiom, v.violation.witness
         ), f"{name}: witness {v.violation} does not replay on the mutated table"
+
+
+@pytest.mark.parametrize("name,ea", CORPUS[:5])
+def test_constructor_raises_the_violation_check_reports(name, ea):
+    for i, j, new, mutated in invalid_mutations(ea.table, ea.zero, ea.one, 20):
+        with pytest.raises(EffectAlgebraError) as raised:
+            FiniteEffectAlgebra(mutated, ea.zero, ea.one)
+        v = raised.value.violation
+        assert v == check_ea_axioms(mutated, ea.zero, ea.one).violation, (name, i, j, new)
+        assert str(raised.value) == str(v)
+        assert replay_witness(mutated, ea.zero, ea.one, v.axiom, v.witness)
 
 
 def test_some_mutations_are_valid_algebras():
@@ -402,6 +414,26 @@ def test_mv_scan_names_the_loops_first_violation(case):
     else:
         violation = v.violation
         assert (violation.axiom, violation.witness, violation.detail) == expected
+
+
+@pytest.mark.parametrize("mv", MV_SCAN_BASES)
+def test_mv_constructor_raises_the_violation_check_reports(mv):
+    # the first 20 single-entry mutations of the addition the loop oracle rejects
+    found = 0
+    for i, j, new, plus in single_entry_mutations(mv.plus_table):
+        expected = None if new is None else mv_first_violation(plus, mv.perp, mv.zero, mv.one)
+        if expected is None:
+            continue
+        with pytest.raises(EffectAlgebraError) as raised:
+            FiniteMVAlgebra(plus, mv.perp, mv.zero, mv.one)
+        v = raised.value.violation
+        assert v == check_mv_axioms(plus, mv.perp, mv.zero, mv.one).violation, (i, j, new)
+        assert str(raised.value) == str(v)
+        assert (v.axiom, v.witness, v.detail) == expected
+        found += 1
+        if found == 20:
+            break
+    assert found or mv.n == 1  # one element leaves nothing to mutate into
 
 
 @pytest.mark.parametrize("perp", [[5, 0], [1, 2], [-1, 0], [1], [1, 0, 0]])

@@ -565,6 +565,26 @@ def test_extension_of_a_raw_valuation():
     assert abs(xi(a) - mu(a)) <= 1e-9
 
 
+def test_extension_is_a_density_state_every_state_function_accepts():
+    matrices = SymmetricMatrixSpace(2)
+    rho = DensityState(matrices, [[0.75, 0.125], [0.125, 0.25]])
+    back = extend_effects_valuation(matrices, restrict_state_to_effects(matrices, rho))
+    assert isinstance(back, DensityState)
+    assert np.max(np.abs(back.density - rho.density)) <= 1e-12
+    assert is_state(matrices, back)
+    assert state_norm_report(matrices, back).identity_holds
+
+    points = FunctionSpace(("x", "y", "z"))
+    mu = DensityState(points, [0.5, 0.25, 0.25])
+    back = rho_omega_bijection(points, rho_omega_bijection(points, mu))
+    assert isinstance(back, DensityState)
+    assert np.max(np.abs(back.density - mu.density)) <= 1e-12
+    assert is_state(points, back)
+    assert state_norm_report(points, back).identity_holds
+    report = extremal_commutative_characterization(points, back)
+    assert report.all_equivalent and not report.is_vertex
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction of the representing data
 

@@ -57,7 +57,7 @@ def test_no_threshold_is_a_parameter():
 PROTOCOL = {"element", "payloads", "unit", "zero_element", "norm_of", "contains_positive",
             "in_cone", "product", "multiply", "commutes", "commuting", "basis",
             "random_element", "random_effect", "random_projection", "eigh", "assemble",
-            "projector", "rank_tol", "pairing", "is_projection", "idempotent", "commutant",
+            "projector", "rank_tol", "pairing", "idempotent", "commutant",
             "projection_meet", "is_density", "commutative"}
 
 
