@@ -7,12 +7,16 @@ switches to human-readable lines. Exit codes: 0 clean, 1 a structure
 violated its axioms or a check failed, 2 parse errors, unknown kinds,
 unknown labels, repeated element labels, or unknown suites, fields of
 the wrong type or shape, spectral elements whose analysis overflows
-the float range, a SYNAPTICA_TOL that is not a finite nonnegative
-number, and a negative --seed.
+the float range, states --extremal on more than 16 points, a
+SYNAPTICA_TOL that is not a finite nonnegative number, and a negative
+--seed.
 
 Each document kind has one builder, which parses the document and
 returns the library's verdict on it; check, states and spectral read
-each document they use through its builder.
+each document they use through its builder, at most once per file, so
+a state reuses its base's build and verdict. A command line of check,
+spectral or states with only switches and file names is read by a
+plain loop; any other goes to the argparse parser.
 
 SYNAPTICA_TOL overrides the tolerance used to flag residuals in
 reports; a spectral residual is judged against it times max(1, ||a||),
@@ -123,17 +127,44 @@ def _violation(v: eff.AxiomViolation, elements: list[str]) -> dict:
     }
 
 
+class _File:
+    """One input file: its path, its documents, and what was built from them.
+
+    A document is built at most once while its file is read, so a state
+    reuses its base's structure and verdict; the memo goes with the
+    file. A build that raises keeps nothing, and raises again if asked.
+    """
+
+    def __init__(self, path: str, docs: list[dict]):
+        self.path = path
+        self.docs = docs
+        self._built: dict[int, object] = {}
+
+    def build(self, doc: dict):
+        """What the builder of doc's kind returns on doc, one of this file's documents."""
+        key = id(doc)  # the documents live as long as the file
+        if key not in self._built:
+            self._built[key] = _BUILDERS[doc["kind"]](doc, self.path)
+        return self._built[key]
+
+    def find(self, label: str) -> dict:
+        for doc in self.docs:
+            if doc.get("label") == label:
+                return doc
+        raise CliError(2, f"{self.path}: no document labeled {label!r}")
+
+
 def _per_file(files: list[str], one):
-    """(path, results) file by file: one(doc, docs, path) per document, Nones dropped.
+    """(path, results) file by file: one(doc, file) per document, Nones dropped.
 
     A file is loaded only once the one before it has run, so the first
     unusable input in command-line order is the one reported. A
     document without a field its kind needs is unusable input.
     """
     for path in files:
-        docs = _load_documents(path)
+        file = _File(path, _load_documents(path))
         try:
-            results = [one(doc, docs, path) for doc in docs]
+            results = [one(doc, file) for doc in file.docs]
         except KeyError as exc:
             raise CliError(2, f"{path}: missing field {exc}")
         yield path, [r for r in results if r is not None]
@@ -153,62 +184,78 @@ def _elements(doc: dict, path: str) -> list[str]:
     return elements
 
 
-def _resolver(elements: list[str], path: str):
-    """The index of an element reference: a label, or an index in range."""
-    by_label = {x: i for i, x in enumerate(elements)}
+class _Resolver:
+    """The index of an element reference: a label, or an index in range.
 
-    def index(x) -> int:
+    Called on one reference, it checks that reference alone; rows
+    resolves whole rows of them.
+    """
+
+    def __init__(self, elements: list[str], path: str):
+        self.by_label = {x: i for i, x in enumerate(elements)}
+        self.n = len(elements)
+        self.path = path
+
+    def __call__(self, x) -> int:
         if isinstance(x, bool):
-            raise CliError(2, f"{path}: bad element reference: {x!r}")
+            raise CliError(2, f"{self.path}: bad element reference: {x!r}")
         if isinstance(x, int):
-            if not 0 <= x < len(elements):
-                raise CliError(2, f"{path}: element index out of range: {x}")
+            if not 0 <= x < self.n:
+                raise CliError(2, f"{self.path}: element index out of range: {x}")
             return x
         try:
-            return by_label[x]
+            return self.by_label[x]
         except (KeyError, TypeError):  # an unknown label, or an unhashable one
-            raise CliError(2, f"{path}: unknown element label: {x!r}") from None
+            raise CliError(2, f"{self.path}: unknown element label: {x!r}") from None
 
-    return index
+    def rows(self, rows, field: str, width: int) -> list[list[int]]:
+        """rows, a list of lists of width element references, as lists of indices.
+
+        Rows of labels resolve by dict lookups alone. The labels are
+        strings, so an index, a bool or an unhashable entry misses the
+        dict, and then every row goes entry by entry through the
+        one-reference check, which accepts the indices and names the
+        first bad reference.
+        """
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == width for r in rows
+        ):
+            raise CliError(2, f"{self.path}: {field} must be a list of {width}-element lists")
+        lookup = self.by_label.__getitem__
+        try:
+            return [list(map(lookup, r)) for r in rows]
+        except (KeyError, TypeError):
+            return [[self(x) for x in r] for r in rows]
 
 
-def _refs(rows, field: str, index, path: str, width: int) -> list[list[int]]:
-    """rows, a list of lists of width element references, as lists of indices."""
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and len(r) == width for r in rows
-    ):
-        raise CliError(2, f"{path}: {field} must be a list of {width}-element lists")
-    return [[index(x) for x in r] for r in rows]
-
-
-def _perp(doc: dict, index, n: int, path: str) -> list:
-    perp = [None] * n
-    for a, b in _refs(doc["perp"], "perp", index, path, 2):
+def _perp(doc: dict, index: _Resolver) -> list:
+    perp = [None] * index.n
+    for a, b in index.rows(doc["perp"], "perp", 2):
         perp[a] = b
     if any(p is None for p in perp):
-        raise CliError(2, f"{path}: perp does not cover every element")
+        raise CliError(2, f"{index.path}: perp does not cover every element")
     return perp
 
 
 def _build_poset(doc: dict, path: str) -> po.FinitePoset:
     elements = _elements(doc, path)
-    pairs = _refs(doc.get("leq", []), "leq", _resolver(elements, path), path, 2)
+    pairs = _Resolver(elements, path).rows(doc.get("leq", []), "leq", 2)
     return po.FinitePoset.from_pairs(elements, pairs)
 
 
 def _build_ortholattice(doc: dict, path: str) -> po.BoundedOrtholattice:
     base = _build_poset(doc, path)
-    index = _resolver(doc["elements"], path)
-    perp = _perp(doc, index, base.n, path)
+    index = _Resolver(doc["elements"], path)
+    perp = _perp(doc, index)
     return po.BoundedOrtholattice(base, index(doc["zero"]), index(doc["one"]), perp)
 
 
 def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.Validation, list[str]]:
     elements = _elements(doc, path)
-    index = _resolver(elements, path)
+    index = _Resolver(elements, path)
     n = len(elements)
     table = [[None] * n for _ in range(n)]
-    for e, f, g in _refs(doc["osum"], "osum", index, path, 3):
+    for e, f, g in index.rows(doc["osum"], "osum", 3):
         table[e][f] = g
     zero, one = index(doc["zero"]), index(doc["one"])
     return eff.check_ea_axioms(table, zero, one, elements), elements
@@ -216,12 +263,12 @@ def _build_effect_algebra(doc: dict, path: str) -> tuple[eff.Validation, list[st
 
 def _build_mv_algebra(doc: dict, path: str) -> tuple[eff.Validation, list[str]]:
     elements = _elements(doc, path)
-    index = _resolver(elements, path)
+    index = _Resolver(elements, path)
     n = len(elements)
-    plus = _refs(doc["plus"], "plus", index, path, n)
+    plus = index.rows(doc["plus"], "plus", n)
     if len(plus) != n:
         raise CliError(2, f"{path}: plus must have one row per element, got {len(plus)}")
-    perp = _perp(doc, index, n, path)
+    perp = _perp(doc, index)
     zero = index(doc["zero"])
     return eff.check_mv_axioms(plus, perp, zero, perp[zero], elements), elements
 
@@ -258,13 +305,6 @@ def _build_function_algebra(doc: dict, path: str):
     return space, values
 
 
-def _find_doc(docs: list[dict], label: str, path: str) -> dict:
-    for doc in docs:
-        if doc.get("label") == label:
-            return doc
-    raise CliError(2, f"{path}: no document labeled {label!r}")
-
-
 def _state_body(doc: dict, field: str, path: str, size: int, parse) -> list:
     """The state's field parsed entry by entry; unusable unless it has size entries."""
     body = doc[field]
@@ -276,40 +316,52 @@ def _state_body(doc: dict, field: str, path: str, size: int, parse) -> list:
     return values
 
 
-def _build_state(doc: dict, docs: list[dict], path: str):
+def _build_state(doc: dict, file: _File):
     """(structure, candidate, the detail reported if it is no state).
 
     The kind of the base document decides the rest: over an effect
     algebra a "table" of exact or float values, one per element; over
     Sym(n) a "density" of n * n floats; over R^X a "vector" of floats,
-    one per point. A base effect algebra that fails its axioms raises
-    EffectAlgebraError.
+    one per point. The base is the file's build of it. A base effect
+    algebra that fails its axioms raises EffectAlgebraError.
     """
-    over = _find_doc(docs, doc["over"], path)
+    path = file.path
+    over = file.find(doc["over"])
     if over["kind"] == "effect_algebra":
-        checked, _ = _build_effect_algebra(over, path)
+        checked, _ = file.build(over)
         if not checked.ok:
             raise eff.EffectAlgebraError(str(checked.violation))
         ea = checked.structure
         table = _state_body(doc, "table", path, ea.n, _as_number)
         return ea, table, "not additive, not normalized, or out of [0,1]"
     if over["kind"] == "sym_matrix":
-        space, _ = _build_sym_matrix(over, path)
+        space, _ = file.build(over)
         n = space.n
         density = np.array(_state_body(doc, "density", path, n * n, _as_float)).reshape(n, n)
         return space, density, "density is not symmetric PSD with unit trace"
     if over["kind"] == "function_algebra":
-        space, _ = _build_function_algebra(over, path)
+        space, _ = file.build(over)
         vector = np.array(_state_body(doc, "vector", path, space.dimension, _as_float))
         return space, vector, "weights are not a probability vector"
     raise CliError(2, f"{path}: states over {over['kind']} are not defined")
+
+
+# the builder of each kind but state, whose base decides how it is built
+_BUILDERS = {
+    "poset": _build_poset,
+    "ortholattice": _build_ortholattice,
+    "effect_algebra": _build_effect_algebra,
+    "mv_algebra": _build_mv_algebra,
+    "sym_matrix": _build_sym_matrix,
+    "function_algebra": _build_function_algebra,
+}
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def _check_one(doc: dict, docs: list[dict], path: str, tol: float):
+def _check_one(doc: dict, file: _File, tol: float):
     """The check report on one document, and for a state the
     (structure, candidate, detail) it was judged by; None otherwise.
 
@@ -322,26 +374,25 @@ def _check_one(doc: dict, docs: list[dict], path: str, tol: float):
     state = None
     try:
         if kind == "poset":
-            _build_poset(doc, path)
+            file.build(doc)
         elif kind == "ortholattice":
-            flags = po.classify(_build_ortholattice(doc, path))
+            flags = po.classify(file.build(doc))
             names = ("is_lattice", "is_distributive", "is_boolean", "is_oml")
             report["classification"] = {name: getattr(flags, name) for name in names}
         elif kind in ("effect_algebra", "mv_algebra"):
-            build = _build_effect_algebra if kind == "effect_algebra" else _build_mv_algebra
-            checked, elements = build(doc, path)
+            checked, elements = file.build(doc)
             if not checked.ok:
                 violations.append(_violation(checked.violation, elements))
         elif kind == "sym_matrix":
-            _, m = _build_sym_matrix(doc, path)
+            _, m = file.build(doc)
             _, asym = symmetrised(m)  # the entries are finite, so is asym
             if asym > ASYMMETRY_TOL:
                 detail = f"asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:g}"
                 violations.append({"axiom": "symmetry", "witness": [], "detail": detail})
         elif kind == "function_algebra":
-            _build_function_algebra(doc, path)
+            file.build(doc)
         else:
-            state = structure, candidate, detail = _build_state(doc, docs, path)
+            state = structure, candidate, detail = _build_state(doc, file)
             if not stt.is_state(structure, candidate, tol=tol):
                 violations.append({"axiom": "state", "witness": [], "detail": detail})
     except ValueError as exc:  # StructureError and EffectAlgebraError included
@@ -355,11 +406,11 @@ def cmd_check(args) -> int:
     if args.kind and args.kind not in KINDS:
         raise CliError(2, f"unknown kind: {args.kind!r}")
 
-    def one(doc, docs, path):
+    def one(doc, file):
         # narrow what gets reported, not what labels resolve against:
         # a state kept by the filter may refer to a document dropped by it
         if not args.kind or doc["kind"] == args.kind:
-            return _check_one(doc, docs, path, tol)[0]
+            return _check_one(doc, file, tol)[0]
 
     files_out = [
         {"path": path, "documents": reports} for path, reports in _per_file(args.files, one)
@@ -444,16 +495,16 @@ def _spectral_report(name: str, a: Element, tol: float) -> dict:
     }
 
 
-def _spectral_elements(doc: dict, docs: list[dict], path: str) -> list[tuple[str, Element]]:
+def _spectral_elements(doc: dict, file: _File) -> list[tuple[str, Element]]:
     """The labeled elements a document offers to spectral: none, one matrix, or its values."""
     if doc["kind"] == "sym_matrix":
-        space, m = _build_sym_matrix(doc, path)
+        space, m = file.build(doc)
         try:
             return [(doc.get("label", ""), space.element(m))]
         except ValueError as exc:  # asymmetric entries
-            raise CliError(2, f"{path}: {exc}")
+            raise CliError(2, f"{file.path}: {exc}")
     if doc["kind"] == "function_algebra":
-        return list(_build_function_algebra(doc, path)[1].items())
+        return list(file.build(doc)[1].items())
     return []
 
 
@@ -505,7 +556,14 @@ def _extremality(ch: stt.CommutativeExtremalReport) -> dict:
     return {name: getattr(ch, name) for name in _EXTREMALITY}
 
 
-def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bool):
+def _check_extremal_limit(space: FunctionSpace, path: str) -> None:
+    """Unusable input: more points than an extremality report scans."""
+    if space.dimension > stt.EXTREMAL_POINTS:
+        raise CliError(2, f"{path}: --extremal takes at most {stt.EXTREMAL_POINTS} points, "
+                          f"got {space.dimension}")
+
+
+def _states_one(doc: dict, file: _File, tol: float, extremal: bool):
     """Report for one document, or None for kinds without a state space.
 
     An effect algebra that fails its axioms has no state space; its
@@ -515,7 +573,7 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
     kind = doc["kind"]
     rep = {"label": doc.get("label", ""), "kind": kind}
     if kind == "effect_algebra":
-        checked, elements = _build_effect_algebra(doc, path)
+        checked, elements = file.build(doc)
         rep["n_elements"] = len(elements)
         if not checked.ok:
             rep["violations"] = [_violation(checked.violation, elements)]
@@ -533,31 +591,32 @@ def _states_one(doc: dict, docs: list[dict], path: str, tol: float, extremal: bo
             rep["vertices"] = [[str(v) for v in s.values] for s in poly.vertices]
         return rep
     if kind == "function_algebra":
-        space, _ = _build_function_algebra(doc, path)
+        space, _ = file.build(doc)
+        if extremal:
+            _check_extremal_limit(space, file.path)
         verts = stt.simplex_vertices(space)
         rep["points"] = list(space.points)
         rep["dimension"] = space.dimension - 1
         rep["n_vertices"] = len(verts)
         if extremal:
-            # one stacked characterization for all the vertices
-            found = stt._extremal_reports(space, np.array(verts, dtype=float))
+            # one stacked characterization for all the vertices, as floats
+            found = stt._extremal_reports(space, stt._simplex_constants(space.dimension)[0])
             rep["vertices"] = [{"weights": [str(x) for x in v], **_extremality(ch)}
                                for v, ch in zip(verts, found)]
         return rep
     if kind == "state":
-        verdict, state = _check_one(doc, docs, path, tol)
+        verdict, state = _check_one(doc, file, tol)
         rep["over"] = doc["over"]
         rep["is_state"] = verdict["valid"]
         # only states on R^X have an extremality characterization to report
-        over = _find_doc(docs, doc["over"], path)
+        over = file.find(doc["over"])
         if extremal and verdict["valid"] and over["kind"] == "function_algebra":
             space, mu, _ = state
+            _check_extremal_limit(space, file.path)
             rep.update(_extremality(stt.extremal_commutative_characterization(space, mu)))
         return rep
-    build = {"poset": _build_poset, "ortholattice": _build_ortholattice,
-             "mv_algebra": _build_mv_algebra, "sym_matrix": _build_sym_matrix}[kind]
     try:
-        build(doc, path)
+        file.build(doc)
     except ValueError:  # a structure the library rejects: check's verdict, not reported here
         pass
     return None
@@ -708,8 +767,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# per command that _plain_args reads: its option taking a value (None
+# when absent), its switches, and the function it runs
+_PLAIN = {
+    "check": ("kind", ("pretty",), cmd_check),
+    "spectral": ("element", ("pretty",), cmd_spectral),
+    "states": (None, ("extremal", "pretty"), cmd_states),
+}
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """argv's namespace, as the parser gives it, if argv has the plain form; else None.
+
+    The plain form is check, spectral or states, then that command's
+    switches, each spelled out in full, and one or more file names,
+    with the switches before or after the files. Everything else (verify,
+    an option that takes a value, -h, -, --, an abbreviation, a usage
+    error) is left to the parser.
+    """
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    valued, switches, func = _PLAIN[argv[0]]
+    on = dict.fromkeys(switches, False)
+    files, trailing = [], False
+    for arg in argv[1:]:
+        if arg[:2] == "--" and arg[2:] in on:
+            on[arg[2:]] = True
+            trailing = bool(files)
+        elif arg[:1] == "-" or trailing:
+            return None
+        else:
+            files.append(arg)
+    if not files:
+        return None
+    args = argparse.Namespace(command=argv[0], files=files)
+    if valued:
+        setattr(args, valued, None)
+    for name in switches:
+        setattr(args, name, on[name])
+    args.func = func
+    return args
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace: the plain form read by _plain_args, the rest by the parser."""
+    args = _plain_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except CliError as exc:

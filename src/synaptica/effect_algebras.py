@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -80,8 +81,24 @@ class Validation:
 
 
 def _normalize_table(table, n: int):
+    """The table as a tuple of n row tuples of int indices or None.
+
+    A table of n list or tuple rows of n entries, each an int in range
+    or None, is taken as it is; any other table goes entry by entry
+    through int() and a range check, which raises the first bad entry's
+    error in row order.
+    """
     if len(table) != n:
         raise StructureError("table must have one row per element")
+    if set(map(type, table)) <= {list, tuple} and set(map(len, table)) <= {n}:
+        rows = tuple(map(tuple, table))
+        entries = list(chain.from_iterable(rows))
+        # the types of every entry: a set of values would let True pass as 1
+        if set(map(type, entries)) <= {int, type(None)}:
+            indices = set(entries)
+            indices.discard(None)
+            if not indices or (min(indices) >= 0 and max(indices) < n):
+                return rows
 
     def entry(v):
         if v is None:

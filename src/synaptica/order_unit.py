@@ -68,6 +68,7 @@ methods by reading them out of each class's own namespace.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -343,15 +344,28 @@ class SymmetricMatrixSpace:
         if np.linalg.eigvalsh(sym).min() < -tol:
             return False
         # positivity through the functional, on sampled squares
-        rng = np.random.default_rng(99)
-        for _ in range(4):
-            b = self.random_element(rng)
-            if self.pairing(d, b.payload @ b.payload) < -tol:
-                return False
-        return True
+        return not any(self.pairing(d, sq) < -tol for sq in _sampled_squares(self.n))
 
     def __repr__(self) -> str:
         return f"SymmetricMatrixSpace({self.n})"
+
+
+@lru_cache(maxsize=None)
+def _sampled_squares(n: int) -> tuple[np.ndarray, ...]:
+    """The four squares b b that the matrix is_density pairs a density with.
+
+    Each b is random_element's draw, the four in turn from one
+    default_rng(99); drawn once per n on first use, read-only.
+    """
+    space = SymmetricMatrixSpace(n)
+    rng = np.random.default_rng(99)
+    squares = []
+    for _ in range(4):
+        b = space.random_element(rng).payload
+        square = b @ b
+        square.flags.writeable = False
+        squares.append(square)
+    return tuple(squares)
 
 
 class FunctionSpace:

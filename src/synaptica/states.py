@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 STATE_TOL = 1e-9  # is_state's default, and the tolerance of every report here
+EXTREMAL_POINTS = 16  # the most points an extremality report takes: it scans every subset
 
 
 class EffectAlgebraState:
@@ -462,7 +463,7 @@ def _extremal_reports(space, weights: np.ndarray) -> list[CommutativeExtremalRep
             and np.all(space.is_density(weights, STATE_TOL))):
         raise ValueError("not a state on the function algebra")
     k = space.dimension
-    if k > 16:
+    if k > EXTREMAL_POINTS:
         raise ValueError("projection scan is exhaustive; keep the point set small")
 
     tol = STATE_TOL

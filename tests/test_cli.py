@@ -1,14 +1,19 @@
 """Exit codes and report payloads of the command-line front end.
 
-Everything runs through main(argv) in-process; stdout is JSON unless
---pretty, so reports are parsed back and compared structurally. The
-exit-code contract: 0 clean, 1 violations, 2 unusable input.
+Everything but the module entry point runs through main(argv)
+in-process; stdout is JSON unless --pretty, so reports are parsed back
+and compared structurally. The exit-code contract: 0 clean, 1
+violations, 2 unusable input.
 """
 
 import copy
 import dataclasses
+import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import rounded_by_entries
+from per_call_paths import is_density_by_fresh_draws, refs_by_entries
 from synaptica.catalog import mo2_effect_algebra
 from synaptica import cli
+from synaptica import effect_algebras as eff
+from synaptica import order_unit
 from synaptica.cli import main
 from synaptica.exact import InfeasibilityCertificate
 from synaptica import states as stt
@@ -587,6 +595,29 @@ def test_states_extremal_characterizes_each_function_algebra_once(tmp_path, caps
     assert all(v["is_vertex"] and v["min_rule_holds"] for r in found for v in r["vertices"])
 
 
+POINTS_17 = {"kind": "function_algebra", "label": "F", "points": [f"p{i}" for i in range(17)]}
+
+
+@pytest.mark.parametrize("docs", [
+    [POINTS_17],
+    # the state comes first, so it meets the limit before its base does
+    [{"kind": "state", "over": "F", "vector": [1 / 17] * 17}, POINTS_17],
+])
+def test_states_extremal_past_sixteen_points_exits_two_at_once(tmp_path, capsys, monkeypatch,
+                                                               docs):
+    # the limit is read before the simplex, which would take minutes at 17 points
+    def no_enumeration(k):
+        raise AssertionError(f"enumerated the {k}-point simplex")
+
+    monkeypatch.setattr(stt, "_simplex_vertex_data", no_enumeration)
+    path = write_json(tmp_path, "f.json", docs)
+    rc = main(["states", "--extremal", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"synaptica: {path}: --extremal takes at most 16 points, got 17\n"
+    assert main(["check", path]) == 0  # a fine document, only too large to scan
+
+
 def test_states_missing_field_exits_two(tmp_path, capsys):
     doc = {"kind": "effect_algebra", "label": "e", "elements": ["0", "1"],
            "zero": "0", "one": "1"}
@@ -916,3 +947,191 @@ def test_usage_error_then_a_valid_call(tmp_path, capsys):
     path = write_json(tmp_path, "m.json", sym2(entries=[1.0, 0.0, 0.0, -2.0]))
     rc, out = run(capsys, "spectral", path, "--element", "m")
     assert rc == 0 and json.loads(out)["elements"][0]["spectrum"] == [-2.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# each per-call cost paid once: the plain argv loop, one build per document,
+# references in bulk, density samples drawn once
+
+
+def _argv_cases():
+    """Each command with every subset and order of its switches, spread over
+    1-3 files in every interleaving, then options with values, -h, --, -, an
+    abbreviation, unknown flags and missing file lists."""
+    switches = {"check": ["--pretty"], "spectral": ["--pretty"],
+                "states": ["--extremal", "--pretty"], "verify": ["--pretty"]}
+    cases = [[], ["bogus"], ["-h"], ["--pretty"], ["check.json"]]
+    for command, flags in switches.items():
+        cases += [[command], [command, *flags]]
+        for k in range(len(flags) + 1):
+            for chosen in itertools.permutations(flags, k):
+                for n in (1, 2, 3):
+                    for slots in itertools.combinations(range(k + n), k):
+                        files, picked = iter(f"f{i}.json" for i in range(n)), iter(chosen)
+                        cases.append([command] + [next(picked) if i in slots else next(files)
+                                                  for i in range(k + n)])
+        base = [command, "--pretty", "a.json", "b.json"]
+        for extra in (["-h"], ["--kind", "X"], ["--element", "X"], ["--ext"], ["--pre"],
+                      ["--"], ["-"], ["--bogus"], ["--pretty=1"], ["--kind=X"], ["-x"],
+                      ["--seed", "3"], ["-1"], [""]):
+            for at in (1, 2, 3, 4):
+                cases.append(base[:at] + extra + base[at:])
+    return cases
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        got = ("namespace", vars(parse(argv)))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return got, captured.out, captured.err
+
+
+PLAIN_SWITCHES = {"check": {"--pretty"}, "spectral": {"--pretty"},
+                  "states": {"--extremal", "--pretty"}}
+
+
+def test_plain_argv_loop_parses_as_the_parser_does(capsys):
+    plain = 0
+    for argv in _argv_cases():
+        expected = _parsed(cli._build_parser().parse_args, list(argv), capsys)
+        assert _parsed(cli._parse_args, list(argv), capsys) == expected, argv
+        if expected[0][0] == "exit" and expected[0][1] == 2:
+            assert "usage" in expected[2], argv
+        # the loop reads every command line of switches and file names that
+        # the parser accepts, and leaves the rest to it
+        read = cli._plain_args(list(argv)) is not None
+        switches = PLAIN_SWITCHES.get(argv[0] if argv else None)
+        if switches is not None and all(a in switches or a.startswith("f") for a in argv[1:]):
+            assert read == (expected[0][0] == "namespace"), argv
+            plain += read
+    assert plain > 50
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
+    docs = [CHAIN_EA, {"kind": "state", "over": "halves", "table": ["0", "1/2", "1"]},
+            {"kind": "state", "over": "halves", "table": ["0", "1/3", "1"]},
+            {"kind": "function_algebra", "label": "F", "points": ["x", "y"]}]
+    path = write_json(tmp_path, "docs.json", docs)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("SYNAPTICA_TOL", None)
+    for argv in (["check", path], ["states", "--extremal", path]):
+        proc = subprocess.run([sys.executable, "-m", "synaptica", *argv],
+                              capture_output=True, text=True, env=env)
+        rc, out = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (rc, out) and out, argv
+    assert rc == 0 and run(capsys, "check", path)[0] == 1  # the 1/3 state is no state
+
+
+def _count_ea_builds(monkeypatch) -> list:
+    built = []
+    real = eff.FiniteEffectAlgebra.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(eff.FiniteEffectAlgebra, "__init__", counting)
+    return built
+
+
+def test_states_reuse_their_bases_build_within_a_file(tmp_path, capsys, monkeypatch):
+    built = _count_ea_builds(monkeypatch)
+    tables = (["0", "1/2", "1"], ["0", "1/4", "1"], ["0", "0.5", "1"])
+    # a state before its base, too: either order builds the base once
+    docs = [{"kind": "state", "over": "halves", "table": tables[0]}, CHAIN_EA] + [
+        {"kind": "state", "over": "halves", "table": t} for t in tables[1:]]
+    path = write_json(tmp_path, "e.json", docs)
+    for command, code in (("check", 1), ("states", 0)):  # 1/4 + 1/4 != 1
+        built.clear()
+        rc, out = run(capsys, command, path)
+        assert rc == code and len(built) == 1, command
+    # the memo goes with the file: the same base in a second file is built again
+    other = write_json(tmp_path, "f.json", docs)
+    built.clear()
+    assert run(capsys, "check", path, other)[0] == 1 and len(built) == 2
+
+
+def test_states_over_a_failing_base_reuse_its_verdict(tmp_path, capsys, monkeypatch):
+    built = _count_ea_builds(monkeypatch)
+    broken = copy.deepcopy(CHAIN_EA)
+    broken["osum"][-1] = ["h", "h", "h"]  # h + h = h: no orthosupplement for h
+    docs = [broken] + [{"kind": "state", "over": "halves", "table": ["0", "1/2", "1"]}] * 2
+    path = write_json(tmp_path, "e.json", docs)
+    rc, out = run(capsys, "check", path)
+    reports = json.loads(out)["files"][0]["documents"]
+    assert rc == 1 and len(built) == 1
+    violations = [r["violations"] for r in reports]
+    assert violations[0][0]["axiom"] == "orthosupplement"
+    assert violations[1] == violations[2] == [{
+        "axiom": "structure", "witness": [],
+        "detail": "orthosupplement fails at (1,): no orthosupplement"}]
+
+
+def test_density_samples_are_drawn_once_per_dimension(tmp_path, capsys, monkeypatch):
+    real = np.random.default_rng
+    rng = real(5)
+    densities = []
+    for i in range(50):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        w = rng.dirichlet(np.ones(3))
+        if i % 3 == 0:  # an eigenvalue just inside -tol: the samples are paired
+            w = np.array([-0.9e-9, w[1], 1.0 + 0.9e-9 - w[1]])
+        if i % 5 == 0:  # a trace off by more than tol: no state
+            w = w * (1.0 + 1e-6)
+        d = (q * w) @ q.T
+        densities.append((d + d.T) / 2)
+    docs = [{"kind": "sym_matrix", "label": "S", "n": 3, "entries": np.eye(3).ravel().tolist()}]
+    docs += [{"kind": "state", "over": "S", "density": d.ravel().tolist()} for d in densities]
+    path = write_json(tmp_path, "s.json", docs)
+
+    order_unit._sampled_squares.cache_clear()
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: draws.append(seed) or real(seed))
+    rc, out = run(capsys, "check", path)
+    assert draws == [99]
+    monkeypatch.undo()
+    verdicts = [r["valid"] for r in json.loads(out)["files"][0]["documents"][1:]]
+    read_back = [np.array(doc["density"]).reshape(3, 3) for doc in docs[1:]]
+    assert verdicts == [is_density_by_fresh_draws(d, 1e-9) for d in read_back]
+    assert rc == 1 and verdicts.count(False) == 10
+
+
+ELEMENTS = ["0", "a", "b", "1"]
+REFERENCES = ELEMENTS + ["c", "", 0, 3, 4, -1, True, False, np.int64(1), 1.0, 2.5, None,
+                         [1], {"a": 1}]
+
+
+@st.composite
+def reference_rows(draw):
+    """Rows of labels, the bulk path's input, now and then with one other
+    entry, a row of the wrong width, or no list at all."""
+    width = draw(st.sampled_from([2, 3]))
+    rows = [[draw(st.sampled_from(ELEMENTS)) for _ in range(width)]
+            for _ in range(draw(st.integers(0, 6)))]
+    change = draw(st.integers(0, 9))
+    if rows and change < 5:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, width - 1))] = draw(st.sampled_from(REFERENCES))
+    elif rows and change == 5:
+        rows[-1].append("0")
+    elif change == 6:
+        rows = draw(st.sampled_from([None, "0a", {"a": 1}, (("0", "a"),), [("0", "a")]]))
+    return rows, width
+
+
+@given(reference_rows())
+@settings(max_examples=400, deadline=None)
+def test_bulk_references_match_the_per_entry_reading(case):
+    rows, width = case
+    expected = refs_by_entries(rows, "osum", ELEMENTS, width)
+    try:
+        got = cli._Resolver(ELEMENTS, "f.json").rows(rows, "osum", width)
+    except cli.CliError as exc:
+        assert exc.code == 2
+        got = ("error", str(exc).removeprefix("f.json: "))
+    assert got == expected
+    if isinstance(got, list):
+        assert all(type(i) is int for row in got for i in row)

@@ -375,16 +375,51 @@ def raw_tables(draw):
     widths = st.sampled_from([n] * 6 + [n - 1, n + 1])
     rows = [[draw(st.sampled_from(ENTRIES)) for _ in range(max(0, draw(widths)))]
             for _ in range(draw(st.sampled_from([n] * 6 + [n + 1])))]
-    return rows, n
+    return lambda: rows, n
 
 
-@given(raw_tables())
-@settings(max_examples=400, deadline=None)
+# entries a table of int indices may be spoiled by: each is read through
+# int() and a range check, one entry at a time
+SPOILERS = [True, False, np.int64(1), 1.0, 2.5, -1, 4, 9, "1", "x", [1], float("nan")]
+
+
+@st.composite
+def index_tables(draw):
+    """Tables of int indices and None, the input taken as it is, as list or
+    tuple rows; now and then one entry spoiled, one row too short, of
+    another type or an iterator, or one row too many.
+    """
+    n = draw(st.integers(0, 4))
+    rows = [[draw(st.sampled_from([None, *range(n)])) for _ in range(n)] for _ in range(n)]
+    change = draw(st.integers(0, 9))
+    last = None
+    if n and change < 5:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from(SPOILERS))
+    elif n and change == 5:
+        last = draw(st.sampled_from([lambda r: r[:-1], lambda r: np.array(r, dtype=object),
+                                     iter, lambda r: "0" * len(r)]))
+    elif change == 6:
+        rows.append([0] * n)
+    as_rows = tuple if draw(st.booleans()) else list
+
+    def make():
+        table = [as_rows(r) for r in rows]
+        if last is not None:
+            table[-1] = last(rows[-1])
+        return table
+
+    return make, n
+
+
+@given(raw_tables() | index_tables())
+@settings(max_examples=800, deadline=None)
 def test_normalize_table_matches_the_two_pass_reading(case):
-    table, n = case
-    expected = normalized_table_by_entries(table, n)
+    # a table is made twice, so that an iterator row can be read twice
+    make, n = case
+    expected = normalized_table_by_entries(make(), n)
     try:
-        got = _normalize_table(table, n)
+        got = _normalize_table(make(), n)
     except (TypeError, ValueError) as exc:
         got = (type(exc).__name__, str(exc))
     assert got == expected
