@@ -7,9 +7,10 @@ switches to human-readable lines. Exit codes: 0 clean, 1 a structure
 violated its axioms or a check failed, 2 parse errors, unknown kinds,
 unknown labels, repeated element labels, or unknown suites, fields of
 the wrong type or shape, spectral elements whose analysis overflows
-the float range, states --extremal on more than 16 points, a
-SYNAPTICA_TOL that is not a finite nonnegative number, and a negative
---seed.
+the float range, states on a function algebra of more than 16 points,
+states --extremal on a state over one or on a state that only a
+loosened SYNAPTICA_TOL accepts, a SYNAPTICA_TOL that is not a finite
+nonnegative number, and a negative --seed.
 
 Each document kind has one builder, which parses the document and
 returns the library's verdict on it; check, states and spectral read
@@ -556,13 +557,6 @@ def _extremality(ch: stt.CommutativeExtremalReport) -> dict:
     return {name: getattr(ch, name) for name in _EXTREMALITY}
 
 
-def _check_extremal_limit(space: FunctionSpace, path: str) -> None:
-    """Unusable input: more points than an extremality report scans."""
-    if space.dimension > stt.EXTREMAL_POINTS:
-        raise CliError(2, f"{path}: --extremal takes at most {stt.EXTREMAL_POINTS} points, "
-                          f"got {space.dimension}")
-
-
 def _states_one(doc: dict, file: _File, tol: float, extremal: bool):
     """Report for one document, or None for kinds without a state space.
 
@@ -592,15 +586,15 @@ def _states_one(doc: dict, file: _File, tol: float, extremal: bool):
         return rep
     if kind == "function_algebra":
         space, _ = file.build(doc)
-        if extremal:
-            _check_extremal_limit(space, file.path)
-        verts = stt.simplex_vertices(space)
+        try:
+            verts = stt.simplex_vertices(space)
+            found = stt.simplex_vertex_reports(space) if extremal else None
+        except ValueError as exc:  # more points than the simplex takes
+            raise CliError(2, f"{file.path}: {exc}")
         rep["points"] = list(space.points)
         rep["dimension"] = space.dimension - 1
         rep["n_vertices"] = len(verts)
         if extremal:
-            # one stacked characterization for all the vertices, as floats
-            found = stt._extremal_reports(space, stt._simplex_constants(space.dimension)[0])
             rep["vertices"] = [{"weights": [str(x) for x in v], **_extremality(ch)}
                                for v, ch in zip(verts, found)]
         return rep
@@ -612,8 +606,11 @@ def _states_one(doc: dict, file: _File, tol: float, extremal: bool):
         over = file.find(doc["over"])
         if extremal and verdict["valid"] and over["kind"] == "function_algebra":
             space, mu, _ = state
-            _check_extremal_limit(space, file.path)
-            rep.update(_extremality(stt.extremal_commutative_characterization(space, mu)))
+            try:
+                ch = stt.extremal_commutative_characterization(space, mu)
+            except ValueError as exc:  # too many points, or no state at the library's tolerance
+                raise CliError(2, f"{file.path}: {exc}")
+            rep.update(_extremality(ch))
         return rep
     try:
         file.build(doc)

@@ -267,8 +267,8 @@ class SymmetricMatrixSpace:
                 out.append(Element(self, m))
         return out
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> Element:
-        m = rng.standard_normal((self.n, self.n)) * scale
+    def random_element(self, rng: np.random.Generator) -> Element:
+        m = rng.standard_normal((self.n, self.n))
         return Element(self, (m + m.T) / 2.0)
 
     def random_effect(self, rng: np.random.Generator) -> Element:
@@ -433,8 +433,8 @@ class FunctionSpace:
     def basis(self) -> list[Element]:
         return [self.indicator([i]) for i in range(self.dimension)]
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> Element:
-        return Element(self, rng.uniform(-scale, scale, self.dimension))
+    def random_element(self, rng: np.random.Generator) -> Element:
+        return Element(self, rng.uniform(-1.0, 1.0, self.dimension))
 
     def random_effect(self, rng: np.random.Generator) -> Element:
         return Element(self, rng.uniform(0.0, 1.0, self.dimension))

@@ -22,9 +22,10 @@ on all k^2 products of point indicators, on the 2^k x k matrix of
 subset indicators, and on the minima of indicator pairs against the
 minima of their values; the min-rule's witness is the first failing
 pair of distinct points in row-major order. The report on one state is
-the one-row case, and `states --extremal` takes all the simplex
+the one-row case, and simplex_vertex_reports takes all the simplex
 vertices of a function algebra in one stack; the constant arrays of
-each k are built once.
+each k are built once. The simplex, and with it every report, takes at
+most EXTREMAL_POINTS points.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ __all__ = [
     "state_norm_report",
     "CommutativeExtremalReport",
     "extremal_commutative_characterization",
+    "simplex_vertex_reports",
 ]
 
 STATE_TOL = 1e-9  # is_state's default, and the tolerance of every report here
-EXTREMAL_POINTS = 16  # the most points an extremality report takes: it scans every subset
+EXTREMAL_POINTS = 16  # the most points the simplex takes: its reports scan every subset
 
 
 class EffectAlgebraState:
@@ -271,6 +273,10 @@ def extremal_states(arg) -> list[EffectAlgebraState]:
 
 @lru_cache(maxsize=None)
 def _simplex_vertex_data(k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact vertices of the k-point simplex; past EXTREMAL_POINTS, ValueError."""
+    if k > EXTREMAL_POINTS:
+        raise ValueError(f"the simplex takes at most {EXTREMAL_POINTS} points, got {k}; "
+                         "keep the point set small")
     enum = enumerate_box_vertices([[1] * k], [1], k)
     return tuple(tuple(v) for v in enum.vertices)
 
@@ -279,7 +285,7 @@ def simplex_vertices(space: FunctionSpace) -> list[list[Fraction]]:
     """Exact vertices of the probability simplex over the point set.
 
     The enumeration depends only on the dimension, so it is memoized;
-    callers get fresh lists.
+    callers get fresh lists. Past EXTREMAL_POINTS points, ValueError.
     """
     return [list(v) for v in _simplex_vertex_data(space.dimension)]
 
@@ -431,6 +437,11 @@ def extremal_commutative_characterization(space, state) -> CommutativeExtremalRe
     return _extremal_reports(space, mu[None])[0]
 
 
+def simplex_vertex_reports(space: FunctionSpace) -> list[CommutativeExtremalReport]:
+    """The reports on simplex_vertices(space), in order, from one stack of memoized floats."""
+    return _extremal_reports(space, _simplex_constants(space.dimension)[0])
+
+
 @lru_cache(maxsize=None)
 def _simplex_constants(k: int) -> tuple[np.ndarray, ...]:
     """Read-only arrays of the k-point formulas, built once per k.
@@ -453,9 +464,10 @@ def _extremal_reports(space, weights: np.ndarray) -> list[CommutativeExtremalRep
     """One report per row of an (m, k) stack of weights, by whole-stack formulas.
 
     Every row must be a state, by the space's own density rule; the
-    first condition failing on any row raises, in the order below. The
-    first point evaluation and the first failing min-rule pair of each
-    row are read off with argmax over its flattened conditions.
+    first condition failing on any row raises, in the order below, then
+    the simplex's point bound. The first point evaluation and the first
+    failing min-rule pair of each row are read off with argmax over its
+    flattened conditions.
     """
     if not space.commutative:
         raise ValueError("commutative algebras only")
@@ -463,9 +475,6 @@ def _extremal_reports(space, weights: np.ndarray) -> list[CommutativeExtremalRep
             and np.all(space.is_density(weights, STATE_TOL))):
         raise ValueError("not a state on the function algebra")
     k = space.dimension
-    if k > EXTREMAL_POINTS:
-        raise ValueError("projection scan is exhaustive; keep the point set small")
-
     tol = STATE_TOL
     m = len(weights)
     verts, gammas, products, minima, masks = _simplex_constants(k)

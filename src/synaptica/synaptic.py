@@ -51,6 +51,7 @@ __all__ = [
     "step_projection",
     "stieltjes_reconstruct",
     "spectrum",
+    "spectra",
     "is_invertible",
     "inverse",
     "is_projection",
@@ -316,7 +317,7 @@ def spectrum(a: Element) -> tuple[float, ...]:
     return _clustered_spectrum(a)[0]
 
 
-def _spectra(space, stack: np.ndarray) -> list[tuple[float, ...]]:
+def spectra(space, stack: np.ndarray) -> list[tuple[float, ...]]:
     """spectrum of each payload in a stack, from one stacked eigh."""
     w, _ = space.eigh(stack)
     tols = np.broadcast_to(space.rank_tol(w), len(w))

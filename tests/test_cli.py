@@ -596,6 +596,11 @@ def test_states_extremal_characterizes_each_function_algebra_once(tmp_path, caps
 
 
 POINTS_17 = {"kind": "function_algebra", "label": "F", "points": [f"p{i}" for i in range(17)]}
+TOO_MANY_POINTS = "the simplex takes at most 16 points, got 17; keep the point set small"
+
+
+def _no_enumeration(rows, rhs, n):
+    raise AssertionError(f"enumerated a box of {n} coordinates")
 
 
 @pytest.mark.parametrize("docs", [
@@ -605,17 +610,41 @@ POINTS_17 = {"kind": "function_algebra", "label": "F", "points": [f"p{i}" for i 
 ])
 def test_states_extremal_past_sixteen_points_exits_two_at_once(tmp_path, capsys, monkeypatch,
                                                                docs):
-    # the limit is read before the simplex, which would take minutes at 17 points
-    def no_enumeration(k):
-        raise AssertionError(f"enumerated the {k}-point simplex")
-
-    monkeypatch.setattr(stt, "_simplex_vertex_data", no_enumeration)
+    # the library's bound is read before the simplex, which would take
+    # minutes at 17 points
+    monkeypatch.setattr(stt, "enumerate_box_vertices", _no_enumeration)
     path = write_json(tmp_path, "f.json", docs)
     rc = main(["states", "--extremal", path])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == f"synaptica: {path}: --extremal takes at most 16 points, got 17\n"
+    assert captured.err == f"synaptica: {path}: {TOO_MANY_POINTS}\n"
     assert main(["check", path]) == 0  # a fine document, only too large to scan
+
+
+def test_states_past_sixteen_points_exits_two_at_once(tmp_path, capsys, monkeypatch):
+    # plain states lists the simplex's vertices, so the same bound holds
+    monkeypatch.setattr(stt, "enumerate_box_vertices", _no_enumeration)
+    path = write_json(tmp_path, "f.json", POINTS_17)
+    rc = main(["states", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"synaptica: {path}: {TOO_MANY_POINTS}\n"
+
+
+def test_states_extremal_on_a_state_only_a_loosened_tolerance_accepts_exits_two(
+        tmp_path, capsys, monkeypatch):
+    # the weights sum to 1.005: a state at SYNAPTICA_TOL=1e-2, none at the
+    # tolerance the extremality report judges by
+    docs = [{"kind": "function_algebra", "label": "F", "points": ["p", "q"]},
+            {"kind": "state", "label": "s", "over": "F", "vector": [0.5, 0.505]}]
+    path = write_json(tmp_path, "f.json", docs)
+    monkeypatch.setenv("SYNAPTICA_TOL", "1e-2")
+    rc = main(["states", "--extremal", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"synaptica: {path}: not a state on the function algebra\n"
+    rc, out = run(capsys, "check", path)
+    assert rc == 0 and json.loads(out)["files"][0]["documents"][1]["valid"] is True
 
 
 def test_states_missing_field_exits_two(tmp_path, capsys):

@@ -271,7 +271,7 @@ def test_commutes_gives_the_full_rules_verdict(sym4):
     u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     pairs = []
     for _ in range(40):
-        pairs.append((sym4.random_element(rng, 3.0), sym4.random_element(rng)))
+        pairs.append((sym4.random_element(rng) * 3.0, sym4.random_element(rng)))
         # commuting up to rounding: a shared eigenbasis
         pairs.append(tuple(sym4.element((u * rng.uniform(-5, 5, 4)) @ u.T) for _ in range(2)))
     for a, b in pairs:

@@ -760,3 +760,23 @@ def test_characterization_keeps_its_size_guard():
     space = FunctionSpace(tuple(f"p{i}" for i in range(17)))
     with pytest.raises(ValueError, match="keep the point set small"):
         extremal_commutative_characterization(space, np.eye(17)[0])
+
+
+def test_simplex_vertex_reports_are_the_one_row_reports():
+    for k in (1, 2, 5):
+        space = FunctionSpace(tuple(f"p{i}" for i in range(k)))
+        verts = stt.simplex_vertices(space)
+        assert stt.simplex_vertex_reports(space) == [
+            extremal_commutative_characterization(space, np.array(v, dtype=float)) for v in verts
+        ]
+
+
+def test_the_simplex_bound_comes_before_any_enumeration(monkeypatch):
+    def no_enumeration(rows, rhs, n):
+        raise AssertionError(f"enumerated a box of {n} coordinates")
+
+    monkeypatch.setattr(stt, "enumerate_box_vertices", no_enumeration)
+    space = FunctionSpace(tuple(f"p{i}" for i in range(17)))
+    for call in (stt.simplex_vertices, stt.simplex_vertex_reports):
+        with pytest.raises(ValueError, match="at most 16 points, got 17"):
+            call(space)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from helpers import generator_failure_by_pairs, prefix_tree_by_children, sign_pattern_atoms_by_scan
 from synaptica.catalog import boolean_lattice, mo2, o6
 from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
-from synaptica import stone
+from synaptica import stone, synaptic
 from synaptica.posets import StructureError
 from synaptica.states import DensityState, is_state
 from synaptica.stone import (
@@ -530,7 +530,8 @@ def test_rickart_report_small_space():
     rep = rickart_completeness_report(space, seed=3)
     assert rep.rickart_holds
     assert rep.indicators_complete
-    assert rep.families_checked == 2 ** (2**3) - 1  # every nonempty family
+    # one family per test function: 0, 1, the 3 points and 12 samples
+    assert rep.families_checked == rep.rickart_samples == 2 + 3 + 12
     assert rep.chain_suprema_ok
     assert "finite" in rep.note
 
@@ -539,6 +540,21 @@ def test_rickart_report_larger_space_samples():
     space = FunctionSpace(tuple(f"p{i}" for i in range(6)))
     rep = rickart_completeness_report(space, seed=1)
     assert rep.rickart_holds and rep.indicators_complete
+
+
+def test_rickart_report_reads_the_librarys_joins(monkeypatch):
+    # a join that returns the meet is caught: the join of a support's
+    # points is no longer its carrier
+    monkeypatch.setattr(synaptic, "proj_join", synaptic.proj_meet)
+    rep = rickart_completeness_report(FunctionSpace(("x", "y", "z")), seed=3)
+    assert rep.rickart_holds and not rep.indicators_complete
+
+
+def test_rickart_report_reads_the_librarys_carriers(monkeypatch):
+    # the unit satisfies c f = f but is not the least such projection
+    monkeypatch.setattr(synaptic, "carrier", lambda f: f.space.unit())
+    rep = rickart_completeness_report(FunctionSpace(("x", "y", "z")), seed=3)
+    assert not rep.rickart_holds and not rep.indicators_complete
 
 
 def test_rickart_rejects_matrix_spaces():

@@ -42,7 +42,7 @@ from synaptica.synaptic import (
     stieltjes_reconstruct,
     supremum_of_ascending_chain,
 )
-from synaptica.synaptic import RESOLUTION_TOL, _spectra, _step_stack, _verify_resolution
+from synaptica.synaptic import RESOLUTION_TOL, _step_stack, _verify_resolution, spectra
 
 
 @pytest.fixture
@@ -254,7 +254,7 @@ def test_stacked_spectra_are_each_elements_spectrum(sym5, fn4):
                         + [sym5.random_element(rng).payload for _ in range(3)])),
         (fn4, rng.integers(-2, 3, (6, 4)).astype(float)),
     ):
-        assert _spectra(space, stack) == [spectrum(Element(space, x)) for x in stack]
+        assert spectra(space, stack) == [spectrum(Element(space, x)) for x in stack]
 
 
 def test_planted_resolution_failures_are_named(sym3, fn4):

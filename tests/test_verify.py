@@ -10,6 +10,7 @@ import pytest
 from synaptica import states as stt
 from synaptica import synaptic as sa
 from synaptica import verify as ver
+from synaptica.cli import main
 
 
 def test_all_suites_green():
@@ -67,3 +68,11 @@ def test_planted_vertex_loss_is_caught(monkeypatch):
     checks = ver.run_suite("states", seed=0)
     failed = [c.name for c in checks if not c.passed]
     assert any("padded factor vertices" in name for name in failed)
+
+
+def test_planted_join_bug_is_caught(monkeypatch, capsys):
+    # a join that returns the meet leaves every other stone check green
+    monkeypatch.setattr(sa, "proj_join", sa.proj_meet)
+    failed = [c.name for c in ver.run_suite("stone", seed=0) if not c.passed]
+    assert failed == ["stone: annihilators are principal and indicators form a complete lattice"]
+    assert main(["verify", "stone"]) == 1
