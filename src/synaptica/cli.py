@@ -4,7 +4,9 @@ Documents are JSON, one object or an array of objects per file, each
 tagged with a "kind". Reports are JSON with insertion-ordered keys so
 that identical inputs and seeds produce byte-identical output; --pretty
 switches to human-readable lines. Exit codes: 0 clean, 1 a structure
-violated its axioms or a check failed, 2 parse errors, unknown kinds,
+violated its axioms or a check failed (a spectral element whose
+spectral resolution fails its own check prints no report, and stderr
+names the file, the element and the check), 2 parse errors, unknown kinds,
 unknown labels, repeated element labels, or unknown suites, fields of
 the wrong type or shape, spectral elements whose analysis overflows
 the float range, states on a function algebra of more than 16 points,
@@ -525,6 +527,8 @@ def cmd_spectral(args) -> int:
                     reports.append(_spectral_report(name, a, tol))
                 except (FloatingPointError, np.linalg.LinAlgError) as exc:
                     raise CliError(2, f"{path}: element {name!r} is out of float range: {exc}")
+                except AssertionError as exc:  # the resolution failed its own check
+                    raise CliError(1, f"{path}: element {name!r}: {exc}")
     report = {"command": "spectral", "tolerance": tol, "elements": reports}
     _emit(report, args.pretty, _pretty_spectral)
     return 0 if all(r["residual_ok"] for r in reports) else 1

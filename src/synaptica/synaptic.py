@@ -13,11 +13,13 @@ separate from the eigendecomposition oracle used to test them:
   step(a, lam)    1 - carrier((a - lam)^+), the spectral step family
   reconstruction  Riemann-Stieltjes sums against the step family
 
-The step formula is evaluated on a stack of lam values at once through
-the stack-aware space methods, slice for slice the float operations of
-decompose and carrier; step_projection is its one-point case, and the
-resolution's cross-check evaluates it at every eigenvalue and midpoint
-in one call.
+Three private kernels take a payload or a stack of them: _absolute
+(|x|, the absolute eigenvalues over the frame), _carriers (the
+rank-thresholded carriers) and _running_sums (c_0 p_0 + c_1 p_1 + ...
+in order, every prefix at once). decompose and carrier are the kernels'
+one-payload case; the step formula runs them on a stack of lam values,
+so the resolution's cross-check evaluates it at every eigenvalue and
+midpoint in one call. spectrum is the one-row case of spectra.
 
 Numerical policy: eigenvalue clustering and rank thresholds are
 relative at 1e-8 (RANK_RTOL), the projection test allows a residual of
@@ -104,28 +106,54 @@ def sqrt(a: Element) -> Element:
     return Element(a.space, a.space.assemble(frame, np.sqrt(w)))
 
 
+def _absolute(space, x: np.ndarray) -> np.ndarray:
+    """|x| for a payload or each payload of a stack: |eigenvalues| over the frame."""
+    w, frame = space.eigh(x)
+    return space.assemble(frame, np.abs(w))
+
+
+def _carriers(space, x: np.ndarray) -> np.ndarray:
+    """The carrier of a payload or of each payload of a stack: the projection onto
+    the frame members whose eigenvalues clear the rank threshold (exact on functions)."""
+    w, frame = space.eigh(x)
+    tol = space.rank_tol(w)
+    if w.ndim == 1:
+        return space.projector(frame, np.abs(w) > tol)
+    support = np.abs(w) > np.expand_dims(tol, -1)
+    return np.stack([space.projector(f, s) for f, s in zip(frame, support)])
+
+
+def _running_sums(members, coefficients=None) -> np.ndarray:
+    """0, c_0 p_0, c_0 p_0 + c_1 p_1, ...: the running sums of c_i p_i in order.
+
+    members is a nonempty sequence or stack of payloads; without
+    coefficients each c_i is 1. Row j adds the first j terms to zero one
+    at a time, with the roundings of the loop acc = acc + c_i * p_i.
+    """
+    sums = np.zeros((len(members) + 1,) + np.shape(members[0]))
+    if coefficients is None:
+        sums[1:] = members
+    else:
+        c = np.reshape(coefficients, (-1,) + (1,) * (sums.ndim - 1))
+        np.multiply(c, members, out=sums[1:])
+    return np.cumsum(sums, axis=0, out=sums)
+
+
 def decompose(a: Element) -> tuple[Element, Element, Element]:
     """(|a|, a_plus, a_minus) with a = a_plus - a_minus, a_plus a_minus = 0.
 
     |a| is the positive square root of a^2; the parts are the usual
     half-sum and half-difference with a.
     """
-    w, frame = a.space.eigh(a.payload)
-    absolute = Element(a.space, a.space.assemble(frame, np.abs(w)))
-    plus = 0.5 * (absolute + a)
-    minus = 0.5 * (absolute - a)
-    return absolute, plus, minus
+    absolute = _absolute(a.space, a.payload)
+    plus = 0.5 * (absolute + a.payload)
+    minus = 0.5 * (absolute - a.payload)
+    return Element(a.space, absolute), Element(a.space, plus), Element(a.space, minus)
 
 
 def carrier(a: Element) -> Element:
-    """Smallest projection c with ca = a: the support of a.
-
-    The projection onto the frame members whose eigenvalues clear the
-    rank threshold: relative on matrices, the exact support indicator on
-    functions.
-    """
-    w, frame = a.space.eigh(a.payload)
-    return Element(a.space, a.space.projector(frame, np.abs(w) > a.space.rank_tol(w)))
+    """Smallest projection c with ca = a: the support of a."""
+    return Element(a.space, _carriers(a.space, a.payload))
 
 
 @dataclass(frozen=True)
@@ -150,26 +178,18 @@ class SpectralResolution:
         return self.eigenvalues[-1]
 
     def step(self, lam: float) -> Element:
-        acc = self.element.space.zero_element()
-        for val, proj in zip(self.eigenvalues, self.projections):
-            if val <= lam:
-                acc = acc + proj
-            else:
-                break
-        return acc
+        """The sum of the projections before the first value above lam."""
+        upto = next((j for j, val in enumerate(self.eigenvalues) if not val <= lam),
+                    len(self.eigenvalues))
+        return self._sum(None, upto)
 
     def reconstruct(self) -> Element:
-        acc = self.element.space.zero_element()
-        for val, proj in zip(self.eigenvalues, self.projections):
-            acc = acc + float(val) * proj
-        return acc
+        return self._sum(self.eigenvalues)
 
-
-def _clustered_spectrum(a: Element) -> tuple[tuple[float, ...], list[list[int]], np.ndarray]:
-    """(distinct values, index clusters, frame) of a's eigendecomposition."""
-    w, frame = a.space.eigh(a.payload)
-    values, clusters = _clusters(w, a.space.rank_tol(w))
-    return values, clusters, frame
+    def _sum(self, coefficients, upto: int = -1) -> Element:
+        """Row upto of the running sums of coefficient times projection."""
+        members = [p.payload for p in self.projections]
+        return Element(self.element.space, _running_sums(members, coefficients)[upto])
 
 
 def _clusters(w: np.ndarray, tol) -> tuple[tuple[float, ...], list[list[int]]]:
@@ -201,7 +221,8 @@ def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
     and midpoint. Disable it inside tight loops.
     """
     space = a.space
-    values, clusters, frame = _clustered_spectrum(a)
+    w, frame = space.eigh(a.payload)
+    values, clusters = _clusters(w, space.rank_tol(w))
     projections = tuple(Element(space, space.projector(frame, c)) for c in clusters)
     res = SpectralResolution(a, values, projections)
     if verify:
@@ -230,50 +251,32 @@ def _verify_resolution(res: SpectralResolution) -> None:
             if failed[0]:
                 raise AssertionError(f"resolution member {i} is not a projection")
             raise AssertionError("resolution projections are not orthogonal")
-    total = res.projections[0]
-    for p in res.projections[1:]:
-        total = total + p
-    if np.max(np.abs(total.payload - a.space.unit().payload)) > allowed:
+    running = _running_sums(members)
+    if np.max(np.abs(running[-1] - space.unit().payload)) > allowed:
         raise AssertionError("resolution does not sum to the identity")
-    recon = res.reconstruct()
-    if np.max(np.abs(recon.payload - a.payload)) > allowed:
+    recon = _running_sums(members, res.eigenvalues)[-1]
+    if np.max(np.abs(recon - a.payload)) > allowed:
         raise AssertionError("resolution does not reconstruct the element")
     # cross-check the step family against the carrier formula, at every
-    # eigenvalue and midpoint at once. res.step(lam) adds the projections
-    # in order up to the first value above lam: that is the running sum
-    # after the leading run of values <= lam, in the same float order.
+    # eigenvalue and midpoint at once: res.step(lam) is the running sum
+    # after the leading run of values <= lam
     points = list(res.eigenvalues)
-    points += [
-        (x + y) / 2.0 for x, y in zip(res.eigenvalues, res.eigenvalues[1:])
-    ]
-    running = np.cumsum([a.space.zero_element().payload] + [p.payload for p in res.projections],
-                        axis=0)
+    points += [(x + y) / 2.0 for x, y in zip(res.eigenvalues, res.eigenvalues[1:])]
     below = np.greater_equal.outer(points, res.eigenvalues)
     direct = running[np.logical_and.accumulate(below, axis=1).sum(axis=1)]
     formula = _step_stack(a, points)
     gaps = np.max(np.abs(direct - formula).reshape(len(points), -1), axis=1)
     bad = np.flatnonzero(gaps > allowed)
     if bad.size:
-        raise AssertionError(
-            f"step family disagrees with carrier formula at {points[bad[0]]}"
-        )
+        raise AssertionError(f"step family disagrees with carrier formula at {points[bad[0]]}")
 
 
 def _step_stack(a: Element, lams) -> np.ndarray:
-    """1 - carrier((a - lam)^+) for each lam in lams, as one stack of payloads.
-
-    The shifted elements, their positive parts and the carriers of those
-    are each one stacked call to the space, slice for slice the float
-    operations of decompose and carrier on a single element.
-    """
+    """1 - carrier((a - lam)^+) for each lam in lams, as one stack of payloads."""
     space = a.space
     one = space.unit().payload
     shifted = a.payload - np.reshape(lams, (-1,) + (1,) * one.ndim) * one
-    w, frame = space.eigh(shifted)
-    plus = 0.5 * (space.assemble(frame, np.abs(w)) + shifted)
-    w, frame = space.eigh(plus)
-    support = np.abs(w) > np.expand_dims(space.rank_tol(w), -1)
-    return one - np.stack([space.projector(f, s) for f, s in zip(frame, support)])
+    return one - _carriers(space, 0.5 * (_absolute(space, shifted) + shifted))
 
 
 def step_projection(a: Element, lam: float) -> Element:
@@ -285,9 +288,12 @@ def stieltjes_reconstruct(a: Element, mesh: float, partition=None) -> Element:
     """Riemann-Stieltjes sum of lam d(step) with right-endpoint tags.
 
     With the default partition (steps of at most mesh from just below
-    the least eigenvalue up to the greatest), the result is within mesh
-    of a in the order-unit norm. Passing partition points that hit the
-    eigenvalues exactly reproduces a to working precision.
+    the least eigenvalue up to the greatest), each tag is within mesh of
+    its cluster's value, and that value within (d - 1) * RANK_RTOL *
+    max(1, ||a||) of each eigenvalue merged into it, d the dimension. So
+    the result is within the sum of the two of a in the order-unit norm,
+    up to rounding; on functions, within mesh. Passing partition points
+    that hit the eigenvalues exactly reproduces a to working precision.
     """
     if not mesh > 0.0:
         raise ValueError("mesh must be positive")
@@ -302,19 +308,15 @@ def stieltjes_reconstruct(a: Element, mesh: float, partition=None) -> Element:
             raise ValueError("partition must be strictly increasing")
         if partition[0] >= lo or partition[-1] < hi:
             raise ValueError("partition must cover the spectrum")
-
-    acc = a.space.zero_element()
-    for val, proj in zip(res.eigenvalues, res.projections):
-        # right endpoint of the cell (t_{j-1}, t_j] containing val
-        j = bisect.bisect_left(partition, val)
-        tag = partition[min(j, len(partition) - 1)]
-        acc = acc + float(tag) * proj
-    return acc
+    # the right endpoint of the cell (t_{j-1}, t_j] containing each value
+    last = len(partition) - 1
+    return res._sum([float(partition[min(bisect.bisect_left(partition, val), last)])
+                     for val in res.eigenvalues])
 
 
 def spectrum(a: Element) -> tuple[float, ...]:
     """The distinct eigenvalues, clustered as spectral_resolution does."""
-    return _clustered_spectrum(a)[0]
+    return spectra(a.space, a.payload[None])[0]
 
 
 def spectra(space, stack: np.ndarray) -> list[tuple[float, ...]]:
@@ -361,24 +363,16 @@ def simple_form(space, coefficients, projections) -> Element:
         for q in projections[i + 1 :]:
             if not space.commutes(p, q):
                 raise ValueError("projections do not commute")
-    total = projections[0]
-    for p in projections[1:]:
-        total = total + p
-    if np.max(np.abs(total.payload - space.unit().payload)) > PROJ_TOL:
+    members = [p.payload for p in projections]
+    if np.max(np.abs(_running_sums(members)[-1] - space.unit().payload)) > PROJ_TOL:
         raise ValueError("projections do not sum to the identity")
-    acc = space.zero_element()
-    for c, p in zip(coefficients, projections):
-        acc = acc + c * p
-    return acc
+    return Element(space, _running_sums(members, coefficients)[-1])
 
 
 def apply_polynomial(a: Element, f) -> Element:
     """Functional calculus on a simple element: f applied to the spectrum."""
     res = spectral_resolution(a, verify=False)
-    acc = a.space.zero_element()
-    for val, proj in zip(res.eigenvalues, res.projections):
-        acc = acc + float(f(val)) * proj
-    return acc
+    return res._sum([float(f(val)) for val in res.eigenvalues])
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +451,7 @@ def proj_meet(p: Element, q: Element) -> Element:
 
 
 def proj_join(p: Element, q: Element) -> Element:
+    _same_space(p, q)
     space = p.space
     one = space.unit()
     return one - proj_meet(one - p, one - q)

@@ -1,17 +1,26 @@
-"""The CLI's former per-call paths, the oracles of its bulk and memoized ones.
+"""Former per-call paths, the oracles of the bulk and stacked ones.
 
 The element references of a document resolved one entry at a time, as
-the CLI read them before it looked whole rows of labels up at once; and
-the matrix density test with its four sampled squares drawn afresh from
+the CLI read them before it looked whole rows of labels up at once; the
+matrix density test with its four sampled squares drawn afresh from
 default_rng(99) on every call, where the library draws them once per
-dimension. Like tests/helpers.py, this module shares no code with src/;
-it lives apart because perfbench's worker loads helpers.py from source
-in every pass, and its peak memory grows with that file.
+dimension; and the spectral calculus one element at a time, as the
+synaptic module computed it before its stacked kernels: decompose,
+carrier, spectrum, the one-point step formula, and the eight loops that
+summed c_i p_i in order. Like tests/helpers.py, this module shares no
+code with src/; it lives apart because perfbench's worker loads
+helpers.py from source in every pass, and its peak memory grows with
+that file.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
+
+RANK_RTOL = 1e-8  # the library's relative rank and clustering threshold
 
 
 def refs_by_entries(rows, field, elements, width):
@@ -65,3 +74,142 @@ def is_density_by_fresh_draws(d, tol) -> bool:
         if float(np.trace(d @ (b @ b))) < -tol:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The spectral calculus, one payload at a time. A payload is a symmetric
+# matrix (2-D) or a function's values (1-D); the space primitives are
+# written out for each.
+
+
+def _eigh(x):
+    """Ascending eigenvalues and a frame; on functions the sorted values and their points."""
+    if x.ndim == 2:
+        return np.linalg.eigh(x)
+    order = np.argsort(x, kind="stable")
+    return x[order], order
+
+
+def _assemble(frame, values):
+    if frame.ndim == 2:
+        return (frame * values[None, :]) @ frame.T
+    out = np.empty(frame.shape)
+    out[frame] = values
+    return out
+
+
+def _projector(frame, idx):
+    if frame.ndim == 2:
+        cols = frame[:, idx]
+        return cols @ cols.T
+    out = np.zeros(len(frame))
+    out[frame[idx]] = 1.0
+    return out
+
+
+def _rank_tol(w, x):
+    return RANK_RTOL * max(1.0, float(np.abs(w).max())) if x.ndim == 2 else 0.0
+
+
+def _unit(x):
+    return np.eye(len(x)) if x.ndim == 2 else np.ones(len(x))
+
+
+def decompose_one(x):
+    """(|x|, x_plus, x_minus): |eigenvalues| over the frame, then the half-sums."""
+    w, frame = _eigh(x)
+    absolute = _assemble(frame, np.abs(w))
+    return absolute, 0.5 * (absolute + x), 0.5 * (absolute - x)
+
+
+def carrier_one(x):
+    """The projection onto the frame members whose eigenvalues clear the rank threshold."""
+    w, frame = _eigh(x)
+    return _projector(frame, np.abs(w) > _rank_tol(w, x))
+
+
+def spectrum_one(x):
+    """Distinct eigenvalues: each joins the previous member's cluster within the
+    rank threshold, and a cluster's value is its mean (its value if all equal)."""
+    w, _ = _eigh(x)
+    tol = _rank_tol(w, x)
+    clusters = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[clusters[-1][-1]] <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return tuple(
+        float(w[c[0]]) if w[c[0]] == w[c[-1]] else float(np.mean(w[c])) for c in clusters
+    )
+
+
+def step_one(x, lam):
+    """The one-point step formula 1 - carrier((x - lam)^+)."""
+    one = _unit(x)
+    _, plus, _ = decompose_one(x - float(lam) * one)
+    return one - carrier_one(plus)
+
+
+def step_by_loop(values, members, lam):
+    """SpectralResolution.step: the members added in order up to the first value above lam."""
+    acc = np.zeros(members[0].shape)
+    for val, p in zip(values, members):
+        if val <= lam:
+            acc = acc + p
+        else:
+            break
+    return acc
+
+
+def reconstruct_by_loop(values, members):
+    """SpectralResolution.reconstruct, also the reconstruction _verify_resolution checks."""
+    acc = np.zeros(members[0].shape)
+    for val, p in zip(values, members):
+        acc = acc + float(val) * p
+    return acc
+
+
+def stieltjes_by_loop(values, members, mesh, partition=None):
+    """stieltjes_reconstruct past its argument checks: right-endpoint tags."""
+    lo, hi = values[0], values[-1]
+    if partition is None:
+        steps = max(1, math.ceil((hi - (lo - mesh)) / mesh))
+        partition = list(np.linspace(lo - mesh, hi, steps + 1))
+    else:
+        partition = [float(t) for t in partition]
+    acc = np.zeros(members[0].shape)
+    for val, p in zip(values, members):
+        j = bisect.bisect_left(partition, val)
+        tag = partition[min(j, len(partition) - 1)]
+        acc = acc + float(tag) * p
+    return acc
+
+
+def polynomial_by_loop(values, members, f):
+    """apply_polynomial: f of each value times its projection, in order."""
+    acc = np.zeros(members[0].shape)
+    for val, p in zip(values, members):
+        acc = acc + float(f(val)) * p
+    return acc
+
+
+def simple_form_by_loop(coefficients, members):
+    """simple_form's two sums: (the identity sum it checks, the result)."""
+    total = members[0]
+    for p in members[1:]:
+        total = total + p
+    acc = np.zeros(members[0].shape)
+    for c, p in zip(coefficients, members):
+        acc = acc + float(c) * p
+    return total, acc
+
+
+def resolution_sums_by_loop(members):
+    """_verify_resolution's two plain sums: (the identity sum, the running sums
+    from zero that the step cross-check indexes)."""
+    total = members[0]
+    for p in members[1:]:
+        total = total + p
+    running = np.cumsum([np.zeros(members[0].shape)] + list(members), axis=0)
+    return total, running

@@ -481,6 +481,74 @@ def test_spectral_checks_the_spectrum_itself_for_overflow(tmp_path, capsys, monk
     assert "is out of float range: non-finite spectrum" in captured.err
 
 
+# near-degenerate spectra: the entries of a 2 x 2 matrix, and its eigenvalues
+NEAR_DEGENERATE = [([0.0, 0.0, 0.0, 5e-9], [0.0, 5e-9]),
+                   ([0.0, 3e-9, 3e-9, 0.0], [-3e-9, 3e-9]),
+                   ([1e6, 0.0, 0.0, 1000000.005], [1e6, 1000000.005])]
+NEAR_DEGENERATE_IDS = ["diag-5e-9", "off-diagonal-3e-9", "1e6"]
+
+
+@pytest.mark.parametrize("entries, eigenvalues", NEAR_DEGENERATE, ids=NEAR_DEGENERATE_IDS)
+def test_spectral_resolution_failing_its_check_exits_one(tmp_path, capsys, entries,
+                                                         eigenvalues):
+    # clustering merges the two eigenvalues, within RANK_RTOL = 1e-8 (relative),
+    # and the merged projection then misses the reconstruction allowance of
+    # 1e-9 max(1, ||a||): no report, and stderr names the file, element and check
+    path = write_json(tmp_path, "m.json", sym2(entries=entries))
+    rc = main(["spectral", path])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (f"synaptica: {path}: element 'm': "
+                            "resolution does not reconstruct the element\n")
+    assert main(["spectral", "--pretty", path]) == 1 and capsys.readouterr().out == ""
+    assert run(capsys, "check", path)[0] == 0
+
+
+@pytest.mark.parametrize("entries, eigenvalues", NEAR_DEGENERATE, ids=NEAR_DEGENERATE_IDS)
+def test_near_degenerate_function_values_keep_exit_zero(tmp_path, capsys, entries,
+                                                        eigenvalues):
+    # the function instance's rank tolerance is 0: no two distinct values merge
+    doc = {"kind": "function_algebra", "label": "F", "points": ["p", "q", "r", "s"],
+           "values": {"entries": entries, "spectrum": eigenvalues + eigenvalues}}
+    path = write_json(tmp_path, "f.json", doc)
+    rc, out = run(capsys, "spectral", path)
+    reports = json.loads(out)["elements"]
+    assert rc == 0 and all(r["residual_ok"] for r in reports)
+    assert reports[1]["spectrum"] == eigenvalues
+    assert run(capsys, "check", path)[0] == 0
+
+
+def count_lapack(monkeypatch) -> dict:
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_spectral_lapack_work_is_counted(tmp_path, capsys, monkeypatch):
+    # a Sym(4) element: the resolution, the two stacked eighs of its step
+    # cross-check, decompose and carrier; the norms of the resolution check
+    # and of the residual. A function algebra's spectra need no LAPACK call.
+    rng = np.random.default_rng(4)
+    u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    docs = [sym2(n=4, entries=((u * lam) @ u.T).ravel().tolist())
+            for lam in ([-1.0, 0.5, 2.0, 3.5], [0.0, 0.0, 1.0, 1.0], [2.0] * 4)]
+    paths = [write_json(tmp_path, f"m{i}.json", doc) for i, doc in enumerate(docs)]
+    fa = write_json(tmp_path, "f.json", {"kind": "function_algebra", "points": ["x", "y", "z"],
+                                         "values": {"f": [2.0, -1.0, 2.0], "g": [0.0, 0.0, 0.0]}})
+    calls = count_lapack(monkeypatch)
+    for path in paths:
+        calls.update(eigh=0, eigvalsh=0)
+        assert run(capsys, "spectral", path)[0] == 0
+        assert calls["eigh"] <= 5 and calls["eigvalsh"] <= 2
+    calls.update(eigh=0, eigvalsh=0)
+    assert run(capsys, "spectral", fa)[0] == 0
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+
+
 @pytest.mark.filterwarnings("error")
 def test_check_reports_a_huge_asymmetry_without_overflow(tmp_path, capsys):
     path = write_json(tmp_path, "m.json", sym2(entries=[1.0, 1.7e308, -1.7e308, 1.0]))

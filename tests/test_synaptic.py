@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_call_paths as per_call
 from helpers import eig_step_family, resolution_failure_by_pairs, sym_norm
 from synaptica.order_unit import PROJ_TOL, Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica.synaptic import (
@@ -42,7 +43,14 @@ from synaptica.synaptic import (
     stieltjes_reconstruct,
     supremum_of_ascending_chain,
 )
-from synaptica.synaptic import RESOLUTION_TOL, _step_stack, _verify_resolution, spectra
+from synaptica.order_unit import RANK_RTOL
+from synaptica.synaptic import (
+    RESOLUTION_TOL,
+    _running_sums,
+    _step_stack,
+    _verify_resolution,
+    spectra,
+)
 
 
 @pytest.fixture
@@ -303,7 +311,7 @@ def test_batched_step_check_names_the_first_failing_point(sym3):
 
 
 def test_step_stack_is_the_single_point_formula_bit_for_bit(sym5, fn4):
-    # the old one-point path, decompose then carrier, is the oracle
+    # the former one-point path, decompose then carrier, is the oracle
     rng = np.random.default_rng(202)
     u = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     elements = [sym5.random_element(rng) for _ in range(4)]
@@ -315,11 +323,84 @@ def test_step_stack_is_the_single_point_formula_bit_for_bit(sym5, fn4):
         lams += [vals[0] - 1.0, vals[-1] + 1.0]
         stack = _step_stack(a, lams)
         assert stack.shape == (len(lams),) + a.payload.shape
-        one = a.space.unit()
         for lam, step in zip(lams, stack):
-            _, plus, _ = decompose(a - lam * one)
-            assert np.array_equal(step, (one - carrier(plus)).payload)
+            assert np.array_equal(step, per_call.step_one(a.payload, lam))
             assert np.array_equal(step, step_projection(a, lam).payload)
+
+
+def calculus_samples():
+    """Elements of Sym(1..5) and of R^1..R^6: random, and with repeated eigenvalues."""
+    rng = np.random.default_rng(2121)
+    out = []
+    for n in (1, 2, 3, 5):
+        space = SymmetricMatrixSpace(n)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        out += [space.random_element(rng) for _ in range(3)]
+        out += [space.element((u * rng.integers(-2, 3, n).astype(float)) @ u.T) for _ in range(3)]
+    for k in (1, 3, 6):
+        space = FunctionSpace([f"x{i}" for i in range(k)])
+        out += [space.random_element(rng)]
+        out += [space.element(rng.integers(-2, 3, k) / 2.0) for _ in range(3)]
+    return out
+
+
+def test_decompose_carrier_and_spectrum_are_the_per_call_bodies_bit_for_bit():
+    for a in calculus_samples():
+        for x, y in zip(decompose(a), per_call.decompose_one(a.payload)):
+            assert np.array_equal(x.payload, y)
+        assert np.array_equal(carrier(a).payload, per_call.carrier_one(a.payload))
+        assert spectrum(a) == per_call.spectrum_one(a.payload)
+
+
+def assert_sums_are_the_loops(res):
+    """step, reconstruct and the running sums of res against the loops, bit for bit."""
+    values = res.eigenvalues
+    members = [p.payload for p in res.projections]
+    lams = sorted(values) + [(x + y) / 2.0 for x, y in zip(values, values[1:])]
+    lams += [min(values) - 1.0, max(values) + 1.0, float("nan")]
+    for lam in lams:
+        assert np.array_equal(res.step(lam).payload, per_call.step_by_loop(values, members, lam))
+    assert np.array_equal(res.reconstruct().payload, per_call.reconstruct_by_loop(values, members))
+    total, running = per_call.resolution_sums_by_loop(members)
+    assert np.array_equal(_running_sums(np.stack(members)), running)
+    assert np.array_equal(_running_sums(members)[-1], total)
+    assert np.array_equal(_running_sums(np.stack(members), values)[-1],
+                          per_call.reconstruct_by_loop(values, members))
+
+
+def test_sums_in_order_are_the_per_call_loops_bit_for_bit():
+    for a in calculus_samples():
+        res = spectral_resolution(a)
+        values, members = res.eigenvalues, [p.payload for p in res.projections]
+        assert_sums_are_the_loops(res)
+        for mesh in (0.5, 1e-3):
+            assert np.array_equal(stieltjes_reconstruct(a, mesh).payload,
+                                  per_call.stieltjes_by_loop(values, members, mesh))
+        partition = [values[0] - 1.0] + [v + 0.25 for v in values]
+        assert np.array_equal(stieltjes_reconstruct(a, 1.0, partition=partition).payload,
+                              per_call.stieltjes_by_loop(values, members, 1.0, partition))
+        for f in (lambda t: t * t - 3.0 * t, lambda t: -1, np.exp):
+            assert np.array_equal(apply_polynomial(a, f).payload,
+                                  per_call.polynomial_by_loop(values, members, f))
+        total, result = per_call.simple_form_by_loop(values, members)
+        assert np.array_equal(simple_form(a.space, values, res.projections).payload, result)
+        assert np.array_equal(_running_sums(members)[-1], total)
+
+
+def test_sums_on_forged_out_of_order_resolutions_are_the_loops(sym3, fn4):
+    a = diag(sym3, 1.0, 2.0, 3.0)
+    p1, p2, p3 = spectral_resolution(a).projections
+    assert_sums_are_the_loops(SpectralResolution(a, (2.0, 1.0, 3.0), (p2, p1, p3)))
+    assert_sums_are_the_loops(SpectralResolution(a, (3.0, -1.0, 0.5), (p1, p2, p3)))
+    f = fn4.element([0.0, 1.0, 1.0, 2.0])
+    q0, q1, q2 = spectral_resolution(f).projections
+    assert_sums_are_the_loops(SpectralResolution(f, (1.0, 0.0, 2.0), (q1, q0, q2)))
+
+
+@given(forged_resolutions())
+@settings(max_examples=60, deadline=None)
+def test_sums_on_forged_resolutions_are_the_loops(res):
+    assert_sums_are_the_loops(res)
 
 
 def test_spectrum_is_the_resolutions_values(sym5, fn4):
@@ -337,6 +418,24 @@ def test_stieltjes_mesh_bound(sym3):
             a = sym3.random_element(rng)
             approx = stieltjes_reconstruct(a, mesh)
             assert sym_norm(approx.payload - a.payload) <= mesh + 1e-12
+
+
+def test_stieltjes_bound_counts_the_merged_eigenvalues(sym3):
+    # 1e6 and 1e6 + 5e-3 lie within RANK_RTOL * 1e6 = 1e-2 of each other, so
+    # they merge into one value halfway between: off by 2.5e-3, past the mesh
+    space = SymmetricMatrixSpace(2)
+    a = space.element(np.diag([1e6, 1e6 + 5e-3]))
+    mesh = 1e-3
+    gap = sym_norm(stieltjes_reconstruct(a, mesh).payload - a.payload)
+    assert mesh < gap <= mesh + (2 - 1) * RANK_RTOL * max(1.0, a.norm())
+    assert abs(gap - 2.5e-3) <= 1e-9
+    rng = np.random.default_rng(54)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    for spread in (0.0, 1e-9, 2e-9, 3e-8):
+        a = sym3.element((u * [-4.0, 7.0, 7.0 + spread]) @ u.T)
+        for mesh in (0.5, 1e-3):
+            gap = sym_norm(stieltjes_reconstruct(a, mesh).payload - a.payload)
+            assert gap <= mesh + (3 - 1) * RANK_RTOL * max(1.0, a.norm()) + 1e-12
 
 
 def test_stieltjes_exact_partition(sym3):
@@ -491,6 +590,14 @@ def test_proj_meet_exact_on_functions(fn4):
     q = fn4.indicator(["b", "c"])
     assert proj_meet(p, q).payload.tolist() == [0.0, 1.0, 0.0, 0.0]
     assert proj_join(p, q).payload.tolist() == [1.0, 1.0, 1.0, 0.0]
+
+
+def test_proj_join_rejects_elements_of_different_spaces(sym3, fn4):
+    other = SymmetricMatrixSpace(3)
+    for p, q in ((sym3.unit(), other.unit()), (fn4.unit(), sym3.unit())):
+        for op in (proj_meet, proj_join):
+            with pytest.raises(ValueError, match="elements live in different spaces"):
+                op(p, q)
 
 
 def count_eigvalsh(monkeypatch) -> list:
