@@ -3,16 +3,21 @@
 Documents are JSON, one object or an array of objects per file, each
 tagged with a "kind". Reports are JSON with insertion-ordered keys so
 that identical inputs and seeds produce byte-identical output; --pretty
-switches to human-readable lines. Exit codes: 0 clean, 1 a structure
-violated its axioms or a check failed (a spectral element whose
-spectral resolution fails its own check prints no report, and stderr
-names the file, the element and the check), 2 parse errors, unknown kinds,
-unknown labels, repeated element labels, or unknown suites, fields of
-the wrong type or shape, spectral elements whose analysis overflows
-the float range, states on a function algebra of more than 16 points,
-states --extremal on a state over one or on a state that only a
-loosened SYNAPTICA_TOL accepts, a SYNAPTICA_TOL that is not a finite
-nonnegative number, and a negative --seed.
+switches to human-readable lines. Exit codes:
+
+  0  clean.
+  1  a structure violated its axioms or a check failed. states reports
+     a structure that check rejects by check's violations, and exits 1
+     as check does. A spectral element whose spectral resolution fails
+     its own check prints no report, and stderr names the file, the
+     element and the check.
+  2  unusable input: parse errors, unknown kinds, labels or suites,
+     repeated element labels, element or point labels that are not
+     strings, fields of the wrong type or shape, spectral elements whose
+     analysis overflows the float range, states on a function algebra of
+     more than 16 points, states --extremal on a state over one or on a
+     state that only a loosened SYNAPTICA_TOL accepts, a SYNAPTICA_TOL
+     that is not a finite nonnegative number, and a negative --seed.
 
 Each document kind has one builder, which parses the document and
 returns the library's verdict on it; check, states and spectral read
@@ -20,6 +25,11 @@ each document they use through its builder, at most once per file, so
 a state reuses its base's build and verdict. A command line of check,
 spectral or states with only switches and file names is read by a
 plain loop; any other goes to the argparse parser.
+
+A command imports the library modules it runs: check and states need
+posets, effect_algebras, states and order_unit (states brings exact);
+spectral imports synaptic and verify imports the self-check suites,
+each once per call.
 
 SYNAPTICA_TOL overrides the tolerance used to flag residuals in
 reports; a spectral residual is judged against it times max(1, ||a||),
@@ -43,8 +53,6 @@ import numpy as np
 from . import effect_algebras as eff
 from . import posets as po
 from . import states as stt
-from . import synaptic as sa
-from . import verify as ver
 from .order_unit import ASYMMETRY_TOL, Element, FunctionSpace, SymmetricMatrixSpace, symmetrised
 
 __all__ = ["main"]
@@ -291,8 +299,8 @@ def _build_sym_matrix(doc: dict, path: str):
 
 def _build_function_algebra(doc: dict, path: str):
     points = doc["points"]
-    if not isinstance(points, list):
-        raise CliError(2, f"{path}: points must be a list of point labels")
+    if not isinstance(points, list) or not all(isinstance(x, str) for x in points):
+        raise CliError(2, f"{path}: points must be a list of string labels")
     try:
         space = FunctionSpace(points)
     except ValueError as exc:  # no points, or a repeated point label
@@ -465,7 +473,8 @@ def _rounded(values: np.ndarray) -> list[float]:
     return out
 
 
-def _spectral_report(name: str, a: Element, tol: float) -> dict:
+def _spectral_report(sa, name: str, a: Element, tol: float) -> dict:
+    """The spectral report on a, from sa, the synaptic module."""
     res = sa.spectral_resolution(a)
     # numpy.linalg clears the floating-point flags LAPACK sets, so an
     # eigenvalue that overflowed raises nothing under errstate by itself
@@ -512,6 +521,8 @@ def _spectral_elements(doc: dict, file: _File) -> list[tuple[str, Element]]:
 
 
 def cmd_spectral(args) -> int:
+    from . import synaptic as sa  # the one command that analyses elements
+
     tol = _report_tol()
     reports = []
     for path, found in _per_file(args.files, _spectral_elements):
@@ -524,7 +535,7 @@ def cmd_spectral(args) -> int:
             # in its analysis; that is unusable input, not a warning
             with np.errstate(over="raise", invalid="raise"):
                 try:
-                    reports.append(_spectral_report(name, a, tol))
+                    reports.append(_spectral_report(sa, name, a, tol))
                 except (FloatingPointError, np.linalg.LinAlgError) as exc:
                     raise CliError(2, f"{path}: element {name!r} is out of float range: {exc}")
                 except AssertionError as exc:  # the resolution failed its own check
@@ -562,11 +573,13 @@ def _extremality(ch: stt.CommutativeExtremalReport) -> dict:
 
 
 def _states_one(doc: dict, file: _File, tol: float, extremal: bool):
-    """Report for one document, or None for kinds without a state space.
+    """Report for one document, or None for a valid one of a kind without a state space.
 
     An effect algebra that fails its axioms has no state space; its
     report names the failed axiom and the witness instead. The other
-    kinds are only built, so that unusable input exits 2 as under check.
+    kinds get check's verdict: an invalid one is reported by its
+    violations, in the same shape, and unusable input exits 2 as under
+    check.
     """
     kind = doc["kind"]
     rep = {"label": doc.get("label", ""), "kind": kind}
@@ -616,11 +629,11 @@ def _states_one(doc: dict, file: _File, tol: float, extremal: bool):
                 raise CliError(2, f"{file.path}: {exc}")
             rep.update(_extremality(ch))
         return rep
-    try:
-        file.build(doc)
-    except ValueError:  # a structure the library rejects: check's verdict, not reported here
-        pass
-    return None
+    verdict, _ = _check_one(doc, file, tol)
+    if verdict["valid"]:
+        return None
+    rep["violations"] = verdict["violations"]
+    return rep
 
 
 def cmd_states(args) -> int:
@@ -660,6 +673,8 @@ def _pretty_states(report) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as ver  # the suites load every library module
+
     if args.seed < 0:
         raise CliError(2, f"--seed must be nonnegative, got {args.seed}")
     names = args.suites or ["all"]

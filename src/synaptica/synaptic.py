@@ -169,6 +169,17 @@ class SpectralResolution:
     eigenvalues: tuple[float, ...]
     projections: tuple[Element, ...]
 
+    def __post_init__(self):
+        """Reject a resolution that no later call could read; the order is not checked."""
+        k, m = len(self.eigenvalues), len(self.projections)
+        if k != m:
+            raise ValueError(f"resolution has {k} eigenvalues but {m} projections")
+        if not k:
+            raise ValueError("resolution has no eigenvalues")
+        for i, p in enumerate(self.projections):
+            if p.space is not self.element.space:
+                raise ValueError(f"resolution projection {i} is not in its element's space")
+
     @property
     def lower(self) -> float:
         return self.eigenvalues[0]

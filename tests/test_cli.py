@@ -161,6 +161,10 @@ MV2 = {"kind": "mv_algebra", "elements": ["0", "1"], "zero": "0",
         ("check", dict(MV2, perp=[["0", "1"]]), "perp does not cover every element"),
         ("check", dict(SQUARE, perp=[["0", "1"], ["a", "b"], ["1", "0"]]),
          "perp does not cover every element"),
+        # point labels are strings, as element labels are: none is stringified
+        ("check", dict(FA2, points=[1, [2], True]), "points must be a list of string labels"),
+        ("spectral", dict(FA2, points=[1, "1"]), "points must be a list of string labels"),
+        ("states", dict(FA2, points=["p", None]), "points must be a list of string labels"),
     ],
 )
 def test_malformed_structure_documents_exit_two(tmp_path, capsys, command, doc, message):
@@ -403,7 +407,7 @@ def test_spectral_report_lists_are_rounded_entry_by_entry(tmp_path, capsys):
                                            "entries": m.ravel().tolist()})
     rc, out = run(capsys, "spectral", path)
     r = json.loads(out)["elements"][0]
-    res = cli.sa.spectral_resolution(cli.SymmetricMatrixSpace(5).element(m))
+    res = sa.spectral_resolution(order_unit.SymmetricMatrixSpace(5).element(m))
     assert r["spectrum"] == rounded_by_entries(res.eigenvalues)
     assert r["eigenprojections"] == [rounded_by_entries(p.payload) for p in res.projections]
     assert [r["lower"], r["upper"]] == rounded_by_entries([res.lower, res.upper])
@@ -472,8 +476,8 @@ def test_spectral_checks_the_spectrum_itself_for_overflow(tmp_path, capsys, monk
         with np.errstate(all="ignore"):
             return resolve(a)
 
-    resolve = cli.sa.spectral_resolution
-    monkeypatch.setattr(cli.sa, "spectral_resolution", quiet_resolution)
+    resolve = sa.spectral_resolution
+    monkeypatch.setattr(sa, "spectral_resolution", quiet_resolution)
     path = write_json(tmp_path, "m.json", sym2(entries=[1e308] * 4))
     rc = main(["spectral", path])
     captured = capsys.readouterr()
@@ -859,8 +863,8 @@ REPEATED = {
 }
 
 
-# states reports only on the kinds with a state space, but builds the others
-# too, so a poset, ortholattice or MV algebra with a repeated label exits 2
+# states gives the kinds without a state space check's verdict, so a poset,
+# ortholattice or MV algebra with a repeated label exits 2 there too
 @pytest.mark.parametrize(
     "command, kind", [(command, kind) for command in ("check", "states") for kind in REPEATED]
 )
@@ -880,15 +884,49 @@ def test_states_exits_two_on_a_non_finite_matrix(tmp_path, capsys):
     assert captured.err.endswith("non-finite numeric entry: nan\n")
 
 
-@pytest.mark.parametrize("doc", [
-    POSET2, SQUARE, MV2, SYM2,
-    dict(POSET2, leq=[["a", "b"], ["b", "a"]]),  # no partial order: check's to report
-    sym2(entries=[1.0, 2.0, 0.0, 1.0]),  # asymmetric: check's to report
-])
+@pytest.mark.parametrize("doc", [POSET2, SQUARE, MV2, SYM2])
 def test_states_gives_usable_kinds_without_states_no_report(tmp_path, capsys, doc):
     rc, out = run(capsys, "states", write_json(tmp_path, "doc.json", doc))
     assert rc == 0
     assert json.loads(out)["structures"] == []
+
+
+# one document of each kind without a state space that check rejects, and
+# the axiom it fails
+REJECTED_WITHOUT_STATES = {
+    "cyclic-poset": (dict(POSET2, leq=[["a", "b"], ["b", "a"]]), "structure"),
+    "perp-1-no-complement": (
+        {"kind": "ortholattice", "label": "C", "elements": ["0", "a", "1"],
+         "leq": [["0", "a"], ["a", "1"]], "perp": [["0", "1"], ["a", "a"], ["1", "0"]],
+         "zero": "0", "one": "1"},
+        "structure"),
+    "mv-lukasiewicz": (
+        dict(MV2, elements=["0", "a", "b", "1"],
+             plus=[["0", "a", "b", "1"], ["a", "1", "1", "1"], ["b", "1", "1", "1"],
+                   ["1", "1", "1", "1"]],
+             perp=[["0", "1"], ["a", "a"], ["b", "b"], ["1", "0"]]),
+        "mv-lukasiewicz"),
+    "asymmetric-matrix": (sym2(entries=[1.0, 2.0, 0.0, 1.0]), "symmetry"),
+}
+
+
+@pytest.mark.parametrize("doc, axiom", REJECTED_WITHOUT_STATES.values(),
+                         ids=REJECTED_WITHOUT_STATES.keys())
+def test_states_exits_one_where_check_rejects_a_kind_without_states(tmp_path, capsys,
+                                                                    doc, axiom):
+    # states takes check's verdict and reports its violations as it
+    # reports an effect algebra's
+    path = write_json(tmp_path, "doc.json", doc)
+    rc, out = run(capsys, "check", path)
+    verdict = json.loads(out)["files"][0]["documents"][0]
+    assert rc == 1 and [v["axiom"] for v in verdict["violations"]] == [axiom]
+    rc, out = run(capsys, "states", path)
+    assert rc == 1
+    assert json.loads(out)["structures"] == [
+        {"label": doc.get("label", ""), "kind": doc["kind"], "violations": verdict["violations"]}
+    ]
+    rc, out = run(capsys, "states", path, "--pretty")
+    assert rc == 1 and out.splitlines()[0] == f"{doc['kind']} {doc.get('label') or '-'}: VIOLATION"
 
 
 # ---------------------------------------------------------------------------

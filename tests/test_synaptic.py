@@ -201,6 +201,27 @@ def test_resolution_verify_catches_forged_family(sym3):
         _verify_resolution(bad)
 
 
+def test_resolution_rejects_unreadable_data_when_made(sym3):
+    space = FunctionSpace("abc")
+    f = space.element([1.0, 2.0, 3.0])
+    res = spectral_resolution(f)
+    values, projections = res.eigenvalues, res.projections
+    other = spectral_resolution(FunctionSpace("abc").element([1.0, 2.0, 3.0])).projections
+    for args, message in (
+        ((values[:2], projections), "resolution has 2 eigenvalues but 3 projections"),
+        ((values, projections[1:]), "resolution has 3 eigenvalues but 2 projections"),
+        (((), ()), "resolution has no eigenvalues"),
+        ((values, projections[:2] + other[2:]),
+         "resolution projection 2 is not in its element's space"),
+        ((values, spectral_resolution(diag(sym3, 1.0, 2.0, 3.0)).projections),
+         "resolution projection 0 is not in its element's space"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpectralResolution(f, *args)
+    # the order of the values is not checked: forged resolutions are made on purpose
+    assert SpectralResolution(f, values[::-1], projections).upper == 1.0
+
+
 def resolution_outcome(res):
     try:
         _verify_resolution(res)

@@ -11,8 +11,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-import synaptica  # noqa: F401  (binds every layer module for the tracer)
-from synaptica import effect_algebras
+# install() wraps all eight layer modules, so each is imported here: the
+# package itself loads none of them, and the command run below only some
+from synaptica import cli, effect_algebras, exact, order_unit, posets, states  # noqa: F401
+from synaptica import stone, synaptic  # noqa: F401
 from synaptica.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
