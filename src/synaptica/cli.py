@@ -7,8 +7,9 @@ switches to human-readable lines. Exit codes:
 
   0  clean.
   1  a structure violated its axioms or a check failed. states reports
-     a structure that check rejects by check's violations, and exits 1
-     as check does. A spectral element whose spectral resolution fails
+     a structure that check rejects by check's violations, and a state
+     document that is no state as "is_state": false, and exits 1 as
+     check does. A spectral element whose spectral resolution fails
      its own check prints no report, and stderr names the file, the
      element and the check.
   2  unusable input: parse errors, unknown kinds, labels or suites,
@@ -474,17 +475,21 @@ def _rounded(values: np.ndarray) -> list[float]:
 
 
 def _spectral_report(sa, name: str, a: Element, tol: float) -> dict:
-    """The spectral report on a, from sa, the synaptic module."""
+    """The spectral report on a, from sa, the synaptic module.
+
+    |a|, its parts and its carrier come from the resolution's own
+    eigendecomposition of a.
+    """
     res = sa.spectral_resolution(a)
     # numpy.linalg clears the floating-point flags LAPACK sets, so an
     # eigenvalue that overflowed raises nothing under errstate by itself
     if not (np.isfinite(a.payload).all() and np.isfinite(res.eigenvalues).all()):
         raise FloatingPointError("non-finite spectrum")
-    mod, plus, minus = sa.decompose(a)
+    mod, plus, minus = res.decompose()
     residual = (res.reconstruct() - a).norm()
     k, size = len(res.eigenvalues), a.payload.size
     payloads = [p.payload for p in res.projections] + [
-        sa.carrier(a).payload, mod.payload, plus.payload, minus.payload
+        res.carrier().payload, mod.payload, plus.payload, minus.payload
     ]
     values = _rounded(np.concatenate(
         [res.eigenvalues, (res.lower, res.upper)] + [x.ravel() for x in payloads]
@@ -642,7 +647,7 @@ def cmd_states(args) -> int:
     reports = [r for _, found in _per_file(args.files, one) for r in found]
     report = {"command": "states", "tolerance": tol, "structures": reports}
     _emit(report, args.pretty, _pretty_states)
-    return 1 if any("violations" in r for r in reports) else 0
+    return 1 if any("violations" in r or r.get("is_state") is False for r in reports) else 0
 
 
 def _pretty_states(report) -> list[str]:

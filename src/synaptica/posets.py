@@ -2,20 +2,34 @@
 
 Elements are integers 0..n-1 with optional string labels, and the order
 relation is a dense boolean matrix. Every predicate here is decided by
-exhaustive scan, so at desk scale (n up to a few dozen) the answers are
-exact and double as oracles for the rest of the package.
+exhaustive scan, so at desk scale (n up to about a hundred) the
+answers are exact and double as oracles for the rest of the package.
 
-The scans run over whole tables. lattice_tables computes every meet and
-join at once with numpy, one row of O(n^2) booleans at a time, and the
-ortholattice axioms and the classification flags are array comparisons
-over those tables and the relation, each reporting its first failing
-pair in row-major order. The scalar meet, join and subset_inf_sup stay
-as single-pair queries.
+The table-wide work runs on down-sets packed into uint64 words, one row
+of ceil(n/64) words per element. The common lower bounds of a and b
+have a greatest element c exactly when they are c's down-set, and
+distinct elements have distinct down-sets, so lattice_tables ANDs the
+packed rows of every pair and looks each result up among the n sorted
+down-sets: O(n^2) word operations per table, no n^3 cube. from_pairs
+closes the order by squaring the relation over packed rows,
+ceil(log2(n - 1)) times, and the constructor's transitivity check is
+one such squaring. Distributivity is decided by join-prime
+irreducibles: a finite lattice is distributive iff every
+join-irreducible j (one whose strict down-set is the down-set of some
+k, that is, one with a lower cover k whose down-set is one element
+smaller) satisfies j <= b OR c only if j <= b or j <= c (Davey &
+Priestley, Introduction to Lattices and Order, 2002, ch. 5). That is
+one (irreducibles, n, n) boolean array. The ortholattice axioms and the
+other classification flags are array comparisons over the tables and
+the relation, each reporting its first failing pair in row-major
+order. The scalar meet, join and subset_inf_sup stay as single-pair
+queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +55,63 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as uint64 words: column j is bit j % 8 of byte j // 8.
+
+    Every word operation here is bitwise, and _unpack reads the bytes
+    back in the same order, so the layout holds on either byte order.
+    """
+    packed = np.packbits(np.ascontiguousarray(rows), axis=1, bitorder="little")
+    if packed.shape[1] % 8:
+        octets = np.zeros((len(rows), packed.shape[1] // 8 * 8 + 8), dtype=np.uint8)
+        octets[:, :packed.shape[1]] = packed
+        packed = octets
+    return packed.view(np.uint64)
+
+
+def _unpack(words: np.ndarray, m: int) -> np.ndarray:
+    """The first m columns of packed rows (C-contiguous), as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little").view(bool)
+
+
+def _square(table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Packed rows of the relation composed with itself: row i ORs the rows k with i R k.
+
+    table is the relation as booleans and words its packed rows. The
+    product is a C-ordered (n, words, n) stack, so each OR runs along
+    contiguous memory.
+    """
+    return np.bitwise_or.reduce(np.ascontiguousarray(words.T) * table[:, None, :], axis=2)
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per packed row, equal exactly when the rows are."""
+    width = words.shape[-1]
+    if width == 1:
+        return words[..., 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * width)))[..., 0]
+
+
+def _index_pairs(labels: tuple, pairs: list) -> np.ndarray | None:
+    """pairs as an (m, 2) index array when every member is an int index in range.
+
+    Only when every label is a string, so no member means a label, and
+    every pair is a list or tuple of two. None sends the pairs through
+    the member-by-member reading, which also names any pair it cannot
+    read.
+    """
+    if not all(type(lab) is str for lab in labels) or not set(map(type, pairs)) <= {list, tuple}:
+        return None
+    if set(map(len, pairs)) != {2}:
+        return None
+    members = list(chain.from_iterable(pairs))
+    if set(map(type, members)) != {int}:
+        return None
+    if min(members) < 0 or max(members) >= len(labels):
+        return None
+    return np.array(members, dtype=np.intp).reshape(-1, 2)
+
+
 class FinitePoset:
     """A finite partially ordered set given by its full relation table.
 
@@ -53,6 +124,14 @@ class FinitePoset:
         table = np.array(leq, dtype=bool)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructureError("relation table must be square")
+        self._adopt(table, labels, closed=False)
+
+    def _adopt(self, table: np.ndarray, labels, closed: bool) -> None:
+        """Check a square table as an order on labels, and keep both.
+
+        closed skips the transitivity test, for a table that the
+        closure of from_pairs has made transitive.
+        """
         n = table.shape[0]
         if n == 0:
             raise StructureError("poset must be nonempty")
@@ -65,11 +144,12 @@ class FinitePoset:
         if both.any():
             i, j = (int(v) for v in np.argwhere(both)[0])
             raise StructureError(f"antisymmetry fails on pair ({i}, {j})")
-        reach = (table.astype(np.int64) @ table.astype(np.int64)) > 0
-        gap = reach & ~table
-        if gap.any():
-            i, k = (int(v) for v in np.argwhere(gap)[0])
-            raise StructureError(f"transitivity fails reaching ({i}, {k})")
+        if not closed:  # one squaring adds nothing to a transitive table
+            words = _pack(table)
+            reach = _square(table, words)
+            if not np.array_equal(reach, words):
+                raise StructureError("transitivity fails reaching (%d, %d)"
+                                     % _first_pair(_unpack(reach & ~words, n)))
         table.flags.writeable = False
         self._leq = table
         self.labels = tuple(labels) if labels is not None else _default_labels(n)
@@ -88,31 +168,42 @@ class FinitePoset:
         cycle surfaces as an antisymmetry failure.
         """
         labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
-
-        def resolve(x, pair) -> int:
-            try:
-                if x in index:
-                    return index[x]
-            except TypeError:  # unhashable, so not a label
-                pass
-            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n:
-                return x
-            raise StructureError(
-                f"pair {pair!r}: {x!r} is neither a label nor an index below {n}"
-            )
-
         table = np.eye(n, dtype=bool)
-        for pair in pairs:
-            try:
-                a, b = pair
-            except (TypeError, ValueError):
-                raise StructureError(f"pair {pair!r} is not a (below, above) pair") from None
-            table[resolve(a, pair), resolve(b, pair)] = True
-        for k in range(n):  # Warshall closure
-            table |= table[:, k][:, None] & table[k, :][None, :]
-        return cls(table, labels)
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        hits = _index_pairs(labels, pairs)
+        if hits is not None:
+            table[hits[:, 0], hits[:, 1]] = True
+        else:
+            index = {lab: i for i, lab in enumerate(labels)}
+
+            def resolve(x, pair) -> int:
+                try:
+                    if x in index:
+                        return index[x]
+                except TypeError:  # unhashable, so not a label
+                    pass
+                if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n:
+                    return x
+                raise StructureError(
+                    f"pair {pair!r}: {x!r} is neither a label nor an index below {n}"
+                )
+
+            for pair in pairs:
+                try:
+                    a, b = pair
+                except (TypeError, ValueError):
+                    raise StructureError(f"pair {pair!r} is not a (below, above) pair") from None
+                table[resolve(a, pair), resolve(b, pair)] = True
+        # r squarings close every path of up to 2^r steps, and no path
+        # without a repeated element has more than n - 1
+        words = _pack(table)
+        for _ in range(max(n - 2, 0).bit_length()):
+            words = _square(table, words)
+            table = _unpack(words, n)
+        poset = cls.__new__(cls)
+        poset._adopt(table, labels, closed=True)
+        return poset
 
     @property
     def n(self) -> int:
@@ -179,34 +270,20 @@ def subset_inf_sup(p: FinitePoset, subset) -> tuple[int | None, int | None]:
     return _greatest(p, p.lower_bounds(elems)), _least(p, p.upper_bounds(elems))
 
 
-# Entries of the boolean cube common[a, b, c] built per block of rows a:
-# large enough that small posets take one block, small enough that the
-# largest posets stay at one row per block and peak memory does not grow.
-_BLOCK_ENTRIES = 1 << 14
-
-
 def _glb_table(leq: np.ndarray) -> np.ndarray:
     """Greatest lower bound of every pair under leq, -1 where there is none.
 
-    A pair's candidate is its common lower bound with the largest
-    down-set. A greatest lower bound lies above every other common lower
-    bound, so its down-set is the strictly largest; the candidate is
-    therefore the greatest lower bound exactly when every common lower
-    bound lies below it, and that containment is the whole check.
+    The common lower bounds of a and b have a greatest element c exactly
+    when they make up c's down-set, so each pair's packed AND is looked
+    up among the down-sets, which antisymmetry keeps distinct.
     """
-    n = leq.shape[0]
-    below = leq.T                          # below[b, c]: c <= b
-    down = leq.sum(axis=0)                 # down[c]: size of c's down-set
-    table = np.empty((n, n), dtype=np.intp)
-    step = max(1, _BLOCK_ENTRIES // (n * n)) if n else 1
-    for start in range(0, n, step):
-        common = below & below[start:start + step, None, :]  # c <= a and c <= b
-        cand = np.where(common, down, -1).argmax(axis=2)
-        stray = common & ~below[cand]      # common lower bounds not below cand
-        table[start:start + step] = np.where(
-            common.any(axis=2) & ~stray.any(axis=2), cand, -1
-        )
-    return table
+    down = _pack(leq.T)                    # down[c]: the elements c' <= c
+    keys = _keys(down)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    common = _keys(down[:, None, :] & down[None, :, :])
+    at = np.minimum(np.searchsorted(ranked, common), len(keys) - 1)
+    return np.where(ranked[at] == common, order[at], -1)
 
 
 def lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -320,12 +397,14 @@ def _orthomodular(latt: BoundedOrtholattice) -> bool:
     return not (latt.poset.relation() & (outer != rows)).any()
 
 
-def _distributive(meets: np.ndarray, joins: np.ndarray) -> bool:
-    # a AND (b OR c) = (a AND b) OR (a AND c), over (b, c) at once per a
-    for row in meets:
-        if not np.array_equal(row[joins], joins[row[:, None], row]):
-            return False
-    return True
+def _distributive(leq: np.ndarray, joins: np.ndarray) -> bool:
+    # every join-irreducible j is join-prime: j <= b OR c forces j <= b
+    # or j <= c. j is join-irreducible when its strict down-set is the
+    # down-set of some k < j, that is when some k < j has a down-set one
+    # element smaller than j's.
+    size = leq.sum(axis=0)
+    up = leq[(leq & (size[:, None] == size - 1)).any(axis=0)]   # [j, x]: j <= x
+    return not (np.take(up, joins, axis=1) > (up[:, :, None] | up[:, None, :])).any()
 
 
 def classify(structure) -> Classification:
@@ -345,7 +424,7 @@ def classify(structure) -> Classification:
     bottom, top = p.minimum(), p.maximum()
     bounded = bottom is not None and top is not None
 
-    is_distributive = is_lattice and _distributive(meets, joins)
+    is_distributive = is_lattice and _distributive(p.relation(), joins)
 
     is_complemented = False
     if is_lattice and bounded:

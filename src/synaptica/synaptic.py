@@ -13,13 +13,16 @@ separate from the eigendecomposition oracle used to test them:
   step(a, lam)    1 - carrier((a - lam)^+), the spectral step family
   reconstruction  Riemann-Stieltjes sums against the step family
 
-Three private kernels take a payload or a stack of them: _absolute
-(|x|, the absolute eigenvalues over the frame), _carriers (the
-rank-thresholded carriers) and _running_sums (c_0 p_0 + c_1 p_1 + ...
-in order, every prefix at once). decompose and carrier are the kernels'
-one-payload case; the step formula runs them on a stack of lam values,
-so the resolution's cross-check evaluates it at every eigenvalue and
-midpoint in one call. spectrum is the one-row case of spectra.
+Three private kernels serve a payload or a stack of them: _absolute
+(|x|, the absolute eigenvalues over the frame) and _carriers (the
+rank-thresholded carriers) take its eigendecomposition, and
+_running_sums (c_0 p_0 + c_1 p_1 + ... in order, every prefix at once)
+its projections. decompose and carrier are the kernels' one-payload
+case; a spectral resolution keeps the eigendecomposition it was built
+from, so its decompose and carrier need no second one. The step
+formula runs the kernels on a stack of lam values, so the resolution's
+cross-check evaluates it at every eigenvalue and midpoint in one call.
+spectrum is the one-row case of spectra.
 
 Numerical policy: eigenvalue clustering and rank thresholds are
 relative at 1e-8 (RANK_RTOL), the projection test allows a residual of
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,16 +109,16 @@ def sqrt(a: Element) -> Element:
     return Element(a.space, a.space.assemble(frame, np.sqrt(w)))
 
 
-def _absolute(space, x: np.ndarray) -> np.ndarray:
-    """|x| for a payload or each payload of a stack: |eigenvalues| over the frame."""
-    w, frame = space.eigh(x)
+def _absolute(space, w: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """|x| for a payload or each payload of a stack, from its eigendecomposition:
+    |eigenvalues| over the frame."""
     return space.assemble(frame, np.abs(w))
 
 
-def _carriers(space, x: np.ndarray) -> np.ndarray:
-    """The carrier of a payload or of each payload of a stack: the projection onto
-    the frame members whose eigenvalues clear the rank threshold (exact on functions)."""
-    w, frame = space.eigh(x)
+def _carriers(space, w: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The carrier of a payload or of each payload of a stack, from its
+    eigendecomposition: the projection onto the frame members whose
+    eigenvalues clear the rank threshold (exact on functions)."""
     tol = space.rank_tol(w)
     if w.ndim == 1:
         return space.projector(frame, np.abs(w) > tol)
@@ -139,21 +142,26 @@ def _running_sums(members, coefficients=None) -> np.ndarray:
     return np.cumsum(sums, axis=0, out=sums)
 
 
+def _decomposition(a: Element, w: np.ndarray, frame: np.ndarray) -> tuple[Element, Element, Element]:
+    """decompose(a) from a's eigendecomposition (w, frame)."""
+    absolute = _absolute(a.space, w, frame)
+    plus = 0.5 * (absolute + a.payload)
+    minus = 0.5 * (absolute - a.payload)
+    return Element(a.space, absolute), Element(a.space, plus), Element(a.space, minus)
+
+
 def decompose(a: Element) -> tuple[Element, Element, Element]:
     """(|a|, a_plus, a_minus) with a = a_plus - a_minus, a_plus a_minus = 0.
 
     |a| is the positive square root of a^2; the parts are the usual
     half-sum and half-difference with a.
     """
-    absolute = _absolute(a.space, a.payload)
-    plus = 0.5 * (absolute + a.payload)
-    minus = 0.5 * (absolute - a.payload)
-    return Element(a.space, absolute), Element(a.space, plus), Element(a.space, minus)
+    return _decomposition(a, *a.space.eigh(a.payload))
 
 
 def carrier(a: Element) -> Element:
     """Smallest projection c with ca = a: the support of a."""
-    return Element(a.space, _carriers(a.space, a.payload))
+    return Element(a.space, _carriers(a.space, *a.space.eigh(a.payload)))
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,9 @@ class SpectralResolution:
     element: Element
     eigenvalues: tuple[float, ...]
     projections: tuple[Element, ...]
+    # the element's eigendecomposition (w, frame) when the resolution was
+    # built from one; decompose and carrier then reuse it
+    eigen: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         """Reject a resolution that no later call could read; the order is not checked."""
@@ -196,6 +207,18 @@ class SpectralResolution:
 
     def reconstruct(self) -> Element:
         return self._sum(self.eigenvalues)
+
+    def decompose(self) -> tuple[Element, Element, Element]:
+        """decompose(element), from the stored eigendecomposition when there is one."""
+        return _decomposition(self.element, *self._eigh())
+
+    def carrier(self) -> Element:
+        """carrier(element), from the stored eigendecomposition when there is one."""
+        return Element(self.element.space, _carriers(self.element.space, *self._eigh()))
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        a = self.element
+        return self.eigen if self.eigen is not None else a.space.eigh(a.payload)
 
     def _sum(self, coefficients, upto: int = -1) -> Element:
         """Row upto of the running sums of coefficient times projection."""
@@ -235,7 +258,7 @@ def spectral_resolution(a: Element, verify: bool = True) -> SpectralResolution:
     w, frame = space.eigh(a.payload)
     values, clusters = _clusters(w, space.rank_tol(w))
     projections = tuple(Element(space, space.projector(frame, c)) for c in clusters)
-    res = SpectralResolution(a, values, projections)
+    res = SpectralResolution(a, values, projections, (w, frame))
     if verify:
         _verify_resolution(res)
     return res
@@ -287,7 +310,8 @@ def _step_stack(a: Element, lams) -> np.ndarray:
     space = a.space
     one = space.unit().payload
     shifted = a.payload - np.reshape(lams, (-1,) + (1,) * one.ndim) * one
-    return one - _carriers(space, 0.5 * (_absolute(space, shifted) + shifted))
+    positive = 0.5 * (_absolute(space, *space.eigh(shifted)) + shifted)
+    return one - _carriers(space, *space.eigh(positive))
 
 
 def step_projection(a: Element, lam: float) -> Element:

@@ -45,9 +45,9 @@ The lattice oracles work pair by pair on a raw relation table: every
 meet and join by searching the common bounds, every classification
 flag by its defining loop, and the ortholattice axioms in the order the
 library checks them, so the first failing pair names the same witness.
-glb_table_by_rows is the library's meet-table construction one row at a
-time, which checks its blocked version entry for entry and dtype for
-dtype.
+glb_table_by_rows is the former meet-table construction, one row at a
+time; it checks the library's down-set lookup entry for entry and dtype
+for dtype.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ default_rng(99) on every call, where the library draws them once per
 dimension; and the spectral calculus one element at a time, as the
 synaptic module computed it before its stacked kernels: decompose,
 carrier, spectrum, the one-point step formula, and the eight loops that
-summed c_i p_i in order. Like tests/helpers.py, this module shares no
-code with src/; it lives apart because perfbench's worker loads
-helpers.py from source in every pass, and its peak memory grows with
-that file.
+summed c_i p_i in order; and the partial-order checks of a relation
+table one element and one pair at a time, which name the first witness
+the packed-row checks of FinitePoset must name. Like tests/helpers.py,
+this module shares no code with src/; it lives apart because
+perfbench's worker loads helpers.py from source in every pass, and its
+peak memory grows with that file.
 """
 
 from __future__ import annotations
@@ -213,3 +215,25 @@ def resolution_sums_by_loop(members):
         total = total + p
     running = np.cumsum([np.zeros(members[0].shape)] + list(members), axis=0)
     return total, running
+
+
+def poset_failure_by_scan(leq):
+    """The first failed partial-order axiom of a square table as the library words it, or None.
+
+    Reflexivity element by element, then antisymmetry and transitivity
+    pair by pair in row-major order; (i, k) fails transitivity when some
+    j has i <= j <= k but not i <= k.
+    """
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            return f"not reflexive at element {i}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"antisymmetry fails on pair ({i}, {j})"
+    for i in range(n):
+        for k in range(n):
+            if not leq[i][k] and any(leq[i][j] and leq[j][k] for j in range(n)):
+                return f"transitivity fails reaching ({i}, {k})"
+    return None

@@ -533,9 +533,10 @@ def count_lapack(monkeypatch) -> dict:
 
 
 def test_spectral_lapack_work_is_counted(tmp_path, capsys, monkeypatch):
-    # a Sym(4) element: the resolution, the two stacked eighs of its step
-    # cross-check, decompose and carrier; the norms of the resolution check
-    # and of the residual. A function algebra's spectra need no LAPACK call.
+    # a Sym(4) element: the resolution, whose eigh also gives |a|, its
+    # parts and the carrier, and the two stacked eighs of its step
+    # cross-check; the norms of the resolution check and of the residual.
+    # A function algebra's spectra need no LAPACK call.
     rng = np.random.default_rng(4)
     u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     docs = [sym2(n=4, entries=((u * lam) @ u.T).ravel().tolist())
@@ -547,7 +548,7 @@ def test_spectral_lapack_work_is_counted(tmp_path, capsys, monkeypatch):
     for path in paths:
         calls.update(eigh=0, eigvalsh=0)
         assert run(capsys, "spectral", path)[0] == 0
-        assert calls["eigh"] <= 5 and calls["eigvalsh"] <= 2
+        assert calls["eigh"] <= 3 and calls["eigvalsh"] <= 2
     calls.update(eigh=0, eigvalsh=0)
     assert run(capsys, "spectral", fa)[0] == 0
     assert calls == {"eigh": 0, "eigvalsh": 0}
@@ -580,7 +581,7 @@ def test_a_density_past_the_float_range_is_no_state_and_no_warning(tmp_path, cap
     assert verdict["violations"][0]["axiom"] == "state"
     rc = main(["states", path])
     captured = capsys.readouterr()
-    assert rc == 0 and captured.err == ""
+    assert rc == 1 and captured.err == ""
     assert json.loads(captured.out)["structures"][-1]["is_state"] is False
 
 
@@ -811,14 +812,13 @@ def test_huge_exact_value_beside_a_float_is_no_state(tmp_path, capsys, command):
     path = write_json(tmp_path, "s.json", [CHAIN_EA, doc])
     rc = main([command, path])
     captured = capsys.readouterr()
-    assert captured.err == ""
+    assert rc == 1 and captured.err == ""
     report = json.loads(captured.out)
     if command == "check":
-        assert rc == 1
         [violation] = report["files"][0]["documents"][1]["violations"]
         assert violation["axiom"] == "state"
     else:
-        assert rc == 0 and report["structures"][1]["is_state"] is False
+        assert report["structures"][1]["is_state"] is False
 
 
 def test_states_axiom_failure_exits_one(tmp_path, capsys):
@@ -1157,7 +1157,7 @@ def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
                               capture_output=True, text=True, env=env)
         rc, out = run(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (rc, out) and out, argv
-    assert rc == 0 and run(capsys, "check", path)[0] == 1  # the 1/3 state is no state
+    assert rc == 1 and run(capsys, "check", path)[0] == 1  # the 1/3 state is no state
 
 
 def _count_ea_builds(monkeypatch) -> list:
@@ -1179,7 +1179,7 @@ def test_states_reuse_their_bases_build_within_a_file(tmp_path, capsys, monkeypa
     docs = [{"kind": "state", "over": "halves", "table": tables[0]}, CHAIN_EA] + [
         {"kind": "state", "over": "halves", "table": t} for t in tables[1:]]
     path = write_json(tmp_path, "e.json", docs)
-    for command, code in (("check", 1), ("states", 0)):  # 1/4 + 1/4 != 1
+    for command, code in (("check", 1), ("states", 1)):  # 1/4 + 1/4 != 1
         built.clear()
         rc, out = run(capsys, command, path)
         assert rc == code and len(built) == 1, command

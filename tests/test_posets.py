@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from helpers import (
     lattice_tables_by_scan,
     ortholattice_failure_by_scan,
 )
+from per_call_paths import poset_failure_by_scan
 from synaptica import catalog, posets
 from synaptica.posets import (
     BoundedOrtholattice,
@@ -255,12 +257,24 @@ def test_from_pairs_closes_covers():
         ((["a"], "b"), "pair (['a'], 'b'): ['a'] is neither a label nor an index below 2"),
         (("a",), "pair ('a',) is not a (below, above) pair"),
         (5, "pair 5 is not a (below, above) pair"),
+        ((0, 2), "pair (0, 2): 2 is neither a label nor an index below 2"),
+        ((0, True), "pair (0, True): True is neither a label nor an index below 2"),
+        ((0, 1, 1), "pair (0, 1, 1) is not a (below, above) pair"),
+        ([0], "pair [0] is not a (below, above) pair"),
     ],
 )
 def test_from_pairs_names_a_pair_it_cannot_read(pair, message):
     with pytest.raises(StructureError) as info:
         FinitePoset.from_pairs(["a", "b"], [pair])
     assert str(info.value) == message
+
+
+def test_from_pairs_reads_index_pairs_pair_by_pair():
+    # four indices in all, but not two to a pair
+    with pytest.raises(StructureError) as info:
+        FinitePoset.from_pairs(["a", "b"], [[0, 1, 1], [0]])
+    assert str(info.value) == "pair [0, 1, 1] is not a (below, above) pair"
+    assert FinitePoset.from_pairs(["a", "b"], [[0, 1], (1, 1)]).leq(0, 1)
 
 
 def test_from_pairs_takes_labels_before_indices():
@@ -356,3 +370,166 @@ def test_blocked_tables_match_the_row_loop_on_boolean_lattices(k):
     for rel in (leq, leq.T):
         got, want = posets._glb_table(rel), glb_table_by_rows(rel)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# word boundaries of the packed down-sets: 64 elements to a uint64 word
+
+WORD_SIZES = [63, 64, 65, 127, 128, 129]
+
+
+def bounded(leq):
+    """leq with a new bottom and a new top, so that more pairs have a meet and a join."""
+    n = leq.shape[0]
+    out = np.eye(n + 2, dtype=bool)
+    out[1:-1, 1:-1] = leq
+    out[0, :] = out[:, -1] = True
+    return out
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+def test_tables_match_the_row_loop_and_the_scan_at_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    chain = np.triu(np.ones((n, n), dtype=bool))
+    perm = rng.permutation(n)
+    relations = [random_relation(rng, n), bounded(random_relation(rng, n - 2)),
+                 chain[perm][:, perm]]
+    for leq in relations:
+        meets, joins = lattice_tables(FinitePoset(leq))
+        for got, rel in ((meets, leq), (joins, leq.T)):
+            want = glb_table_by_rows(rel)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if leq is not relations[-1]:  # the scan takes n^4 steps on a chain
+            assert (meets.tolist(), joins.tolist()) == lattice_tables_by_scan(leq.tolist())
+    # the random orders miss some meets; the chain has them all
+    assert (meets >= 0).all() and any((lattice_tables(FinitePoset(r))[0] < 0).any()
+                                      for r in relations[:2])
+
+
+def product(a, b):
+    """The product ortholattice a x b, ordered and complemented coordinatewise."""
+    la, lb = a.poset.relation(), b.poset.relation()
+    n = a.n * b.n
+    rel = (la[:, None, :, None] & lb[None, :, None, :]).reshape(n, n)
+    perp = [a.perp[i] * b.n + b.perp[j] for i in range(a.n) for j in range(b.n)]
+    return BoundedOrtholattice(FinitePoset(rel), a.zero * b.n + b.zero,
+                               a.one * b.n + b.one, perp)
+
+
+def pentagon():
+    return FinitePoset.from_pairs(["0", "a", "b", "c", "1"],
+                                  [("0", "a"), ("a", "b"), ("0", "c"), ("b", "1"), ("c", "1")])
+
+
+def diamond():
+    return FinitePoset.from_pairs(["0", "a", "b", "c", "1"],
+                                  [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [pentagon(), diamond(), catalog.mo2(), catalog.o6(), catalog.chain(2), catalog.chain(9)]
+    + [catalog.boolean_lattice(k) for k in range(1, 8)]
+    + [product(catalog.mo2(), catalog.boolean_lattice(k)) for k in range(1, 5)],
+    ids=["N5", "M3", "MO2", "O6", "chain2", "chain9"] + [f"2^{k}" for k in range(1, 8)]
+    + [f"MO2x2^{k}" for k in range(1, 5)],
+)
+def test_join_prime_distributivity_matches_the_defining_identity(structure):
+    perp = structure.perp if isinstance(structure, BoundedOrtholattice) else None
+    poset = structure.poset if perp is not None else structure
+    flags = dataclasses.asdict(classify(structure))
+    assert flags == classification_by_scan(poset.relation().tolist(), perp)
+
+
+@st.composite
+def relations(draw):
+    """Square tables: free, acyclic, order closures, and closures less one pair.
+
+    Every entry of the diagonal is set except, now and then, one.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    kind = draw(st.sampled_from(["free", "acyclic", "order", "order less one"]))
+    rank = draw(st.permutations(range(n)))
+    leq = [[i == j or (kind == "free" or rank[i] < rank[j]) and draw(st.booleans())
+            for j in range(n)] for i in range(n)]
+    if kind.startswith("order"):
+        for k in range(n):
+            for i in range(n):
+                if leq[i][k]:
+                    leq[i] = [x or y for x, y in zip(leq[i], leq[k])]
+    if kind == "order less one":
+        above = [(i, j) for i in range(n) for j in range(n) if i != j and leq[i][j]]
+        if above:
+            i, j = draw(st.sampled_from(above))
+            leq[i][j] = False
+    dropped = draw(st.integers(min_value=0, max_value=3 * n))
+    if dropped < n:
+        leq[dropped][dropped] = False
+    return leq
+
+
+def assert_names_the_scans_witness(leq):
+    expected = poset_failure_by_scan(leq)
+    if expected is None:
+        FinitePoset(leq)
+        return None
+    with pytest.raises(StructureError) as caught:
+        FinitePoset(leq)
+    assert str(caught.value) == expected
+    return expected
+
+
+@given(relations())
+@settings(max_examples=300, deadline=None)
+def test_poset_checks_name_the_scans_first_witness(leq):
+    assert_names_the_scans_witness(leq)
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+def test_poset_witnesses_at_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    seen = set()
+    for _ in range(4):
+        leq = random_relation(rng, n)
+        below = np.argwhere(np.triu(leq | leq.T, 1) & ~np.eye(n, dtype=bool))
+        i, j = below[rng.integers(len(below))]
+        cycle = leq.copy()
+        cycle[j, i] = cycle[i, j] = True          # a two-cycle
+        pairs = np.argwhere(leq & ~np.eye(n, dtype=bool))
+        gap = leq.copy()
+        gap[tuple(pairs[rng.integers(len(pairs))])] = False
+        for rel in (cycle, gap):
+            found = assert_names_the_scans_witness(rel.tolist())
+            seen.add(found.split(" fails")[0] if found else None)
+    assert {"antisymmetry", "transitivity"} <= seen
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+def test_from_pairs_closes_covers_at_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    labels = [f"x{i}" for i in range(n)]
+    perm = rng.permutation(n).tolist()
+    chain_covers = [(perm[i], perm[i + 1]) for i in range(n - 1)]
+    rng.shuffle(chain_covers)
+    chain = FinitePoset.from_pairs(labels, chain_covers).relation()
+    rank = np.argsort(perm)
+    assert np.array_equal(chain, rank[:, None] <= rank[None, :])
+    leq = random_relation(rng, n)
+    pairs = [tuple(p) for p in np.argwhere(leq).tolist()]
+    by_index = FinitePoset.from_pairs(labels, pairs).relation()
+    by_label = FinitePoset.from_pairs(labels, [(labels[a], labels[b]) for a, b in pairs])
+    assert np.array_equal(by_index, leq) and np.array_equal(by_label.relation(), leq)
+
+
+def test_tables_and_classification_hold_no_cube():
+    # one n^3 boolean cube of 2^7 takes 2 MB; the lookup holds n^2 words
+    lat = catalog.boolean_lattice(7)
+    tracemalloc.start()
+    try:
+        lattice_tables(lat.poset)
+        classify(lat.poset)
+        classify(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

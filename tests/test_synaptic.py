@@ -366,10 +366,17 @@ def calculus_samples():
 
 
 def test_decompose_carrier_and_spectrum_are_the_per_call_bodies_bit_for_bit():
+    # a resolution answers from the eigendecomposition it was built from,
+    # and one built by hand, which has none, from a fresh one
     for a in calculus_samples():
-        for x, y in zip(decompose(a), per_call.decompose_one(a.payload)):
-            assert np.array_equal(x.payload, y)
-        assert np.array_equal(carrier(a).payload, per_call.carrier_one(a.payload))
+        res = spectral_resolution(a)
+        bare = SpectralResolution(a, res.eigenvalues, res.projections)
+        assert res.eigen is not None and bare.eigen is None
+        for parts in (decompose(a), res.decompose(), bare.decompose()):
+            for x, y in zip(parts, per_call.decompose_one(a.payload)):
+                assert np.array_equal(x.payload, y)
+        for c in (carrier(a), res.carrier(), bare.carrier()):
+            assert np.array_equal(c.payload, per_call.carrier_one(a.payload))
         assert spectrum(a) == per_call.spectrum_one(a.payload)
 
 
