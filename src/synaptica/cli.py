@@ -385,12 +385,8 @@ def _check_one(doc: dict, file: _File, tol: float):
     violations = report["violations"]
     state = None
     try:
-        if kind == "poset":
+        if kind in ("poset", "ortholattice", "function_algebra"):
             file.build(doc)
-        elif kind == "ortholattice":
-            flags = po.classify(file.build(doc))
-            names = ("is_lattice", "is_distributive", "is_boolean", "is_oml")
-            report["classification"] = {name: getattr(flags, name) for name in names}
         elif kind in ("effect_algebra", "mv_algebra"):
             checked, elements = file.build(doc)
             if not checked.ok:
@@ -401,8 +397,6 @@ def _check_one(doc: dict, file: _File, tol: float):
             if asym > ASYMMETRY_TOL:
                 detail = f"asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:g}"
                 violations.append({"axiom": "symmetry", "witness": [], "detail": detail})
-        elif kind == "function_algebra":
-            file.build(doc)
         else:
             state = structure, candidate, detail = _build_state(doc, file)
             if not stt.is_state(structure, candidate, tol=tol):
@@ -422,7 +416,12 @@ def cmd_check(args) -> int:
         # narrow what gets reported, not what labels resolve against:
         # a state kept by the filter may refer to a document dropped by it
         if not args.kind or doc["kind"] == args.kind:
-            return _check_one(doc, file, tol)[0]
+            report = _check_one(doc, file, tol)[0]
+            if doc["kind"] == "ortholattice" and report["valid"]:
+                flags = po.classify(file.build(doc))
+                names = ("is_lattice", "is_distributive", "is_boolean", "is_oml")
+                report["classification"] = {name: getattr(flags, name) for name in names}
+            return report
 
     files_out = [
         {"path": path, "documents": reports} for path, reports in _per_file(args.files, one)

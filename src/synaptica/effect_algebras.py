@@ -12,7 +12,10 @@ in the order of the plain triple loop.
 The MV side stores a total operation table. The two presentations are
 interconvertible: a lattice-ordered effect algebra in which disjoint
 elements are orthogonal induces an MV-algebra, and every MV-algebra
-restricts back to an effect algebra on the pairs x <= perp(y).
+restricts back to an effect algebra on the pairs x <= perp(y). The
+conversions index whole tables and compare orders as whole relations:
+the induced order puts e and f below g for each orthosum e + f = g, and
+the MV order is the join formula read over the whole addition table.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .posets import FinitePoset, StructureError, is_oml, lattice_tables
+from .posets import (FinitePoset, StructureError, first_pair, is_oml, lattice_tables,
+                     pair_table)
 
 __all__ = [
     "AxiomViolation",
@@ -268,48 +272,50 @@ def check_ea_axioms(table, zero, one, labels=None) -> Validation:
 def induced_order(ea: FiniteEffectAlgebra) -> FinitePoset:
     """The order e <= f iff e + d = f for some d, as a validated poset.
 
-    Re-verifies the two standard consequences: order duality under perp,
-    and that orthogonality of e, f is exactly e <= perp(f).
+    Re-verifies the two standard consequences, pair by pair in row-major
+    order: order duality under perp, then that orthogonality of e, f is
+    exactly e <= perp(f).
     """
     if ea._order is not None:
         return ea._order
-    n = ea.n
-    rel = [
-        [any(ea.table[e][d] == f for d in range(n)) for f in range(n)]
-        for e in range(n)
-    ]
+    sums = np.array(ea.orthosums, dtype=np.intp).reshape(-1, 3)
+    rel = np.zeros((ea.n, ea.n), dtype=bool)
+    rel[sums[:, :2], sums[:, 2:]] = True
     poset = FinitePoset(rel, ea.labels)
-    for e in range(n):
-        if not poset.leq(ea.zero, e) or not poset.leq(e, ea.one):
-            raise EffectAlgebraError(f"induced order is not bounded at {e}")
-    perp = ea.perp
-    for e in range(n):
-        for f in range(n):
-            if poset.leq(e, f) != poset.leq(perp[f], perp[e]):
-                raise EffectAlgebraError(f"order duality fails on ({e}, {f})")
-            if ea.orthogonal(e, f) != poset.leq(e, perp[f]):
-                raise EffectAlgebraError(f"orthogonality mismatch on ({e}, {f})")
+    if (bad := np.flatnonzero(~rel[ea.zero] | ~rel[:, ea.one])).size:
+        raise EffectAlgebraError(f"induced order is not bounded at {bad[0]}")
+    p = np.array(ea.perp, dtype=np.intp)
+    duality = rel != rel[np.ix_(p, p)].T             # [e, f]: perp(f) <= perp(e)
+    orthogonality = (_sums(ea) >= 0) != rel[:, p]     # [e, f]: e <= perp(f)
+    if hit := first_pair(duality | orthogonality):
+        what = "order duality fails" if duality[hit] else "orthogonality mismatch"
+        raise EffectAlgebraError(f"{what} on {hit}")
     ea._order = poset
     return poset
+
+
+def _sums(ea: FiniteEffectAlgebra) -> np.ndarray:
+    """The orthosummation as an n x n index array, -1 where undefined."""
+    e, f, g = np.array(ea.orthosums, dtype=np.intp).reshape(-1, 3).T
+    table = np.full((ea.n, ea.n), -1, dtype=np.intp)
+    table[e, f] = table[f, e] = g
+    return table
 
 
 def oml_to_ea(latt) -> FiniteEffectAlgebra:
     """Effect algebra of an orthomodular lattice: p + q = p OR q when p <= perp(q)."""
     if not is_oml(latt):
         raise EffectAlgebraError("input is not an orthomodular lattice")
-    n = latt.n
-    table = [
-        [latt.join(p, q) if latt.leq(p, latt.perp[q]) else None for q in range(n)]
-        for p in range(n)
-    ]
-    ea = FiniteEffectAlgebra(table, latt.zero, latt.one, latt.labels)
-    order = induced_order(ea)
-    for a in range(n):
-        for b in range(n):
-            if order.leq(a, b) != latt.leq(a, b):
-                raise EffectAlgebraError(f"induced order disagrees with lattice at ({a}, {b})")
-            if ea.orthogonal(a, b) and latt.meet(a, b) != latt.zero:
-                raise EffectAlgebraError(f"orthogonal pair ({a}, {b}) is not disjoint")
+    leq = latt.poset.relation()
+    orthogonal = leq[:, np.array(latt.perp, dtype=np.intp)]   # [p, q]: p <= perp(q)
+    ea = FiniteEffectAlgebra(np.where(orthogonal, pair_table(latt.join, latt.n), None).tolist(),
+                             latt.zero, latt.one, latt.labels)
+    disagree = induced_order(ea).relation() != leq
+    overlap = orthogonal & (pair_table(latt.meet, latt.n) != latt.zero)
+    if hit := first_pair(disagree | overlap):
+        if disagree[hit]:
+            raise EffectAlgebraError(f"induced order disagrees with lattice at {hit}")
+        raise EffectAlgebraError(f"orthogonal pair {hit} is not disjoint")
     return ea
 
 
@@ -353,19 +359,15 @@ class MorphismReport:
 
 
 def _morphism_violation(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra, phi) -> str | None:
-    """Why phi is no morphism dom -> cod, or None when it is one."""
+    """Why phi is no morphism dom -> cod, or None; the first failing pair in row-major order."""
     if phi[dom.one] != cod.one:
         return "unit is not preserved"
-    for e in range(dom.n):
-        for f in range(dom.n):
-            v = dom.table[e][f]
-            if v is None:
-                continue
-            w = cod.table[phi[e]][phi[f]]
-            if w is None:
-                return f"images of orthogonal pair ({e}, {f}) are not orthogonal"
-            if w != phi[v]:
-                return f"additivity fails on ({e}, {f})"
+    phi, sums = np.array(phi, dtype=np.intp), _sums(dom)
+    images = _sums(cod)[phi[:, None], phi]          # [e, f]: phi(e) + phi(f)
+    apart = (sums >= 0) & (images < 0)
+    if hit := first_pair(apart | (sums >= 0) & (images != phi[sums])):
+        return (f"images of orthogonal pair {hit} are not orthogonal" if apart[hit]
+                else f"additivity fails on {hit}")
     return None
 
 
@@ -384,19 +386,14 @@ def check_morphism(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra, phi) -> M
         return MorphismReport(False, False, violation)
     iso = False
     if dom.n == cod.n and len(set(phi)) == dom.n:
-        inv = [0] * dom.n
-        for i, v in enumerate(phi):
-            inv[v] = i
-        iso = _morphism_violation(cod, dom, inv) is None
+        iso = _morphism_violation(cod, dom, np.argsort(phi).tolist()) is None
     return MorphismReport(True, iso, None)
 
 
 def _mv_meets(ea: FiniteEffectAlgebra) -> np.ndarray | None:
     """Meet table of the induced order if ea is an MV-effect algebra, else None."""
     meets, joins = lattice_tables(induced_order(ea))
-    if (meets < 0).any() or (joins < 0).any():
-        return None
-    if not all(ea.orthogonal(e, f) for e, f in np.argwhere(meets == ea.zero)):
+    if (meets < 0).any() or (joins < 0).any() or ((meets == ea.zero) & (_sums(ea) < 0)).any():
         return None
     return meets
 
@@ -456,10 +453,7 @@ class FiniteMVAlgebra:
 
     def order(self) -> FinitePoset:
         if self._order is None:
-            n = self.n
-            self._order = FinitePoset(
-                [[self.leq(x, y) for y in range(n)] for x in range(n)], self.labels
-            )
+            self._order = FinitePoset(_mv_leq(self), self.labels)
         return self._order
 
     def is_boolean(self) -> bool:
@@ -519,6 +513,13 @@ def check_mv_axioms(plus, perp, zero, one, labels=None) -> Validation:
         return Validation(None, exc.violation)
 
 
+def _mv_leq(mv: FiniteMVAlgebra) -> np.ndarray:
+    """[x, y]: x <= y, that is x OR y = x + (x + perp(y))' is y."""
+    t, p = np.array(mv.plus_table, dtype=np.intp), np.array(mv.perp, dtype=np.intp)
+    rows = np.arange(mv.n)
+    return t[rows[:, None], p[t[:, p]]] == rows
+
+
 def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:
     """Total MV addition x+y := x (+) (perp(x) AND y) on an MV-effect algebra.
 
@@ -528,32 +529,18 @@ def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:
     meets = _mv_meets(ea)
     if meets is None:
         raise EffectAlgebraError("not an MV-effect algebra")
-    order = induced_order(ea)
-    n = ea.n
-    plus = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            m = meets.item(ea.perp[x], y)
-            v = ea.table[x][m]
-            if v is None:  # x is orthogonal to anything below perp(x)
-                raise EffectAlgebraError(f"internal: sum undefined on ({x}, {m})")
-            row.append(v)
-        plus.append(row)
-    mv = FiniteMVAlgebra(plus, ea.perp, ea.zero, ea.one, ea.labels)
-    mv_order = mv.order()
-    for x in range(n):
-        for y in range(n):
-            if mv_order.leq(x, y) != order.leq(x, y):
-                raise EffectAlgebraError(f"MV order disagrees with induced order at ({x}, {y})")
+    below = meets[np.array(ea.perp, dtype=np.intp)]            # [x, y]: perp(x) AND y
+    plus = _sums(ea)[np.arange(ea.n)[:, None], below]
+    if hit := first_pair(plus < 0):  # x is orthogonal to anything below perp(x)
+        raise EffectAlgebraError(f"internal: sum undefined on ({hit[0]}, {below[hit]})")
+    mv = FiniteMVAlgebra(plus.tolist(), ea.perp, ea.zero, ea.one, ea.labels)
+    if hit := first_pair(mv.order().relation() != induced_order(ea).relation()):
+        raise EffectAlgebraError(f"MV order disagrees with induced order at {hit}")
     return mv
 
 
 def mv_to_ea(mv: FiniteMVAlgebra) -> FiniteEffectAlgebra:
     """Restrict the total addition to the pairs x <= perp(y)."""
-    n = mv.n
-    table = [
-        [mv.plus(x, y) if mv.leq(x, mv.perp[y]) else None for y in range(n)]
-        for x in range(n)
-    ]
-    return FiniteEffectAlgebra(table, mv.zero, mv.one, mv.labels)
+    orthogonal = _mv_leq(mv)[:, np.array(mv.perp, dtype=np.intp)]
+    return FiniteEffectAlgebra(np.where(orthogonal, np.array(mv.plus_table), None).tolist(),
+                               mv.zero, mv.one, mv.labels)

@@ -19,11 +19,13 @@ join-irreducible j (one whose strict down-set is the down-set of some
 k, that is, one with a lower cover k whose down-set is one element
 smaller) satisfies j <= b OR c only if j <= b or j <= c (Davey &
 Priestley, Introduction to Lattices and Order, 2002, ch. 5). That is
-one (irreducibles, n, n) boolean array. The ortholattice axioms and the
-other classification flags are array comparisons over the tables and
-the relation, each reporting its first failing pair in row-major
-order. The scalar meet, join and subset_inf_sup stay as single-pair
-queries.
+one (irreducibles, n, n) boolean array. The squaring and the tables
+run in row chunks of at most _CHUNK_WORDS words (one chunk up to 128
+elements). The ortholattice axioms and the other classification flags
+are array comparisons over the tables and the relation, each reporting
+its first failing pair in row-major order through first_pair, which
+effect_algebras and stone use too. The scalar meet, join and
+subset_inf_sup read the relation one pair's bounds at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ __all__ = [
     "classify",
     "is_oml",
 ]
+
+
+# uint64 words a row chunk of _square or _glb_table holds: 128 x 128
+# pairs of two-word rows, so an order of up to 128 elements is one chunk
+_CHUNK_WORDS = 1 << 15
 
 
 class StructureError(ValueError):
@@ -74,14 +81,23 @@ def _unpack(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little").view(bool)
 
 
+def _by_chunks(kernel, n: int, words_per_row: int) -> np.ndarray:
+    """kernel(rows) on slices of n rows, each _CHUNK_WORDS words or one row at most, stacked."""
+    step = max(_CHUNK_WORDS // words_per_row, 1)
+    parts = [kernel(slice(i, i + step)) for i in range(0, n, step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _square(table: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Packed rows of the relation composed with itself: row i ORs the rows k with i R k.
 
-    table is the relation as booleans and words its packed rows. The
-    product is a C-ordered (n, words, n) stack, so each OR runs along
-    contiguous memory.
+    table is the relation as booleans and words its packed rows. Each
+    chunk of rows is a C-ordered (rows, words, n) stack, so each OR runs
+    along contiguous memory.
     """
-    return np.bitwise_or.reduce(np.ascontiguousarray(words.T) * table[:, None, :], axis=2)
+    cols = np.ascontiguousarray(words.T)
+    return _by_chunks(lambda rows: np.bitwise_or.reduce(cols * table[rows, None, :], axis=2),
+                      len(table), cols.size)
 
 
 def _keys(words: np.ndarray) -> np.ndarray:
@@ -149,7 +165,7 @@ class FinitePoset:
             reach = _square(table, words)
             if not np.array_equal(reach, words):
                 raise StructureError("transitivity fails reaching (%d, %d)"
-                                     % _first_pair(_unpack(reach & ~words, n)))
+                                     % first_pair(_unpack(reach & ~words, n)))
         table.flags.writeable = False
         self._leq = table
         self.labels = tuple(labels) if labels is not None else _default_labels(n)
@@ -238,28 +254,20 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def _greatest(p: FinitePoset, candidates: list[int]) -> int | None:
-    for c in candidates:
-        if all(p.leq(d, c) for d in candidates):
-            return c
-    return None
-
-
-def _least(p: FinitePoset, candidates: list[int]) -> int | None:
-    for c in candidates:
-        if all(p.leq(c, d) for d in candidates):
-            return c
-    return None
+def _first_bound(rel: np.ndarray, candidates: list[int]) -> int | None:
+    """The first candidate c with rel[d, c] for every candidate d, or None."""
+    hits = np.flatnonzero(rel[np.ix_(candidates, candidates)].all(axis=0))
+    return candidates[hits[0]] if hits.size else None
 
 
 def meet(p: FinitePoset, a: int, b: int) -> int | None:
     """Greatest lower bound of a and b, or None when absent."""
-    return _greatest(p, p.lower_bounds((a, b)))
+    return _first_bound(p.relation(), p.lower_bounds((a, b)))
 
 
 def join(p: FinitePoset, a: int, b: int) -> int | None:
     """Least upper bound of a and b, or None when absent."""
-    return _least(p, p.upper_bounds((a, b)))
+    return _first_bound(p.relation().T, p.upper_bounds((a, b)))
 
 
 def subset_inf_sup(p: FinitePoset, subset) -> tuple[int | None, int | None]:
@@ -267,7 +275,8 @@ def subset_inf_sup(p: FinitePoset, subset) -> tuple[int | None, int | None]:
     elems = list(subset)
     if not elems:
         raise ValueError("subset must be nonempty")
-    return _greatest(p, p.lower_bounds(elems)), _least(p, p.upper_bounds(elems))
+    return (_first_bound(p.relation(), p.lower_bounds(elems)),
+            _first_bound(p.relation().T, p.upper_bounds(elems)))
 
 
 def _glb_table(leq: np.ndarray) -> np.ndarray:
@@ -281,9 +290,13 @@ def _glb_table(leq: np.ndarray) -> np.ndarray:
     keys = _keys(down)
     order = np.argsort(keys)
     ranked = keys[order]
-    common = _keys(down[:, None, :] & down[None, :, :])
-    at = np.minimum(np.searchsorted(ranked, common), len(keys) - 1)
-    return np.where(ranked[at] == common, order[at], -1)
+
+    def rows_of(rows: slice) -> np.ndarray:
+        common = _keys(down[rows, None, :] & down[None, :, :])
+        at = np.minimum(np.searchsorted(ranked, common), len(keys) - 1)
+        return np.where(ranked[at] == common, order[at], -1)
+
+    return _by_chunks(rows_of, len(down), down.size)
 
 
 def lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -296,10 +309,16 @@ def lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     return _glb_table(leq), _glb_table(leq.T)
 
 
-def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
+def first_pair(mask: np.ndarray) -> tuple[int, int] | None:
     """(row, column) of the first True entry in row-major order, or None."""
     hits = np.argwhere(mask)
     return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+
+
+def pair_table(op, n: int) -> np.ndarray:
+    """The n x n table of op(a, b), one call per pair in row-major order."""
+    rows, cols = np.indices((n, n)).reshape(2, -1).tolist()
+    return np.array(list(map(op, rows, cols)), dtype=np.intp).reshape(n, n)
 
 
 class BoundedOrtholattice:
@@ -323,7 +342,7 @@ class BoundedOrtholattice:
         if len(perp) != n or sorted(perp) != list(range(n)):
             raise StructureError("perp must be a permutation of the elements")
         meets, joins = lattice_tables(poset)
-        if hit := _first_pair((meets < 0) | (joins < 0)):
+        if hit := first_pair((meets < 0) | (joins < 0)):
             raise StructureError("not a lattice: pair (%d, %d)" % hit)
         p = np.array(perp, dtype=np.intp)
         rows = np.arange(n)
@@ -332,7 +351,7 @@ class BoundedOrtholattice:
             raise StructureError(f"perp is not an involution at {bad[0]}")
         leq = poset.relation()
         # leq[perp[b], perp[a]] at [a, b]
-        if hit := _first_pair(leq & ~leq[np.ix_(p, p)].T):
+        if hit := first_pair(leq & ~leq[np.ix_(p, p)].T):
             raise StructureError("perp does not reverse order on (%d, %d)" % hit)
         bad = np.flatnonzero((meets[rows, p] != zero) | (joins[rows, p] != one))
         if bad.size:

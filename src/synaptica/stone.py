@@ -3,8 +3,10 @@
 A finite Boolean lattice is isomorphic to the field of all subsets of
 its Stone space, the set of lattice homomorphisms onto {0, 1}. In the
 finite case the homomorphisms correspond exactly to the atoms, so
-points are carried as atom indices; the hom-set reading survives in
-``StoneSpace.hom`` and is verified exhaustively at construction.
+points are carried as atom indices, read off the down-set sizes of the
+relation; the hom-set reading survives in ``StoneSpace.hom`` and is
+verified exhaustively at construction, as array tests over all points
+at once that name the first failing point and check.
 
 On the operator side, a commutative subalgebra spanned by commuting
 projections is isomorphic, as a normed ordered algebra, to the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posets import BoundedOrtholattice, StructureError, classify
+from .posets import BoundedOrtholattice, StructureError, classify, first_pair, pair_table
 from .order_unit import Element, FunctionSpace
 from . import synaptic
 from .states import DensityState
@@ -78,58 +80,43 @@ class StoneSpace:
         return lambda b: row[b]
 
 
-def _atoms_of(lat: BoundedOrtholattice) -> list[int]:
-    bot = lat.zero
-    out = []
-    for a in range(lat.n):
-        if a == bot:
-            continue
-        below = [x for x in range(lat.n) if lat.leq(x, a) and x != a]
-        if below == [bot]:
-            out.append(a)
-    return out
-
-
 def stone_space(lat: BoundedOrtholattice) -> StoneSpace:
     """Enumerate the two-valued homomorphisms of a Boolean lattice.
 
-    Verifies, exhaustively, that every point preserves bounds, meets,
-    joins, and complements, and that b |-> K_b is a Boolean
-    isomorphism onto the field of all subsets of the point set. K_b
-    holds the points taking the value 1 at b, so the per-point identities
-    are the map's complement, intersection and union identities read by
-    column; only injectivity and onto are left to check.
+    Verifies, for all points at once, that every point preserves bounds,
+    complements, meets and joins as lat.perp, lat.meet and lat.join give
+    them, and that b |-> K_b is a Boolean isomorphism onto the field of
+    all subsets of the point set. K_b holds the points taking the value
+    1 at b, so the per-point identities are the map's complement,
+    intersection and union identities read by column; only injectivity
+    and onto are left to check.
     """
     flags = classify(lat)
     if not flags.is_boolean:
         raise StructureError("Stone representation needs a Boolean lattice")
-    atoms = _atoms_of(lat)
-    char = tuple(
-        tuple(1 if lat.leq(a, b) else 0 for b in range(lat.n)) for a in atoms
-    )
-    st = StoneSpace(lattice=lat, atoms=tuple(atoms), char=char)
+    n, bot, top = lat.n, lat.zero, lat.one
+    leq = lat.poset.relation()
+    atoms = np.flatnonzero((leq.sum(axis=0) == 2) & leq[bot] & (np.arange(n) != bot))
+    k, x = len(atoms), leq[atoms]                   # x[p, b]: point p takes the value 1 at b
+    st = StoneSpace(lattice=lat, atoms=tuple(atoms.tolist()),
+                    char=tuple(map(tuple, x.astype(int).tolist())))
 
-    bot, top = lat.zero, lat.one
-    for p in range(len(atoms)):
-        x = st.hom(p)
-        if x(bot) != 0 or x(top) != 1:
-            raise StructureError(f"point {p} does not preserve the bounds")
-        for b in range(lat.n):
-            if x(lat.perp[b]) != 1 - x(b):
-                raise StructureError(f"point {p} does not preserve complements")
-            for c in range(lat.n):
-                if x(lat.meet(b, c)) != min(x(b), x(c)):
-                    raise StructureError(f"point {p} does not preserve meets")
-                if x(lat.join(b, c)) != max(x(b), x(c)):
-                    raise StructureError(f"point {p} does not preserve joins")
+    meets, joins = pair_table(lat.meet, n), pair_table(lat.join, n)
+    # per point: the bounds, then for each b its complement, then its
+    # meet and its join with each c in turn, the order the checks are named in
+    pairwise = np.stack([x[:, meets] != x[:, :, None] & x[:, None, :],
+                         x[:, joins] != x[:, :, None] | x[:, None, :]], axis=3)
+    per_element = np.concatenate([(x[:, list(lat.perp)] == x)[:, :, None],
+                                  pairwise.reshape(k, n, 2 * n)], axis=2)
+    checks = np.concatenate([(x[:, bot] | ~x[:, top])[:, None],
+                             per_element.reshape(k, n * (2 * n + 1))], axis=1)
+    if hit := first_pair(checks):
+        names = ["the bounds"] + (["complements"] + ["meets", "joins"] * n) * n
+        raise StructureError(f"point {hit[0]} does not preserve {names[hit[1]]}")
 
-    images = [stone_map(st, b) for b in range(lat.n)]
-    if len(set(images)) != lat.n:
+    if len(np.unique(x, axis=1).T) != n:
         raise StructureError("clopen-set map is not injective")
-    if set(images) != {
-        frozenset(s for s in range(len(atoms)) if mask >> s & 1)
-        for mask in range(1 << len(atoms))
-    }:
+    if n != 1 << len(atoms):  # n distinct subsets of the points
         raise StructureError("clopen-set map is not onto the subset field")
     return st
 

@@ -140,6 +140,28 @@ MV2 = {"kind": "mv_algebra", "elements": ["0", "1"], "zero": "0",
        "plus": [["0", "1"], ["1", "1"]], "perp": [["0", "1"], ["1", "0"]]}
 
 
+def test_states_validates_an_ortholattice_without_classifying_it(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "lat.json", [SQUARE, {**SQUARE, "label": "bad", "perp": [
+        ["0", "1"], ["a", "a"], ["b", "b"], ["1", "0"]]}])
+    rc, checked = run(capsys, "check", path)
+    reports = json.loads(checked)["files"][0]["documents"]
+    assert [list(r) for r in reports] == [
+        ["label", "kind", "valid", "violations", "classification"],
+        ["label", "kind", "valid", "violations"],
+    ]
+
+    def refuse(structure):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr(cli.po, "classify", refuse)
+    rc_valid, valid = run(capsys, "states", write_json(tmp_path, "ok.json", SQUARE))
+    assert rc_valid == 0 and json.loads(valid)["structures"] == []
+    rc_states, states = run(capsys, "states", path)
+    assert rc_states == 1 and [r["label"] for r in json.loads(states)["structures"]] == ["bad"]
+    monkeypatch.undo()
+    assert run(capsys, "check", path) == (rc, checked)
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [

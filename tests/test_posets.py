@@ -182,7 +182,7 @@ def test_bounded_non_lattice_names_its_first_pair():
 
 
 def test_building_and_classifying_needs_no_single_pair_queries(monkeypatch):
-    for name in ("meet", "join", "_greatest", "_least"):
+    for name in ("meet", "join", "_first_bound"):
         monkeypatch.setattr(posets, name, None)
     lat = catalog.boolean_lattice(5)
     flags = classify(lat)
@@ -533,3 +533,67 @@ def test_tables_and_classification_hold_no_cube():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# row chunks: the pairwise kernels hold a bounded number of words at once
+
+
+def chunks(n):
+    """The row slices the pairwise kernels take on an order of n elements."""
+    seen = []
+    posets._by_chunks(lambda rows: seen.append(rows) or np.zeros((1, 1)), n, n * -(-n // 64))
+    return seen
+
+
+def test_orders_of_up_to_128_elements_take_one_chunk():
+    for n in range(1, 129):
+        (rows,) = chunks(n)
+        assert rows.start == 0 and rows.stop >= n
+    assert len(chunks(129)) == 2 and len(chunks(600)) == 120
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 129, 200])
+def test_tables_and_closures_are_the_same_in_any_chunks(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    relations = [random_relation(rng, n)]
+    relations += [bounded(random_relation(rng, n - 2))] if n > 2 else []
+    labels = [f"x{i}" for i in range(n)]
+    for leq in relations:
+        pairs = [tuple(p) for p in np.argwhere(leq).tolist()]
+        gap = leq.copy()
+        if len(pairs) > n:
+            gap[tuple(np.argwhere(leq & ~np.eye(n, dtype=bool))[0])] = False
+        found = []
+        for budget in (1 << 40, posets._CHUNK_WORDS, 3 * n, 1):
+            monkeypatch.setattr(posets, "_CHUNK_WORDS", budget)
+            meets, joins = lattice_tables(FinitePoset(leq))
+            closed = FinitePoset.from_pairs(labels, pairs).relation()
+            try:
+                FinitePoset(gap)
+                message = None
+            except StructureError as exc:
+                message = str(exc)
+            found.append((meets.dtype, meets.tolist(), joins.tolist(), closed.tolist(), message))
+        assert found[1:] == found[:-1]
+        assert found[0][3] == leq.tolist()
+    assert np.array_equal(meets, glb_table_by_rows(leq))
+
+
+def test_a_600_element_chain_takes_bounded_memory():
+    # at one chunk for all pairs the closure peaked at 28 MB and the
+    # tables at 61 MB; the two n^2 index tables themselves take 5.8 MB
+    n = 600
+    labels = [f"c{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        chain = FinitePoset.from_pairs(labels, [(i, i + 1) for i in range(n - 1)])
+        _, closure_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        meets, _ = lattice_tables(chain)
+        _, tables_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(meets, np.minimum.outer(np.arange(n), np.arange(n)))
+    assert closure_peak < 4 * 2**20, closure_peak
+    assert tables_peak < 12 * 2**20, tables_peak

@@ -103,6 +103,21 @@ def test_a_lattice_whose_meet_lies_is_rejected(monkeypatch):
         stone_space(lat)
 
 
+def test_a_lattice_whose_join_lies_is_rejected(monkeypatch):
+    lat = boolean_lattice(2)
+    monkeypatch.setattr(lat, "join", lambda b, c: lat.zero)  # classify reads the table
+    with pytest.raises(StructureError, match="does not preserve joins"):
+        stone_space(lat)
+
+
+def test_a_lattice_whose_perp_lies_is_rejected(monkeypatch):
+    lat = boolean_lattice(2)
+    # the identity is no complement; classify decides Boolean without perp
+    monkeypatch.setattr(lat, "perp", tuple(range(lat.n)))
+    with pytest.raises(StructureError, match="does not preserve complements"):
+        stone_space(lat)
+
+
 def test_non_boolean_lattices_are_rejected():
     for lat in (mo2(), o6()):
         with pytest.raises(StructureError, match="Boolean"):
