@@ -7,7 +7,8 @@ which makes the checker usable as an oracle against mutated tables. The
 scan compares whole rows as tuples, so its n^3 associativity work runs
 inside tuple comparison and operator.itemgetter, not a Python loop per
 triple; a witness is searched entry by entry only once a row mismatches,
-in the order of the plain triple loop.
+in the order of the plain triple loop. The MV scan's axioms on pairs
+compare a whole table with its transpose the same way.
 
 The MV side stores a total operation table. The two presentations are
 interconvertible: a lattice-ordered effect algebra in which disjoint
@@ -477,10 +478,8 @@ def _mv_violation(t, p, zero: int, one: int) -> AxiomViolation | None:
             y = _first_difference(lhs, rhs)
             z = _first_difference(lhs[y], rhs[y])
             return AxiomViolation("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
-    for x in range(n):
-        for y in range(n):
-            if t[x][y] != t[y][x]:
-                return AxiomViolation("mv-commutativity", (x, y), "x+y != y+x")
+    if t != tuple(zip(*t)):
+        return AxiomViolation("mv-commutativity", _first_asymmetry(t), "x+y != y+x")
     for x in range(n):
         if t[x][zero] != x:
             return AxiomViolation("mv-zero", (x,), "x+0 != x")
@@ -492,17 +491,19 @@ def _mv_violation(t, p, zero: int, one: int) -> AxiomViolation | None:
     for x in range(n):
         if t[x][p[x]] != one:
             return AxiomViolation("mv-complement", (x,), "x+perp(x) != 1")
-    for x in range(n):
-        for y in range(n):
-            lhs = t[x][p[t[x][p[y]]]]
-            rhs = t[y][p[t[y][p[x]]]]
-            if lhs != rhs:
-                return AxiomViolation(
-                    "mv-lukasiewicz",
-                    (x, y),
-                    "x+(x+perp(y))' != y+(y+perp(x))'",
-                )
+    inner = list(map(_row_getters([p])[0], t))                # [x][y]: x + perp(y)
+    outer = [g(p) for g in _row_getters(inner)]                # [x][y]: perp(x + perp(y))
+    joins = [g(row) for g, row in zip(_row_getters(outer), t)]
+    if joins != list(zip(*joins)):
+        return AxiomViolation("mv-lukasiewicz", _first_asymmetry(joins),
+                              "x+(x+perp(y))' != y+(y+perp(x))'")
     return None
+
+
+def _first_asymmetry(rows) -> tuple[int, int]:
+    """The first (x, y) in row-major order with rows[x][y] != rows[y][x]."""
+    table = np.array(rows, dtype=np.intp)
+    return first_pair(table != table.T)
 
 
 def check_mv_axioms(plus, perp, zero, one, labels=None) -> Validation:

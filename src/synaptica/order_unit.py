@@ -27,7 +27,9 @@ q are Elements.
   element, unit, zero_element, basis    construction
   payloads(m)             element's checks and stored form for a stack
   norm_of, contains_positive            order-unit norm and cone
-  in_cone(x)              contains_positive for a stack of payloads
+  in_cone(x, values)      contains_positive for a stack of payloads;
+                          values, if given, are the stack's eigh values,
+                          so the matrix instance decomposes nothing
   product, commutes                     ambient associative product
   multiply(x, y)          that product on payload stacks: matmul, or
                           pointwise
@@ -148,12 +150,14 @@ def symmetrised(m: np.ndarray):
     The transpose and the maximum are over the last two axes, so m may
     be a stack of matrices, with one asymmetry per matrix. Halving first
     keeps the sum in range; the halves are exact for all but subnormal
-    entries, so the sum rounds as (m + m^T) / 2 would. The asymmetry is
-    NaN, with no warning, exactly when the matrix has a non-finite
-    entry: inf - inf or a NaN reaches the difference.
+    entries, so the sum rounds as (m + m^T) / 2 would. m is halved once,
+    since the transpose of the halves is the half of the transpose. The
+    asymmetry is NaN, with no warning, exactly when the matrix has a
+    non-finite entry: inf - inf or a NaN reaches the difference.
     """
     with np.errstate(invalid="ignore"):
-        sym = m / 2.0 + m.swapaxes(-1, -2) / 2.0
+        half = m / 2.0
+        sym = half + half.swapaxes(-1, -2)
         drift = np.abs(m - sym).max(axis=(-2, -1), initial=0.0)
     return sym, drift
 
@@ -228,8 +232,8 @@ class SymmetricMatrixSpace:
     def contains_positive(self, a: Element) -> bool:
         return bool(self.in_cone(a.payload))
 
-    def in_cone(self, x: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(x)
+    def in_cone(self, x: np.ndarray, values=None) -> np.ndarray:
+        w = np.linalg.eigvalsh(x) if values is None else values
         # fmax, like the builtin max, keeps 1.0 against a NaN
         scale = np.fmax(1.0, np.abs(w).max(axis=-1))
         return w.min(axis=-1) >= -PSD_TOL * scale
@@ -414,7 +418,7 @@ class FunctionSpace:
     def contains_positive(self, a: Element) -> bool:
         return bool(self.in_cone(a.payload))
 
-    def in_cone(self, x: np.ndarray) -> np.ndarray:
+    def in_cone(self, x: np.ndarray, values=None) -> np.ndarray:
         return x.min(axis=-1) >= -POINTWISE_TOL
 
     def product(self, a: Element, b: Element) -> np.ndarray:

@@ -18,8 +18,11 @@ irreducibles: a finite lattice is distributive iff every
 join-irreducible j (one whose strict down-set is the down-set of some
 k, that is, one with a lower cover k whose down-set is one element
 smaller) satisfies j <= b OR c only if j <= b or j <= c (Davey &
-Priestley, Introduction to Lattices and Order, 2002, ch. 5). That is
-one (irreducibles, n, n) boolean array. The squaring and the tables
+Priestley, Introduction to Lattices and Order, 2002, ch. 5), that is
+iff the elements not above j make up the down-set of one element. That
+down-set holds the down-set of each of its members, so it is one of
+them exactly when the largest of those is as large as it: one
+(irreducibles, n) array of down-set sizes. The squaring and the tables
 run in row chunks of at most _CHUNK_WORDS words (one chunk up to 128
 elements). The ortholattice axioms and the other classification flags
 are array comparisons over the tables and the relation, each reporting
@@ -310,9 +313,14 @@ def lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_pair(mask: np.ndarray) -> tuple[int, int] | None:
-    """(row, column) of the first True entry in row-major order, or None."""
-    hits = np.argwhere(mask)
-    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+    """(row, column) of the first True entry in row-major order, or None.
+
+    argmax of a boolean array is its first True in row-major order,
+    whatever its memory layout.
+    """
+    if not mask.any():
+        return None
+    return divmod(int(mask.argmax()), mask.shape[1])
 
 
 def pair_table(op, n: int) -> np.ndarray:
@@ -416,14 +424,17 @@ def _orthomodular(latt: BoundedOrtholattice) -> bool:
     return not (latt.poset.relation() & (outer != rows)).any()
 
 
-def _distributive(leq: np.ndarray, joins: np.ndarray) -> bool:
+def _distributive(leq: np.ndarray) -> bool:
     # every join-irreducible j is join-prime: j <= b OR c forces j <= b
-    # or j <= c. j is join-irreducible when its strict down-set is the
-    # down-set of some k < j, that is when some k < j has a down-set one
-    # element smaller than j's.
-    size = leq.sum(axis=0)
+    # or j <= c, so the elements not above j are closed under joins, a
+    # down-set that in a finite lattice is the down-set of one element.
+    # j is join-irreducible when its strict down-set is the down-set of
+    # some k < j, that is when some k < j has a down-set one element
+    # smaller than j's.
+    size = leq.sum(axis=0)                                      # size[x]: |down-set of x|
     up = leq[(leq & (size[:, None] == size - 1)).any(axis=0)]   # [j, x]: j <= x
-    return not (np.take(up, joins, axis=1) > (up[:, :, None] | up[:, None, :])).any()
+    # the largest down-set of an x not above j against the count of those x
+    return bool((np.where(up, 0, size).max(axis=1) == len(leq) - up.sum(axis=1)).all())
 
 
 def classify(structure) -> Classification:
@@ -443,7 +454,7 @@ def classify(structure) -> Classification:
     bottom, top = p.minimum(), p.maximum()
     bounded = bottom is not None and top is not None
 
-    is_distributive = is_lattice and _distributive(p.relation(), joins)
+    is_distributive = is_lattice and _distributive(p.relation())
 
     is_complemented = False
     if is_lattice and bounded:

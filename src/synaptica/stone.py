@@ -16,17 +16,21 @@ are all built and verified here, together with state transport across
 the isomorphism.
 
 The map to functions works on a stack of elements at once. The atoms
-are flattened once, at construction, into the columns of one matrix;
-one least-squares solve with a right-hand side per element tests span
-membership for the whole stack (the norms behind the relative
-allowance are taken only for residuals past REPRESENTATION_TOL), and
-the coefficients against the atoms are one matrix product divided by
-the atom weights. to_function is the one-element case. The
+are flattened once, at construction, into the columns of one matrix,
+and the coefficients against the atoms are one matrix product divided
+by the atom weights. An element is in the span when its coefficients
+rebuild it, sum c_i q_i, to within REPRESENTATION_TOL; only the
+elements they do not rebuild go to one least-squares solve with a
+right-hand side each, which allows a residual relative to the norm and
+words every rejection. to_function is the one-element case. The
 verification report builds every element its checks map (six samples,
-three linear combinations, the unit, three Jordan products, two
-shifted samples and the generators) as one array and maps it in one
-call. The sample norms, the cone test of the samples and shifted
-samples, and the samples' spectra are one stacked call each.
+three linear combinations, the unit, three Jordan products from one
+stacked product, two shifted samples and the generators) as one array
+and maps it in one call. One stacked eigh of the samples gives their
+norms, their cone test and their spectra; the shifted samples' cone
+test is one more stacked call. The round trip's drifts are held to
+their Frobenius norms first, which bound the order-unit norm, so a
+norm is taken only for a drift that bound does not clear.
 """
 
 from __future__ import annotations
@@ -161,34 +165,51 @@ def _check_generators(space, generators: np.ndarray) -> None:
     """Raise ValueError unless the generators are commuting projections.
 
     All generators are tested as projections in one stacked call, then
-    generator i against the stack of those after it, one call per i, so
-    at most m products are held at once. The first failing generator,
-    then the first failing pair in the order (i, j), i < j, is named.
+    the pairs (i, j), i < j, in row-major order, m pairs to a stacked
+    call, so at most m products are held at once. The first failing
+    generator, then the first failing pair in that order, is named.
     """
     idempotent = space.idempotent(generators)
     if not idempotent.all():
         raise ValueError(f"generator {np.flatnonzero(~idempotent)[0]} is not a projection")
-    for i, p in enumerate(generators[:-1]):
-        commuting = space.commuting(p, generators[i + 1:])
+    m = len(generators)
+    firsts, seconds = np.nonzero(np.less.outer(np.arange(m), np.arange(m)))  # i < j, row-major
+    for start in range(0, len(firsts), max(m, 1)):
+        i, j = firsts[start:start + m], seconds[start:start + m]
+        commuting = space.commuting(generators[i], generators[j])
         if not commuting.all():
-            j = i + 1 + np.flatnonzero(~commuting)[0]
-            raise ValueError(f"generators ({i}, {j}) do not commute; no commutative span")
+            k = np.flatnonzero(~commuting)[0]
+            raise ValueError(f"generators ({i[k]}, {j[k]}) do not commute; no commutative span")
+
+
+def _jordans(space, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """synaptic.jordan of each pair of two stacks, bit for bit, from one stacked product."""
+    ab = space.multiply(x, y)
+    return (ab + ab.transpose(0, *range(ab.ndim - 1, 0, -1))) / 2.0
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Each payload's Frobenius norm, as np.linalg.norm computes it along an axis."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.add.reduce(flat * flat, axis=1))
 
 
 def _sign_pattern_leaves(space, unit: np.ndarray, generators: np.ndarray):
     """(pattern masks, prefix products) of the prefix tree's last level.
 
-    Level i multiplies the stack of live prefixes by (1 - p_i, p_i) in
-    one stacked product; the children, in the order prefix by prefix
-    and the complement first, are symmetrised and checked by the space
-    in one call, and those of Frobenius norm at most 1/4 are dropped.
+    The factors (1 - p_i, p_i) are stacked once for every i. Level i
+    multiplies the stack of live prefixes by its pair in one stacked
+    product; the children, in the order prefix by prefix and the
+    complement first, are symmetrised and checked by the space in one
+    call, and those of Frobenius norm at most 1/4 are dropped.
     """
     masks = [0]  # Python ints: any number of generators
     live = unit[None]
-    for i, p in enumerate(generators):
-        children = space.multiply(live[:, None], np.stack([unit - p, p]))
+    factors = np.stack([unit - generators, generators], axis=1)
+    for i, pair in enumerate(factors):
+        children = space.multiply(live[:, None], pair)
         children = space.payloads(children.reshape((-1,) + unit.shape))
-        keep = np.linalg.norm(children.reshape(len(children), -1), axis=1) > 0.25
+        keep = _frobenius(children) > 0.25
         masks = [mask | bit for mask in masks for bit in (0, 1 << i)]
         masks = [mask for mask, kept in zip(masks, keep.tolist()) if kept]
         live = children[keep]
@@ -204,25 +225,24 @@ class FunctionalRepresentation:
     resolution, from_function assembles them back.
 
     The generators are checked first: all of them as projections in one
-    stacked call, then each against the generators after it in one
-    stacked call per generator. The first generator that is no
-    projection, then the first pair (i, j), i < j, that does not
-    commute, is named.
+    stacked call, then the pairs (i, j), i < j, in row-major order, m
+    pairs to a stacked call. The first generator that is no projection,
+    then the first pair that does not commute, is named.
 
     The sign patterns are walked as a prefix tree, one level per
     generator: the stack of live prefix products X is multiplied by
-    (1 - p_i, p_i) in one stacked product, the children X(1 - p_i) and
-    X p_i are symmetrised and checked as element checks them in one
-    stacked call (the first failing child, prefix by prefix and the
-    complement first, is named), and their Frobenius norms are one
-    stacked call too. Slice for slice these are the float operations a
-    scan over all 2^m patterns performs for the patterns sharing that
-    prefix. A child whose Frobenius norm is at most 1/4 is dropped. The
-    Frobenius norm bounds the order-unit norm, every factor is a
-    projection or its complement of norm at most 1 + O(n PROJ_TOL), and
-    symmetrising does not raise the norm, so every extension of a
-    dropped prefix stays below the 0.5 at which a full product is
-    rejected. The live prefixes are nearly orthogonal nonzero
+    (1 - p_i, p_i), stacked once for all i, in one stacked product, the
+    children X(1 - p_i) and X p_i are symmetrised and checked as element
+    checks them in one stacked call (the first failing child, prefix by
+    prefix and the complement first, is named), and their Frobenius
+    norms are one stacked sum of squares. Slice for slice these are the
+    float operations a scan over all 2^m patterns performs for the
+    patterns sharing that prefix. A child whose Frobenius norm is at
+    most 1/4 is dropped. The Frobenius norm bounds the order-unit norm,
+    every factor is a projection or its complement of norm at most
+    1 + O(n PROJ_TOL), and symmetrising does not raise the norm, so
+    every extension of a dropped prefix stays below the 0.5 at which a
+    full product is rejected. The live prefixes are nearly orthogonal nonzero
     projections summing to the unit, so at most n survive a level (n
     the matrix size, or the number of points) and construction takes m
     stacked products of at most 2 n matrices each instead of m 2^m
@@ -250,7 +270,8 @@ class FunctionalRepresentation:
         self.patterns = tuple(tuple(mask >> i & 1 for i in range(m)) for mask, _ in leaves)
         self.function_space = FunctionSpace(tuple(f"x{i}" for i in range(len(self.atoms))))
         self._atom_matrix = np.stack([q.payload.ravel() for q in self.atoms], axis=1)
-        self._atom_weights = np.array([space.pairing(q.payload, q.payload) for q in self.atoms])
+        # <q, q> for each atom: the flattened dot product, as _functions_of pairs
+        self._atom_weights = np.add.reduce(self._atom_matrix * self._atom_matrix)
         self.report = self._verify()
 
     def _functions_of(self, stack: np.ndarray) -> np.ndarray:
@@ -258,12 +279,17 @@ class FunctionalRepresentation:
 
         The pairing of symmetric payloads is the dot product of the
         flattened arrays on both spaces, so the coefficients against all
-        atoms are one matrix product.
+        atoms are one matrix product; span membership is as the module
+        docstring describes.
         """
-        if not synaptic.span_members(self._atom_matrix, self.space, stack,
-                                     REPRESENTATION_TOL).all():
+        flat = stack.reshape(len(stack), -1)
+        values = (flat @ self._atom_matrix) / self._atom_weights
+        rebuilt = np.abs(values @ self._atom_matrix.T - flat).max(axis=1)
+        far = ~(rebuilt <= REPRESENTATION_TOL)  # a NaN goes the long way too
+        if far.any() and not synaptic.span_members(self._atom_matrix, self.space, stack[far],
+                                                   REPRESENTATION_TOL).all():
             raise ValueError("element is not in the represented span")
-        return (stack.reshape(len(stack), -1) @ self._atom_matrix) / self._atom_weights
+        return values
 
     def _payloads_of(self, values: np.ndarray) -> np.ndarray:
         """The elements sum(g(x_i) q_i) of a stack of function values."""
@@ -294,10 +320,10 @@ class FunctionalRepresentation:
         tol = REPRESENTATION_TOL
         rng = np.random.default_rng(2718)
         sample_stack = self._payloads_of(rng.uniform(-2.0, 2.0, size=(6, len(self.atoms))))
-        samples = [Element(space, x) for x in sample_stack]
-        norms = space.norm_of(sample_stack)
-        pairs = ((0, 1), (2, 3), (4, 5))
-        first, second = [i for i, _ in pairs], [j for _, j in pairs]
+        # one decomposition gives the samples' norms, cone test and spectra
+        w, _ = space.eigh(sample_stack)
+        norms = np.abs(w).max(axis=-1)
+        first, second = [0, 2, 4], [1, 3, 5]  # the sample pairs
         unit = space.unit().payload
         shifted = sample_stack[:2] + np.multiply.outer(norms[:2] + 1.0, unit)
         # every element a check maps, mapped in one call: rows 0-5 the
@@ -307,7 +333,7 @@ class FunctionalRepresentation:
             sample_stack,
             sample_stack[first] + sample_stack[second] * 1.5,
             unit[None],
-            [synaptic.jordan(samples[i], samples[j]).payload for i, j in pairs],
+            _jordans(space, sample_stack[first], sample_stack[second]),
             shifted,
             self._generators,
         ])
@@ -315,39 +341,41 @@ class FunctionalRepresentation:
         images, combos, unit_image = values[:6], values[6:9], values[9]
         products, shifted_images, indicators = values[10:13], values[13:15], values[15:]
 
-        linear = not np.any(
-            np.max(np.abs(combos - (images[first] + images[second] * 1.5)), axis=1) > tol
-        )
+        linear = not (np.abs(combos - (images[first] + images[second] * 1.5)).max(axis=1)
+                      > tol).any()
 
-        unital = bool(np.max(np.abs(unit_image - fs.unit().payload)) <= tol)
+        unital = bool(np.abs(unit_image - fs.unit().payload).max() <= tol)
 
-        multiplicative = not np.any(
-            np.max(np.abs(products - images[first] * images[second]), axis=1) > tol
-        )
+        multiplicative = not (np.abs(products - images[first] * images[second]).max(axis=1)
+                              > tol).any()
 
-        isometric = bool(np.all(np.abs(norms - fs.norm_of(images)) <= tol))
+        isometric = bool((np.abs(norms - fs.norm_of(images)) <= tol).all())
 
-        # the samples, then the shifted samples, in one stacked cone test
-        positive = space.in_cone(np.concatenate([sample_stack, shifted]))
+        # the samples' cone test reads their eigenvalues; the shifted samples take one call
         order_iso = bool(
-            np.array_equal(positive[:6], images.min(axis=1) >= -tol)
-            and positive[6:].all() and (shifted_images.min(axis=1) >= -tol).all()
+            np.array_equal(space.in_cone(sample_stack, w), images.min(axis=1) >= -tol)
+            and space.in_cone(shifted).all() and (shifted_images.min(axis=1) >= -tol).all()
         )
 
         # psi on each generator (already tested as a projection), read off the batch
         rounded = self._indicators(indicators)
         expected = np.array(self.patterns, dtype=float).T
-        proj_ok = not (indicators.size and np.max(np.abs(rounded - expected)) > tol)
+        proj_ok = not (indicators.size and np.abs(rounded - expected).max() > tol)
 
-        round_trip = bool(np.all(
-            space.norm_of(self._payloads_of(images) - sample_stack) <= 1e-12 * np.fmax(1.0, norms)
-        ))
+        # the order-unit norm is at most the Frobenius norm, so only the
+        # drifts that bound does not clear need their norms
+        drift = self._payloads_of(images) - sample_stack
+        allowed = 1e-12 * np.fmax(1.0, norms)
+        close = _frobenius(drift) <= allowed
+        if not close.all():
+            close[~close] = space.norm_of(drift[~close]) <= allowed[~close]
+        round_trip = bool(close.all())
 
         spectrum_ok = True
-        for spec, fa in zip(synaptic.spectra(space, sample_stack), images):
+        for spec, fa in zip(synaptic.spectra(space, sample_stack, w), np.round(images, 9).tolist()):
             spec_a = np.array(spec)
-            distinct = np.array(sorted(set(np.round(fa, 9))))
-            if len(spec_a) != len(distinct) or np.max(np.abs(spec_a - distinct)) > 1e-6:
+            distinct = np.array(sorted(set(fa)))
+            if len(spec_a) != len(distinct) or np.abs(spec_a - distinct).max() > 1e-6:
                 spectrum_ok = False
 
         return RepresentationReport(

@@ -354,9 +354,9 @@ def spectrum(a: Element) -> tuple[float, ...]:
     return spectra(a.space, a.payload[None])[0]
 
 
-def spectra(space, stack: np.ndarray) -> list[tuple[float, ...]]:
-    """spectrum of each payload in a stack, from one stacked eigh."""
-    w, _ = space.eigh(stack)
+def spectra(space, stack: np.ndarray, values=None) -> list[tuple[float, ...]]:
+    """spectrum of each payload in a stack, from one stacked eigh or its given values."""
+    w = space.eigh(stack)[0] if values is None else values
     tols = np.broadcast_to(space.rank_tol(w), len(w))
     return [_clusters(row, tol)[0] for row, tol in zip(w, tols)]
 

@@ -9,7 +9,10 @@ synaptic module computed it before its stacked kernels: decompose,
 carrier, spectrum, the one-point step formula, and the eight loops that
 summed c_i p_i in order; and the partial-order checks of a relation
 table one element and one pair at a time, which name the first witness
-the packed-row checks of FinitePoset must name. Like tests/helpers.py,
+the packed-row checks of FinitePoset must name; the functional
+representation's report with each element mapped and decomposed on its
+own; and distributivity tested on one (irreducibles, n, n) cube of
+pairs. Like tests/helpers.py,
 this module shares no code with src/; it lives apart because
 perfbench's worker loads helpers.py from source in every pass, and its
 peak memory grows with that file.
@@ -237,3 +240,130 @@ def poset_failure_by_scan(leq):
             if not leq[i][k] and any(leq[i][j] and leq[j][k] for j in range(n)):
                 return f"transitivity fails reaching ({i}, {k})"
     return None
+
+
+# ---------------------------------------------------------------------------
+# The functional representation's report, one element at a time: each
+# sample decomposed once for its norm, once for its cone test and once for
+# its spectrum, and every mapped element tested for span membership by
+# its own least-squares solve, as the stone module did before it read all
+# three off one stacked eigh and rebuilt the elements from their
+# coefficients.
+
+REPRESENTATION_TOL = 1e-9  # the library's span residual and identity gap
+
+
+def _norm(x) -> float:
+    """The order-unit norm: the largest absolute eigenvalue, or value."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(x) if x.ndim == 2 else x)))
+
+
+def _positive(x) -> bool:
+    """The cone test: eigenvalues down to -1e-9 * max(1, ||x||), or values down to -1e-12."""
+    if x.ndim == 2:
+        w = np.linalg.eigvalsh(x)
+        return bool(w.min() >= -1e-9 * max(1.0, float(np.abs(w).max())))
+    return bool(x.min() >= -1e-12)
+
+
+def _pairing(x, y) -> float:
+    return float(np.trace(x @ y)) if x.ndim == 2 else float(np.dot(x, y))
+
+
+def _jordan(x, y):
+    if x.ndim == 2:
+        xy = x @ y
+        return (xy + xy.T) / 2.0
+    return x * y
+
+
+def representation_report_one_at_a_time(atoms, generators, patterns):
+    """The eight flags of a representation's report, by name, or the
+    ValueError text its checks raise.
+
+    atoms, generators and patterns are the representation's: the atoms'
+    payloads, the generators' payloads, and one 0/1 tuple per atom. Six
+    samples sum(c_i q_i) with c drawn from default_rng(2718) uniform on
+    [-2, 2]; each mapped element passes when its least-squares residual
+    is at most 1e-9 * max(1, ||x||), and maps to its coefficients
+    against the atoms over the atoms' weights.
+    """
+    tol = REPRESENTATION_TOL
+    atoms = [np.asarray(q, dtype=float) for q in atoms]
+    shape = atoms[0].shape
+    mat = np.stack([q.ravel() for q in atoms], axis=1)
+    weights = np.array([_pairing(q, q) for q in atoms])
+
+    def to_function(x):
+        flat = x.ravel()
+        coeffs = np.linalg.lstsq(mat, flat, rcond=None)[0]
+        residual = float(np.max(np.abs(mat @ coeffs - flat)))
+        if not (residual <= tol or residual <= tol * max(1.0, _norm(x))):
+            raise ValueError("element is not in the represented span")
+        return (flat @ mat) / weights
+
+    def from_function(values):
+        return (mat @ values).reshape(shape)
+
+    unit = np.eye(shape[0]) if len(shape) == 2 else np.ones(shape)
+    rng = np.random.default_rng(2718)
+    samples = [from_function(c) for c in rng.uniform(-2.0, 2.0, size=(6, len(atoms)))]
+    norms = [_norm(x) for x in samples]
+    pairs = ((0, 1), (2, 3), (4, 5))
+    shifted = [samples[i] + (norms[i] + 1.0) * unit for i in (0, 1)]
+    try:
+        images = [to_function(x) for x in samples]
+        combos = [to_function(samples[i] + samples[j] * 1.5) for i, j in pairs]
+        unit_image = to_function(unit)
+        products = [to_function(_jordan(samples[i], samples[j])) for i, j in pairs]
+        shifted_images = [to_function(x) for x in shifted]
+        indicators = np.reshape([to_function(np.asarray(g, dtype=float)) for g in generators],
+                                (len(generators), len(atoms)))
+        rounded = np.round(indicators)
+        if indicators.size and np.max(np.abs(indicators - rounded)) > tol:
+            raise ValueError("projection does not map to an indicator")
+    except ValueError as exc:
+        return str(exc)
+    expected = np.reshape(np.array(patterns, dtype=float).T, indicators.shape)
+
+    def same_spectrum(x, f) -> bool:
+        spec = np.array(spectrum_one(x))
+        distinct = np.array(sorted(set(np.round(f, 9))))
+        return not (len(spec) != len(distinct) or np.max(np.abs(spec - distinct)) > 1e-6)
+
+    return {
+        "linear": not any(np.max(np.abs(combos[k] - (images[i] + images[j] * 1.5))) > tol
+                          for k, (i, j) in enumerate(pairs)),
+        "unital": bool(np.max(np.abs(unit_image - 1.0)) <= tol),
+        "multiplicative": not any(np.max(np.abs(products[k] - images[i] * images[j])) > tol
+                                  for k, (i, j) in enumerate(pairs)),
+        "isometric": all(abs(norm - float(np.max(np.abs(image)))) <= tol
+                         for norm, image in zip(norms, images)),
+        "order_isomorphism": (
+            [_positive(x) for x in samples] == [bool(f.min() >= -tol) for f in images]
+            and all(_positive(x) for x in shifted)
+            and all(f.min() >= -tol for f in shifted_images)
+        ),
+        "projections_to_indicators": not (indicators.size
+                                          and np.max(np.abs(rounded - expected)) > tol),
+        "round_trip": all(_norm(from_function(f) - x) <= 1e-12 * max(1.0, norm)
+                          for f, x, norm in zip(images, samples, norms)),
+        "spectrum_preserved": all(same_spectrum(x, f) for x, f in zip(samples, images)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Distributivity as posets decided it with one boolean cube
+
+
+def distributive_by_cube(leq, joins) -> bool:
+    """Every join-irreducible j is join-prime, tested on all pairs (b, c) at once.
+
+    leq[i][j] is i <= j and joins[b][c] the join of b and c in a lattice.
+    j is join-irreducible when some k < j has a down-set one element
+    smaller than j's; then j <= joins[b][c] must force j <= b or j <= c.
+    """
+    leq = np.asarray(leq, dtype=bool)
+    size = leq.sum(axis=0)
+    up = leq[(leq & (size[:, None] == size - 1)).any(axis=0)]   # [j, x]: j <= x
+    return not (np.take(up, np.asarray(joins), axis=1) > (up[:, :, None] | up[:, None, :])).any()

@@ -7,6 +7,8 @@ screened by the oracle first so that tables which happen to mutate into
 a different valid algebra are not miscounted as failures.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -482,3 +484,68 @@ def test_mv_scan_rejects_zero_or_one_outside_the_elements(zero, one):
     with pytest.raises(StructureError, match="zero/one must be element indices"):
         check_mv_axioms([[0, 1], [1, 1]], [1, 0], zero, one)
 
+
+
+def mv_mutations(mv):
+    """(plus, perp) for each one-entry change of the addition, each change
+    mirrored across the diagonal, and each one-entry change of perp."""
+    n, perp = mv.n, list(mv.perp)
+    for i, j, new, plus in single_entry_mutations(mv.plus_table):
+        if new is None:
+            continue
+        yield plus, perp
+        if i < j:
+            mirrored = [list(r) for r in plus]
+            mirrored[j][i] = new
+            yield mirrored, perp
+    for x in range(n):
+        for new in range(n):
+            if new != perp[x]:
+                yield [list(r) for r in mv.plus_table], perp[:x] + [new] + perp[x + 1:]
+
+
+@pytest.mark.parametrize("mv", MV_SCAN_BASES, ids=lambda mv: f"n{mv.n}")
+def test_every_one_entry_mutation_fails_as_the_loops_do(mv):
+    # the pair axioms compare whole tables, and name the loops' witness
+    for plus, perp in mv_mutations(mv):
+        assert mv_scan(plus, perp, mv.zero, mv.one) == mv_first_violation(plus, perp, mv.zero, mv.one)
+
+
+def mv_scan(plus, perp, zero, one):
+    """check_mv_axioms' violation as (axiom, witness, detail), or None."""
+    v = check_mv_axioms(plus, perp, zero, one).violation
+    return v and (v.axiom, v.witness, v.detail)
+
+
+PAIR_AXIOMS = ("mv-commutativity", "mv-lukasiewicz")
+
+
+def relabelled(plus, perp, zero, one, order):
+    """The same operands with element x renamed order[x]."""
+    back = np.argsort(order)
+    n = len(plus)
+    return ([[order[plus[back[a]][back[b]]] for b in range(n)] for a in range(n)],
+            [order[perp[back[a]]] for a in range(n)], order[zero], order[one])
+
+
+def test_relabelled_pair_failures_name_the_loops_witness():
+    # the one-entry mutants that reach a pair axiom, a left-zero band
+    # (x + y = x: associative, not commutative) and its product with a
+    # Lukasiewicz chain, each renamed at random so that the first failing
+    # pair moves about the table
+    cases = [(plus, perp, mv.zero, mv.one) for mv in MV_SCAN_BASES
+             for plus, perp in mv_mutations(mv)
+             if (mv_first_violation(plus, perp, mv.zero, mv.one) or ("",))[0] in PAIR_AXIOMS]
+    cases.append(([[x] * 5 for x in range(5)], [4, 3, 2, 1, 0], 0, 4))
+    chain = ea_to_mv(catalog.chain_effect_algebra(2)).plus_table   # 0, 1/2, 1
+    cases.append(([[2 * chain[a // 2][c // 2] + a % 2 for c in range(6)] for a in range(6)],
+                  [5, 4, 3, 2, 1, 0], 0, 5))
+    rng = np.random.default_rng(53)
+    witnesses = Counter()
+    for case in cases:
+        for _ in range(20):
+            renamed = relabelled(*case, rng.permutation(len(case[0])).tolist())
+            expected = mv_first_violation(*renamed)
+            assert mv_scan(*renamed) == expected
+            witnesses[expected[0]] += expected[0] in PAIR_AXIOMS
+    assert min(witnesses[axiom] for axiom in PAIR_AXIOMS) >= 20, witnesses

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import sym_norm
+from synaptica import order_unit
 from synaptica.order_unit import (
     Element,
     FunctionSpace,
@@ -299,3 +300,29 @@ def test_commutativity_is_a_protocol_query():
     # Sym(1) is R as an algebra, but its elements are not read as functions on points
     assert FunctionSpace(("a",)).commutative
     assert not SymmetricMatrixSpace(1).commutative and not SymmetricMatrixSpace(3).commutative
+
+
+def test_symmetrised_halves_once_bit_for_bit():
+    # m/2 + m^T/2 against the halves' own transpose, on stacks with huge,
+    # subnormal and non-finite entries
+    rng = np.random.default_rng(50)
+    for shape in ((4, 4), (3, 5, 5), (2, 2, 8, 8)):
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, size=shape)
+        m.flat[rng.integers(0, m.size, size=3)] = [np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):
+            want = m / 2.0 + m.swapaxes(-1, -2) / 2.0
+        sym, _ = order_unit.symmetrised(m)
+        assert sym.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("space", [SymmetricMatrixSpace(5), FunctionSpace("abcdef")])
+def test_in_cone_reads_held_eigenvalues(space):
+    rng = np.random.default_rng(51)
+    shape = space.unit().payload.shape
+    stack = np.stack([space.random_element(rng).payload + shift * space.unit().payload
+                      for shift in np.linspace(-3.0, 3.0, 40)])
+    stack[5] = 0.0
+    assert stack.shape[1:] == shape
+    held = space.in_cone(stack, space.eigh(stack)[0])
+    assert np.array_equal(held, space.in_cone(stack))
+    assert held.any() and not held.all()

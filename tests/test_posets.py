@@ -15,7 +15,7 @@ from helpers import (
     lattice_tables_by_scan,
     ortholattice_failure_by_scan,
 )
-from per_call_paths import poset_failure_by_scan
+from per_call_paths import distributive_by_cube, poset_failure_by_scan
 from synaptica import catalog, posets
 from synaptica.posets import (
     BoundedOrtholattice,
@@ -597,3 +597,97 @@ def test_a_600_element_chain_takes_bounded_memory():
     assert np.array_equal(meets, np.minimum.outer(np.arange(n), np.arange(n)))
     assert closure_peak < 4 * 2**20, closure_peak
     assert tables_peak < 12 * 2**20, tables_peak
+
+
+# ---------------------------------------------------------------------------
+# distributivity: one down-set size per join-irreducible against the cube
+
+
+def mo(k):
+    """MO_k: a bottom, a top, and k complementary pairs of atoms, each an atom and a coatom."""
+    n = 2 * k + 2
+    rel = np.eye(n, dtype=bool)
+    rel[0, :] = rel[:, n - 1] = True
+    perp = [n - 1] + [1 + (i ^ 1) for i in range(2 * k)] + [0]
+    return BoundedOrtholattice(FinitePoset(rel), 0, n - 1, perp)
+
+
+def product_order(a, b):
+    """(i, j) <= (k, l) iff i <= k in a and j <= l in b, as one relation."""
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] & b[None, :, None, :]).reshape(n * m, n * m)
+
+
+def n5():
+    covers = [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]
+    return FinitePoset.from_pairs("0abc1", covers)
+
+
+def m3():
+    return FinitePoset.from_pairs("0abc1", [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+def chain_relation(n):
+    return catalog.chain(n).relation()
+
+
+DISTRIBUTIVITY_CASES = {
+    **{f"2^{k}": (catalog.boolean_lattice(k), True) for k in range(1, 7)},
+    "MO2": (catalog.mo2(), False), "O6": (catalog.o6(), False),
+    "MO_3": (mo(3), False), "MO_20": (mo(20), False), "MO_1": (mo(1), True),
+    **{f"chain{n}": (catalog.chain(n), True) for n in (1, 2, 6, 65, 130)},
+    "N5": (n5(), False), "M3": (m3(), False),
+    "3x4": (FinitePoset(product_order(chain_relation(3), chain_relation(4))), True),
+    "5x5": (FinitePoset(product_order(chain_relation(5), chain_relation(5))), True),
+    "MO2x3": (FinitePoset(product_order(catalog.mo2().poset.relation(), chain_relation(3))), False),
+    "N5x2": (FinitePoset(product_order(n5().relation(), chain_relation(2))), False),
+}
+
+
+@pytest.mark.parametrize("name", list(DISTRIBUTIVITY_CASES))
+def test_distributivity_is_the_cubes(name):
+    structure, distributive = DISTRIBUTIVITY_CASES[name]
+    poset = structure.poset if isinstance(structure, BoundedOrtholattice) else structure
+    _, joins = lattice_tables(poset)
+    assert distributive_by_cube(poset.relation(), joins) is distributive
+    assert classify(structure).is_distributive is distributive
+
+
+def test_distributivity_is_the_cubes_on_random_lattices():
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for n in range(1, 41):
+        for _ in range(4):
+            poset = FinitePoset(random_relation(rng, n))
+            meets, joins = lattice_tables(poset)
+            if (meets < 0).any() or (joins < 0).any():
+                continue
+            want = distributive_by_cube(poset.relation(), joins)
+            assert classify(poset).is_distributive == want, n
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("structure,bound", [(catalog.chain(300), 4), (mo(150), 3)],
+                         ids=["chain300", "MO_150"])
+def test_classifying_takes_no_cube(structure, bound):
+    # one (irreducibles, n, n) boolean cube took 82 MB on either
+    tracemalloc.start()
+    try:
+        classify(structure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20, peak
+
+
+def test_first_pair_is_argwheres_first_hit():
+    rng = np.random.default_rng(52)
+    for shape in ((1, 1), (3, 7), (40, 40), (0, 4), (5, 0)):
+        for density in (0.0, 0.01, 0.3):
+            mask = rng.random(shape) < density
+            for view in (mask, mask.T, mask[::-1, ::2]):
+                hits = np.argwhere(view)
+                want = (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+                got = posets.first_pair(view)
+                assert got == want and (got is None or all(type(i) is int for i in got))

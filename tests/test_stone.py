@@ -6,16 +6,18 @@ on the four-element Boolean lattice is scanned, and exactly the two
 honest homomorphisms must survive, matching the constructed points.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import generator_failure_by_pairs, prefix_tree_by_children, sign_pattern_atoms_by_scan
+from per_call_paths import representation_report_one_at_a_time
 from synaptica.catalog import boolean_lattice, mo2, o6
 from synaptica.order_unit import Element, FunctionSpace, SymmetricMatrixSpace
 from synaptica import stone, synaptic
@@ -512,6 +514,110 @@ def test_construction_work_is_counted_and_bounded(monkeypatch):
     # one stacked product per generator, of at most 2 n prefix products
     assert 0 < counts["tree products"] <= m
     assert 0 < counts["tree matrices"] <= 2 * n * m
+
+
+def count_linalg(monkeypatch, names=("eigh", "eigvalsh", "lstsq")) -> Counter:
+    """A Counter of the calls to each numpy.linalg function named, from now on."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_construction_decomposes_each_stack_once(monkeypatch):
+    # one eigh gives the samples' norms, cone test and spectra; the two
+    # eigvalsh are the leaves' norms and the shifted samples' cone test;
+    # the coefficients rebuild every mapped element, so no lstsq
+    n, m = 8, 7
+    rng = np.random.default_rng(7)
+    space, gens = rotated_family(rng, n, (rng.random((m, n)) < 0.5).astype(int))
+    counts = count_linalg(monkeypatch)
+    rep = functional_representation(space, gens)
+    assert rep.report.passed
+    assert counts["eigh"] <= 1 and counts["eigvalsh"] <= 2 and counts["lstsq"] == 0
+
+
+@pytest.mark.parametrize("space_kind", ["matrix", "function"])
+def test_to_function_allows_the_span_residual_and_no_more(space_kind, monkeypatch):
+    # coordinates 3 and 4 make up one atom, so a direction that tells
+    # them apart is orthogonal to every atom
+    diags = [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0)]
+    if space_kind == "matrix":
+        u = np.linalg.qr(np.random.default_rng(48).standard_normal((5, 5)))[0]
+        space = SymmetricMatrixSpace(5)
+        gens = [space.element((u * d) @ u.T) for d in diags]
+        off = np.outer(u[:, 3], u[:, 4]) + np.outer(u[:, 4], u[:, 3])
+    else:
+        space = FunctionSpace(tuple("abcde"))
+        gens = [space.element(d) for d in diags]
+        off = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+    rep = functional_representation(space, gens)
+    a = rep.from_function(Element(rep.function_space, np.arange(len(rep.atoms)) - 1.5))
+    counts = count_linalg(monkeypatch, ("lstsq",))
+    near = rep.to_function(Element(space, a.payload + 1e-11 * off))
+    assert np.max(np.abs(near.payload - rep.to_function(a).payload)) <= 1e-10
+    assert counts["lstsq"] == 0  # the coefficients rebuilt it
+    with pytest.raises(ValueError, match="not in the represented span"):
+        rep.to_function(Element(space, a.payload + 1e-7 * off))
+    assert counts["lstsq"] == 1
+    # the least-squares route keeps its allowance relative to the norm
+    big = 1e3 * a.payload
+    rep.to_function(Element(space, big + 1e-7 * off))
+    assert counts["lstsq"] == 2
+
+
+@st.composite
+def spans_of_sym(draw):
+    """Up to seven commuting projections in Sym(3..8), sharing one random eigenbasis."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    bit = st.integers(min_value=0, max_value=1)
+    diags = draw(st.lists(st.lists(bit, min_size=n, max_size=n), max_size=7))
+    return rotated_family(rng, n, diags)
+
+
+def report_outcome(rep):
+    """The report _verify builds, by flag name, or the text of its ValueError."""
+    found = outcome(rep._verify)
+    return found if isinstance(found, str) else dataclasses.asdict(found)
+
+
+@given(spans_of_sym() | indicator_families() | nearly_commuting_families(),
+       st.sampled_from((None, 1.5, 1 + 1e-8)), st.integers(min_value=0, max_value=63))
+@settings(max_examples=200, deadline=None)
+def test_report_is_the_one_at_a_time_report(family, factor, which):
+    space, gens = family
+    rep = outcome(lambda: functional_representation(space, gens))
+    assume(not isinstance(rep, str))  # generators that fail their check
+    if factor is not None:
+        corrupted(rep, which % len(rep.atoms), factor)
+    expected = representation_report_one_at_a_time(
+        [q.payload for q in rep.atoms], [p.payload for p in rep.projections], rep.patterns)
+    assert report_outcome(rep) == expected
+
+
+@given(spans_of_sym() | indicator_families())
+@settings(max_examples=60, deadline=None)
+def test_stacked_jordan_products_are_synaptic_jordan_bit_for_bit(family):
+    space, gens = family
+    rep = functional_representation(space, gens)
+    rng = np.random.default_rng(len(rep.atoms))
+    xs, ys = (rep._payloads_of(rng.uniform(-2.0, 2.0, size=(3, len(rep.atoms)))) for _ in "xy")
+    stacked = stone._jordans(space, xs, ys)
+    for got, x, y in zip(stacked, xs, ys):
+        want = synaptic.jordan(Element(space, x), Element(space, y)).payload
+        assert got.tobytes() == want.tobytes()
+
+
+def test_frobenius_norms_are_numpys_bit_for_bit():
+    rng = np.random.default_rng(49)
+    for shape in ((5, 4, 4), (7, 9), (1, 16, 16)):
+        stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+        want = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+        assert stone._frobenius(stack).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

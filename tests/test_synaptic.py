@@ -284,6 +284,8 @@ def test_stacked_spectra_are_each_elements_spectrum(sym5, fn4):
         (fn4, rng.integers(-2, 3, (6, 4)).astype(float)),
     ):
         assert spectra(space, stack) == [spectrum(Element(space, x)) for x in stack]
+        # eigenvalues the caller already holds stand in for the eigh
+        assert spectra(space, stack, space.eigh(stack)[0]) == spectra(space, stack)
 
 
 def test_planted_resolution_failures_are_named(sym3, fn4):
