@@ -7,30 +7,31 @@ as exact rationals. The polytopes we care about all have the shape
     { x in [0, 1]^n : A x = b }
 
 (state spaces of finite effect algebras, probability simplexes). Vertex
-enumeration parametrizes the affine solution set of the equalities as
-x = p + B t, turning the box into a system G t <= h, and homogenises
-that system to the cone {(t, s) : G t - h s <= 0, s >= 0}. The
-double-description method of Motzkin et al. (1953), in the form of
-Fukuda and Prodon (1996), builds the cone's extreme rays by inserting
-one row at a time; the vertices are the rays with s > 0, read off as
-t / s. The cone rows and the rays are primitive integer vectors, each
-ray is re-checked against every cone row in integers, and a vertex
-coordinate becomes a Fraction only when it is read off.
+enumeration writes each coordinate as an integer affine expression
+x_i = (c_i + lin_i . t) / den_i in the parameters t of the solution set
+of the equalities, and each expression gives the box rows of the cone
+{(t, s) : -lin . t - c s <= 0, lin . t + (c - den) s <= 0, s >= 0},
+lower bounds first. The double-description method of Motzkin et al.
+(1953), in the form of Fukuda and Prodon (1996), builds the cone's
+extreme rays by inserting one row at a time; the vertices are the rays
+with s > 0. The cone rows and the rays are primitive integer vectors,
+each ray is re-checked against every cone row in integers, and a
+vertex coordinate becomes a Fraction, (c s + lin . ray) / (den s), only
+when it is read off.
 
-The parametrization is found by substitution first. The equalities of
-a state space are mostly orthosum rows w(e) + w(f) - w(g) = 0, almost
-all of them dependent: a row with one variable left unexpressed
-defines it, and a variable no row can define becomes a parameter. Each
-expression is a list of integer numerators over one positive
-denominator, which stays 1 while every dividing coefficient is +-1.
-Every row is then imposed again on the parameters, as a primitive
-integer row; the few distinct rows left, usually none, are reduced
-densely by affine_solution_set, which is skipped when none is left. On
-2^6 none of its 367 equality rows is left to eliminate. Fractions
-appear where the entries of the AffineSet are read out, as ints when
-integral. The one elimination, fraction-free Gauss-Jordan on Python
-ints (Bareiss 1968), reduces those rows, seeds the double description
-and is integer_rank, the rank test of the vertex re-check in states.
+The expressions are found by substitution. The equalities of a state
+space are mostly orthosum rows w(e) + w(f) - w(g) = 0, almost all of
+them dependent, many repeated: each distinct row is substituted once,
+a row with one variable left unexpressed defines it, and a variable no
+row can define becomes a parameter. The denominator of an expression
+stays 1 while every dividing coefficient is +-1. Every row is then
+imposed again on the parameters, as a primitive integer row; the few
+distinct rows left, usually none, are reduced densely by
+affine_solution_set and composed into the expressions. On 2^6 none of
+its 367 equality rows is left to eliminate. The one elimination,
+fraction-free Gauss-Jordan on Python ints (Bareiss 1968), reduces those
+rows, seeds the double description and is integer_rank, the rank test
+of the vertex re-check in states.
 
 Certificates are built only when something fails, by the dense route
 over the original rows: the equality elimination is run on all of them,
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "integer_rank",
@@ -123,7 +125,14 @@ def integer_rank(rows) -> int:
     soon as that many rows are independent. Entries are read as Python
     ints, so numpy integers cannot overflow.
     """
-    ints = [[int(v) for v in row] for row in rows]
+    ints = []
+    for i, row in enumerate(rows):
+        if ints and len(row) != len(ints[0]):
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(ints[0])}")
+        try:
+            ints.append([int(v) for v in row])
+        except (ValueError, OverflowError):  # NaN, infinity
+            raise ValueError(f"row {i} has an entry that is not finite") from None
     width = len(ints[0]) if ints else 0
     return len(_gauss_jordan(ints, width, width)[1])
 
@@ -176,8 +185,12 @@ def affine_solution_set(
     so that the row knows which rational combination of the original
     equalities produced it; the pivot order is the same, and the row is
     divided by its entry in the column of its own equality.
+
+    a_rows and b_vals may be any iterables; each row is a sequence of n
+    entries. The checks of enumerate_box_vertices apply.
     """
-    scaled = [_scaled([*a, b]) for a, b in zip(a_rows, b_vals)]
+    a_rows, b_vals = list(a_rows), list(b_vals)
+    scaled = [_scaled([*a, b], i) for i, a, b in _system(a_rows, b_vals, n)]
     m, pivots, _ = _gauss_jordan([row for row, _ in scaled], n)
     r = len(pivots)
 
@@ -224,20 +237,37 @@ def _exact(v) -> int | Fraction:
     return num if den == 1 else F(num, den)
 
 
-def _ratio(num: int, den: int) -> int | Fraction:
-    """num / den for den > 0, read out as _exact reads a value."""
-    return num if den == 1 else _exact(F(num, den))
+def _system(a_rows, b_vals, n: int):
+    """(index, row, rhs) for each equality of A x = b, in order, from two sequences.
+
+    A row of other than n entries or without a right-hand side, or a
+    right-hand side without a row, raises ValueError when reached, so
+    that with the caller's entry checks the first bad row is named.
+    """
+    m, k = len(a_rows), len(b_vals)
+    for i in range(max(m, k)):
+        if i == k:
+            raise ValueError(f"row {i} has no right-hand side")
+        if i == m:
+            raise ValueError(f"right-hand side {i} has no row")
+        row = a_rows[i]
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, not {n}")
+        yield i, row, b_vals[i]
 
 
-def _scaled(row) -> tuple[list[int], int]:
-    """A rational row times the lcm of its denominators, in Python ints, and that lcm."""
-    q = [_exact(v) for v in row]
+def _scaled(row, i: int) -> tuple[list[int], int]:
+    """Row i, a rational row, times the lcm of its denominators, in Python ints, and that lcm."""
+    try:
+        q = [_exact(v) for v in row]
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise ValueError(f"row {i} has an entry that is not finite") from None
     scale = lcm(*(v.denominator for v in q))
     return [v.numerator * (scale // v.denominator) for v in q], scale
 
 
-def _integer_row(row, b, columns) -> tuple[dict[int, int], int]:
-    """A row of A x = b as ({variable: nonzero coefficient}, rhs), in integers.
+def _integer_row(row, b, i: int, columns) -> tuple[dict[int, int], int]:
+    """Row i of A x = b as ({variable: nonzero coefficient}, rhs), in integers.
 
     A row with a non-integral entry is multiplied by the lcm of its
     denominators, which leaves its solution set as it is.
@@ -245,7 +275,7 @@ def _integer_row(row, b, columns) -> tuple[dict[int, int], int]:
     coeffs = {j: row[j] for j in compress(columns, row)}
     if type(b) is int and all(type(v) is int for v in coeffs.values()):
         return coeffs, b
-    ints, _ = _scaled([*coeffs.values(), b])
+    ints, _ = _scaled([*coeffs.values(), b], i)
     return dict(zip(coeffs, ints)), ints[-1]
 
 
@@ -379,37 +409,41 @@ def _residual(
     return a_rows, b_vals
 
 
-def _parametrize(a_rows, b_vals, n: int) -> AffineSet | None:
-    """{x : A x = b} as x = particular + basis @ s, or None if inconsistent.
+def _parametrize(a_rows, b_vals, n: int) -> tuple[list[Affine], int] | None:
+    """{x : A x = b} as (expressions x_i = (c_i + lin_i . s) / den_i, d), or None if inconsistent.
 
-    Substitution expresses x = (c + E t) / den over a few parameters t.
-    When every row defined a variable, t is s itself. Otherwise the rows
-    it has not used up are reduced by affine_solution_set to t = q + C s,
-    and the two compose to particular = (c + E q) / den and basis =
-    E C / den. Integral entries of particular and basis are Python ints,
-    the others Fractions.
+    Each distinct (row, rhs) pair is substituted once: its exact twin
+    would define the same variable with the same expression. Substitution
+    expresses x = (c + E t) / den over a few parameters t. When every
+    row defined a variable, t is s itself. Otherwise the rows it has not
+    used up are reduced by affine_solution_set to t = q + C s, and the
+    two compose to x = (c + E q + E C s) / den, put back over one
+    positive integer denominator per coordinate. Read out as particular
+    c_i / den_i and basis lin_i[j] / den_i, the expressions are the
+    affine solution set, whichever rows defined the variables.
     """
     columns = range(n)
-    rows = [_integer_row(row, b, columns) for row, b in zip(a_rows, b_vals)]
+    distinct: dict[tuple, tuple[dict[int, int], int]] = {}
+    for i, row, b in _system(a_rows, b_vals, n):
+        key = (*row, b)
+        if key not in distinct:
+            distinct[key] = _integer_row(row, b, i, columns)
+    rows = list(distinct.values())
     expr, params, used = _substitute(rows, n)
     a_left, b_left = _residual(rows, expr, params, used)
     if not a_left:
-        return AffineSet(
-            [_ratio(c, den) for den, c, _ in expr],
-            [[_ratio(lin.get(t, 0), den) for den, _, lin in expr] for t in range(params)],
-        )
+        return expr, params
     sub = affine_solution_set(a_left, b_left, params)
     if isinstance(sub, InfeasibilityCertificate):
         return None
-    q = [_exact(v) for v in sub.particular]
-    cols = [[_exact(v) for v in col] for col in sub.basis]
-    particular = []
-    basis: list[list[int | Fraction]] = [[] for _ in cols]
+    composed = []
     for den, c, lin in expr:
-        particular.append(_exact(F(c + sum(v * q[t] for t, v in lin.items())) / den))
-        for col, out in zip(cols, basis):
-            out.append(_exact(F(sum(v * col[t] for t, v in lin.items())) / den))
-    return AffineSet(particular, basis)
+        values = [F(c + sum(v * sub.particular[t] for t, v in lin.items()), den)]
+        values += [F(sum(v * col[t] for t, v in lin.items()), den) for col in sub.basis]
+        scale = lcm(*(v.denominator for v in values))
+        const, *coeffs = (v.numerator * (scale // v.denominator) for v in values)
+        composed.append((scale, const, {j: v for j, v in enumerate(coeffs) if v}))
+    return composed, sub.dimension
 
 
 def _fourier_motzkin(rows: list[tuple[list[Fraction], Fraction]]) -> InfeasibilityCertificate | None:
@@ -449,14 +483,6 @@ def _fourier_motzkin(rows: list[tuple[list[Fraction], Fraction]]) -> Infeasibili
                 f"nonnegative combination of inequality rows gives 0 <= {rhs}",
             )
     return None
-
-
-def _primitive(vec: list[Fraction]) -> list[int]:
-    """The positive multiple of a nonzero rational vector with coprime integer entries."""
-    den = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
-    g = gcd(*ints)
-    return [x // g for x in ints]
 
 
 def _simplicial_rays(rows: list[list[int]]) -> list[list[int]]:
@@ -511,7 +537,7 @@ def _double_description(cone: list[list[int]], d: int) -> list[list[int]]:
         bit = 1 << i
         positive, negative, kept = [], [], []
         for ray, zeros in rays:
-            v = sum(x * y for x, y in zip(a, ray))
+            v = sum(map(mul, a, ray))
             if v > 0:
                 positive.append((v, ray, zeros))
             elif v < 0:
@@ -544,7 +570,11 @@ class VertexEnumeration:
     dimension: int
     vertices: list[list[Fraction]] = field(default_factory=list)
     certificate: InfeasibilityCertificate | None = None
-    # inequality rows in parameter space, for reports: (coeffs, rhs)
+    # inequality rows coeffs . t <= rhs in parameter space, for reports. With
+    # vertices: the integer box rows in the order double description took
+    # them, each a positive multiple of the row 0 <= x_i or x_i <= 1 it came
+    # from. With an inequality certificate: the rows of the dense route, to
+    # which the multipliers refer.
     rows: list[tuple[tuple[int | Fraction, ...], int | Fraction]] = field(default_factory=list)
 
 
@@ -576,6 +606,42 @@ def _box_rows(sol: AffineSet, n: int):
     return sorted(best.items())
 
 
+def _cone(expr: list[Affine], d: int) -> list[list[int]] | InfeasibilityCertificate:
+    """The box 0 <= x <= 1, homogenised, as primitive integer rows a . (t, s) <= 0.
+
+    Row 0 is -s <= 0. A coordinate x_i = (c + lin . t) / den that some
+    parameter moves gives the lower-bound row -lin . t - c s <= 0 and the
+    upper-bound row lin . t + (c - den) s <= 0, and every lower-bound row
+    comes before every upper-bound row: the upper bounds of a simplex
+    are redundant, and inserted first they would build a cube. Rows
+    whose parameter parts are positive multiples of each other keep the
+    tightest, in the place of the first. A coordinate the equalities fix
+    outside [0, 1] is returned as a bound certificate instead; the
+    lowest such coordinate is named.
+    """
+    lower, upper = [], []  # (primitive parameter part, s entry, the factor divided out)
+    for i, (den, c, lin) in enumerate(expr):
+        if not lin:
+            if c < 0 or c > den:
+                return _bound_failure(i, F(c, den))
+            continue
+        a = [lin.get(t, 0) for t in range(d)]
+        g = gcd(*a)
+        lower.append((tuple(-x // g for x in a), -c, g))
+        upper.append((tuple(x // g for x in a), c - den, g))
+    # key . t <= -(h / g) s is tightest where h / g is largest
+    tightest: dict[tuple[int, ...], tuple[int, int]] = {}
+    for key, h, g in lower + upper:
+        best = tightest.get(key)
+        if best is None or h * best[1] > best[0] * g:
+            tightest[key] = h, g
+    cone = [[0] * d + [-1]]
+    for key, (h, g) in tightest.items():
+        e = gcd(g, h)
+        cone.append([x * (g // e) for x in key] + [h // e])
+    return cone
+
+
 def _dense_certificate(a_rows, b_vals, n: int) -> tuple[InfeasibilityCertificate, list]:
     """The certificate of an infeasible system, by the dense route.
 
@@ -598,54 +664,48 @@ def _dense_certificate(a_rows, b_vals, n: int) -> tuple[InfeasibilityCertificate
 def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
     """All vertices of {x in [0,1]^n : A x = b}, exactly.
 
-    The equalities are parametrized by substitution first: a row with one
-    variable left unexpressed defines it, and a variable no row can
-    define becomes a parameter. The rows that defined nothing are then
-    imposed on the parameters, and the few distinct ones left are
-    reduced densely. The box becomes a system of rows in the d
-    parameters of the resulting affine solution set, and the vertices
-    are the s > 0 extreme rays of its homogenised cone, found by the
-    double-description method, in integers. Every s > 0 ray is
-    re-checked against every primitive integer cone row as a . ray <= 0,
-    still in integers, and only then read off as a vertex: Fractions are
-    built for its coordinates and nowhere else on this path. A bounded
+    a_rows and b_vals may be any iterables, each read once; each row is
+    a sequence of n entries. A row of other than n entries, a right-hand
+    side count other than the row count, or a NaN or infinite entry
+    raises ValueError naming the first bad row. The vertices are the s > 0 extreme rays of the
+    cone that _cone writes from the expressions of _parametrize, found
+    by double description. Every ray is re-checked against every cone
+    row as a . ray <= 0, in integers, before it is read off; each
+    distinct coordinate value is built as a Fraction once. A bounded
     nonempty polytope has at least one vertex, so an empty vertex list
-    means infeasible and comes with a certificate, built only then. A coordinate forced outside [0, 1] is
-    named directly; otherwise the dense route, eliminating all the
-    original rows, gives an equality certificate over them, or
-    Fourier-Motzkin multipliers over its own box rows.
+    means infeasible and comes with a certificate, built only then. A
+    coordinate forced outside [0, 1] is named directly; otherwise the
+    dense route, eliminating all the original rows, gives an equality
+    certificate over them, or Fourier-Motzkin multipliers over its own
+    box rows.
     """
-    sol = _parametrize(a_rows, b_vals, n)
-    if sol is None:
+    a_rows, b_vals = list(a_rows), list(b_vals)
+    found = _parametrize(a_rows, b_vals, n)
+    if found is None:
         cert, _ = _dense_certificate(a_rows, b_vals, n)
         if cert.kind != "equalities":
             raise RuntimeError("substitution and elimination disagree on consistency")
         return VertexEnumeration(False, -1, certificate=cert)
-    d = sol.dimension
+    expr, d = found
+    cone = _cone(expr, d)
+    if isinstance(cone, InfeasibilityCertificate):
+        return VertexEnumeration(False, d, certificate=cone)
 
-    if d == 0:
-        x = sol.particular
-        for i, v in enumerate(x):
-            if v < 0 or v > 1:
-                return VertexEnumeration(False, 0, certificate=_bound_failure(i, v))
-        return VertexEnumeration(True, 0, vertices=[[F(v) for v in x]])
-
-    rows = _box_rows(sol, n)
-    if isinstance(rows, InfeasibilityCertificate):
-        return VertexEnumeration(False, d, certificate=rows)
-
-    # -s <= 0, then each row as coeffs . t - rhs s <= 0, scaled to coprime integers
-    cone = [[0] * d + [-1]] + [_primitive(list(c) + [-r]) for c, r in rows]
+    # x_i = (lin . t + c s) / (den s) for the ray (t, s)
+    numerators = [([lin.get(t, 0) for t in range(d)] + [c], den) for den, c, lin in expr]
+    values: dict[tuple[int, int], Fraction] = {}
     verts: list[list[Fraction]] = []
     for ray in _double_description(cone, d):
         s = ray[d]
-        if s <= 0 or any(sum(a * x for a, x in zip(row, ray)) > 0 for row in cone):
+        if s <= 0 or any(sum(map(mul, row, ray)) > 0 for row in cone):
             raise RuntimeError(f"double description produced the ray {ray}, outside the rows")
-        # x = particular + basis t with t = ray[:d] / s
-        verts.append([
-            F(p * s + sum(col[i] * r for col, r in zip(sol.basis, ray)), s)
-            for i, p in enumerate(sol.particular)
-        ])
+        vert = []
+        for row, den in numerators:
+            key = (sum(map(mul, row, ray)), den * s)
+            if key not in values:
+                values[key] = F(*key)
+            vert.append(values[key])
+        verts.append(vert)
 
     if not verts:
         cert, dense_rows = _dense_certificate(a_rows, b_vals, n)
@@ -654,4 +714,5 @@ def enumerate_box_vertices(a_rows, b_vals, n: int) -> VertexEnumeration:
         return VertexEnumeration(False, d, certificate=cert, rows=dense_rows)
 
     verts.sort(key=tuple)
-    return VertexEnumeration(True, d, vertices=verts, rows=rows)
+    return VertexEnumeration(True, d, vertices=verts,
+                             rows=[(tuple(row[:d]), -row[d]) for row in cone[1:]])

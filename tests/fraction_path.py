@@ -1,22 +1,27 @@
-"""The library's former exact path, the oracle of its integer path.
+"""The library's former exact paths, the oracles of its integer path.
 
 The substitution over dicts of Fractions, the Fraction Gauss-Jordan
 seed of double description and the dense elimination of A x = b over
 Fractions with its traced certificate, as the state-polytope pipeline
 ran them before it kept its expressions and its eliminations in
-integers. The integer path must match them vertex for vertex and
-certificate for certificate and, on integer input, entry type for
-entry type. Like tests/helpers.py, this module shares no code
-with src/; it lives apart because perfbench's worker loads helpers.py
-from source in every pass, and its peak memory grows with that file.
+integers; and the route from the parametrization to the cone as it ran
+before the cone was written from the integer expressions: an affine
+set, its Fraction box rows merged on identical left sides and sorted,
+each scaled to a primitive integer cone row. The integer path must
+match them vertex for vertex and certificate for certificate and, on
+integer input, entry type for entry type. Like tests/helpers.py, this
+module shares no code with src/; it lives apart because perfbench's
+worker loads helpers.py from source in every pass, and its peak memory
+grows with that file.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
-from helpers import _eliminate
+from helpers import _eliminate, _refute
 
 
 def _exact_value(v):
@@ -157,3 +162,70 @@ def affine_by_rref(a_rows, b_vals, n):
             col[c] = -m[i][fc]
         basis.append(col)
     return particular, basis
+
+
+class SortedConeResult(NamedTuple):
+    feasible: bool
+    dimension: int
+    vertices: list             # sorted lists of Fractions
+    certificate: tuple | None  # (kind, multipliers, detail)
+    rows: list                 # box rows (coeffs, rhs) over Fractions, sorted
+
+
+def _sorted_box_rows(particular, basis):
+    """0 <= particular + basis t <= 1 as sorted rows (coeffs, rhs), or a bound certificate.
+
+    Identical left sides keep the tightest right side. A coordinate no
+    parameter moves and that lies outside [0, 1] is named, the lowest
+    first.
+    """
+    tightest = {}
+    for i, p in enumerate(particular):
+        coeffs = tuple(Fraction(col[i]) for col in basis)
+        if not any(coeffs):
+            if not 0 <= p <= 1:
+                return ("bound", ((i, Fraction(1)),), f"coordinate {i} is forced to {p}")
+            continue
+        for lhs, rhs in ((tuple(-c for c in coeffs), Fraction(p)), (coeffs, 1 - Fraction(p))):
+            if lhs not in tightest or rhs < tightest[lhs]:
+                tightest[lhs] = rhs
+    return sorted(tightest.items())
+
+
+def _primitive(vec):
+    """The positive multiple of a nonzero rational vector with coprime integer entries."""
+    den = lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def vertices_by_sorted_cone(a_rows, b_vals, n, double_description) -> SortedConeResult:
+    """All vertices of {x in [0,1]^n : A x = b} by the former route to the cone.
+
+    The Fraction substitution gives the affine set (particular, basis);
+    its box rows, sorted, become primitive integer cone rows after -s <=
+    0, in that order, and double_description(cone, d) returns the s > 0
+    extreme rays, read off as particular + basis t with t = ray[:d] / s.
+    The certificate of an infeasible system comes from the dense route:
+    the elimination of all the original rows, the sorted box rows of its
+    affine set, and Fourier-Motzkin elimination over them.
+    """
+    found = affine_by_fraction_substitution(a_rows, b_vals, n)
+    if found is None:
+        return SortedConeResult(False, -1, [], affine_by_rref(a_rows, b_vals, n), [])
+    particular, basis = found
+    d = len(basis)
+    rows = _sorted_box_rows(particular, basis)
+    if isinstance(rows, tuple):
+        return SortedConeResult(False, d, [], rows, [])
+    cone = [[0] * d + [-1]] + [_primitive(list(c) + [-r]) for c, r in rows]
+    vertices = sorted(
+        [Fraction(p * ray[d] + sum(col[i] * r for col, r in zip(basis, ray)), ray[d])
+         for i, p in enumerate(particular)]
+        for ray in double_description(cone, d)
+    )
+    if vertices:
+        return SortedConeResult(True, d, vertices, None, rows)
+    dense_rows = _sorted_box_rows(*affine_by_rref(a_rows, b_vals, n))
+    return SortedConeResult(False, d, [], _refute(dense_rows), dense_rows)

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -688,6 +689,24 @@ def test_states_extremal_characterizes_each_function_algebra_once(tmp_path, caps
     found = json.loads(out)["structures"]
     assert [len(r["vertices"]) for r in found] == [5, 3]
     assert all(v["is_vertex"] and v["min_rule_holds"] for r in found for v in r["vertices"])
+
+
+@pytest.mark.parametrize("extremal", [False, True], ids=["states", "states --extremal"])
+def test_states_on_sixteen_points_cold(tmp_path, capsys, extremal):
+    # at the bound the simplex is enumerated in 16 rays, so a cold run
+    # takes well under a second
+    stt._simplex_vertex_data.cache_clear()
+    doc = {"kind": "function_algebra", "label": "F", "points": [f"p{i}" for i in range(16)]}
+    path = write_json(tmp_path, "f.json", doc)
+    start = time.perf_counter()
+    rc, out = run(capsys, "states", path, *["--extremal"] * extremal)
+    elapsed = time.perf_counter() - start
+    assert rc == 0 and elapsed < 10, f"{elapsed:.2f} s"
+    r = json.loads(out)["structures"][0]
+    assert r["dimension"] == 15 and r["n_vertices"] == 16
+    if extremal:
+        assert all(v["is_vertex"] and v["min_rule_holds"] for v in r["vertices"])
+        assert sorted(v["point_evaluation"] for v in r["vertices"]) == sorted(doc["points"])
 
 
 POINTS_17 = {"kind": "function_algebra", "label": "F", "points": [f"p{i}" for i in range(17)]}

@@ -1,13 +1,20 @@
 """Rational linear algebra and vertex enumeration, checked exactly."""
 
+import sys
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fraction_path import affine_by_fraction_substitution, affine_by_rref, simplicial_rays_by_rref
+from fraction_path import (
+    affine_by_fraction_substitution,
+    affine_by_rref,
+    simplicial_rays_by_rref,
+    vertices_by_sorted_cone,
+)
 from helpers import _eliminate, box_vertices_by_scan, rank_by_elimination, state_equalities
 from synaptica import exact
 from synaptica.catalog import (
@@ -18,7 +25,6 @@ from synaptica.catalog import (
     product_effect_algebra,
 )
 from synaptica.exact import (
-    AffineSet,
     InfeasibilityCertificate,
     affine_solution_set,
     enumerate_box_vertices,
@@ -120,6 +126,57 @@ def test_numpy_integers_are_read_as_python_ints():
     expected = enumerate_box_vertices(rows, rhs, 3).certificate
     assert found.kind == "equalities" and found == expected
     assert [typed(m) for m in found.multipliers] == [typed(m) for m in expected.multipliers]
+
+
+MALFORMED = {
+    "short row": ([[1]], [1], 2, "row 0 has 1 entries, not 2"),
+    "long row": ([[1, 0], [1, 1, 1]], [1, 1], 2, "row 1 has 3 entries, not 2"),
+    "row without a right side": ([[1, 0], [0, 1]], [1], 2, "row 1 has no right-hand side"),
+    "right side without a row": ([[1, 0]], [1, 0], 2, "right-hand side 1 has no row"),
+    "NaN entry": ([[1, 0], [0, float("nan")]], [1, 1], 2, "row 1 has an entry that is not finite"),
+    "infinite entry": ([[float("inf"), 0]], [1], 2, "row 0 has an entry that is not finite"),
+    "infinite right side": ([[1, 0]], [float("-inf")], 2, "row 0 has an entry that is not finite"),
+    "NaN before a short row": ([[float("nan"), 0], [1]], [0, 1], 2,
+                               "row 0 has an entry that is not finite"),
+    "numpy short rows": (np.ones((2, 1), dtype=np.int64), [1, 1], 2, "row 0 has 1 entries, not 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED.values()), ids=list(MALFORMED))
+@pytest.mark.parametrize("solve", [affine_solution_set, enumerate_box_vertices])
+def test_a_malformed_system_is_refused_at_its_first_bad_row(solve, case):
+    rows, rhs, n, message = case
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(rows, rhs, n)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [3]], "row 1 has 1 entries, row 0 has 2"),
+    ([[1, 2], [2, 4, 1]], "row 1 has 3 entries, row 0 has 2"),
+    ([[1, 2], [float("inf"), 1]], "row 1 has an entry that is not finite"),
+    ([[float("nan"), 1]], "row 0 has an entry that is not finite"),
+], ids=["short", "long", "infinite", "NaN"])
+def test_integer_rank_refuses_ragged_and_non_finite_rows(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integer_rank(rows)
+
+
+def test_numpy_arrays_of_the_right_shape_are_read():
+    rows = np.array([[1, 1, 0], [0, 1, 1]])
+    found = enumerate_box_vertices(rows, np.array([1, 1]), 3)
+    assert found == enumerate_box_vertices(rows.tolist(), [1, 1], 3)
+    assert integer_rank(rows) == 2 and integer_rank(np.zeros((0, 3))) == 0
+
+
+def test_iterables_of_rows_are_read_as_lists():
+    # rows and right sides from generators and map objects, read once,
+    # including by the dense route that an infeasible system takes
+    for rows, rhs in [([[1, 1, 0], [0, 1, 1]], [1, 1]),
+                      ([[1, 1, 0], [1, 1, 0]], [1, 2]),
+                      ([[1, 1, 1]], [4])]:
+        for solve in (affine_solution_set, enumerate_box_vertices):
+            got = solve((list(row) for row in rows), map(int, rhs), 3)
+            assert got == solve(rows, rhs, 3)
 
 
 def test_affine_solution_set_parametrizes():
@@ -277,6 +334,11 @@ def assert_agrees_with_scan(rows, rhs, n):
     return enum
 
 
+def ea_system(ea):
+    """The state equalities of an effect algebra as (rows, rhs, n)."""
+    return (*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+
+
 CATALOG = {
     **{f"chain({s})": (lambda s=s: chain_effect_algebra(s)) for s in range(1, 9)},
     **{f"2^{k}": (lambda k=k: boolean_effect_algebra(k)) for k in range(1, 5)},
@@ -288,7 +350,7 @@ CATALOG = {
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_catalog_algebras_agree_with_scan(name):
     ea = CATALOG[name]()
-    enum = assert_agrees_with_scan(*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+    enum = assert_agrees_with_scan(*ea_system(ea))
     assert enum.feasible
 
 
@@ -307,7 +369,7 @@ def test_products_agree_with_scan(name):
     a, b = (make() for make in PRODUCT_FACTORS[name])
     ea = product_effect_algebra(a, b)
     assert ea.n <= 24
-    enum = assert_agrees_with_scan(*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+    enum = assert_agrees_with_scan(*ea_system(ea))
     assert enum.feasible
 
 
@@ -354,11 +416,32 @@ def typed(values) -> list:
     return [(type(v), v) for v in values]
 
 
+def as_expressions(particular, basis):
+    """An affine set as exact._parametrize gives it: ([(den, c, {param: coeff})], d)."""
+    expr = []
+    for i, p in enumerate(particular):
+        values = [F(p)] + [F(col[i]) for col in basis]
+        den = lcm(*(v.denominator for v in values))
+        c, *lin = (int(v * den) for v in values)
+        expr.append((den, c, {j: v for j, v in enumerate(lin) if v}))
+    return expr, len(basis)
+
+
+def read_out(expr, d):
+    """Integer expressions as (particular, basis), integral entries as ints."""
+    def value(num, den):
+        q = F(num, den)
+        return q.numerator if q.denominator == 1 else q
+
+    return ([value(c, den) for den, c, _ in expr],
+            [[value(lin.get(j, 0), den) for den, _, lin in expr] for j in range(d)])
+
+
 def fraction_path(rows, rhs, n):
     """enumerate_box_vertices with the Fraction substitution and seed swapped in."""
     def parametrize(a_rows, b_vals, n):
         found = affine_by_fraction_substitution(a_rows, b_vals, n)
-        return None if found is None else AffineSet(*found)
+        return None if found is None else as_expressions(*found)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_parametrize", parametrize)
@@ -366,10 +449,40 @@ def fraction_path(rows, rhs, n):
         return enumerate_box_vertices(rows, rhs, n)
 
 
+def assert_scales_sorted_rows(rows, sorted_rows):
+    """Each row is a positive multiple of a sorted row, and each sorted row
+    has a parallel row at least as tight among them."""
+    def direction(coeffs, rhs):
+        g = F(max(abs(c) for c in coeffs))
+        return tuple(F(c) / g for c in coeffs), F(rhs) / g
+
+    old = [direction(c, r) for c, r in sorted_rows]
+    new = dict(direction(c, r) for c, r in rows)
+    assert len(new) == len(rows) and set(new.items()) <= set(old)
+    assert all(new[lhs] <= rhs for lhs, rhs in old)
+
+
+def assert_matches_sorted_cone(rows, rhs, n):
+    """Same vertices, dimension, feasibility and certificate as the former
+    route through the sorted Fraction box rows, and its box rows scaled."""
+    new = enumerate_box_vertices(rows, rhs, n)
+    old = vertices_by_sorted_cone(rows, rhs, n, exact._double_description)
+    assert (new.feasible, new.dimension, new.vertices) == (old.feasible, old.dimension,
+                                                           old.vertices)
+    cert = new.certificate
+    assert (cert and (cert.kind, cert.multipliers, cert.detail)) == old.certificate
+    if new.feasible:
+        assert all(type(x) is int for c, r in new.rows for x in c + (r,))
+        assert_scales_sorted_rows(new.rows, old.rows)
+    else:
+        assert new.rows == old.rows
+    return new
+
+
 def assert_matches_fraction_path(rows, rhs, n):
     """Same vertices, dimension, feasibility and certificate; for integer
-    input also the same AffineSet and box rows, entry types included."""
-    new, old = enumerate_box_vertices(rows, rhs, n), fraction_path(rows, rhs, n)
+    input also the same affine set and box rows, entry types included."""
+    new, old = assert_matches_sorted_cone(rows, rhs, n), fraction_path(rows, rhs, n)
     assert (new.feasible, new.dimension, new.vertices) == (old.feasible, old.dimension,
                                                            old.vertices)
     assert new.certificate == old.certificate
@@ -378,8 +491,9 @@ def assert_matches_fraction_path(rows, rhs, n):
             rows, rhs, n)
         assert (found is None) == (expected is None)
         if found is not None:
-            assert typed(found.particular) == typed(expected[0])
-            assert [typed(col) for col in found.basis] == [typed(col) for col in expected[1]]
+            particular, basis = read_out(*found)
+            assert typed(particular) == typed(expected[0])
+            assert [typed(col) for col in basis] == [typed(col) for col in expected[1]]
         assert [typed(c + (r,)) for c, r in new.rows] == [typed(c + (r,)) for c, r in old.rows]
     return new
 
@@ -425,7 +539,7 @@ def test_algebras_match_the_fraction_path(name):
         ea = CATALOG[name]()
     else:
         ea = product_effect_algebra(*(make() for make in PRODUCT_FACTORS[name]))
-    enum = assert_matches_fraction_path(*state_equalities(ea.table, ea.zero, ea.one), ea.n)
+    enum = assert_matches_fraction_path(*ea_system(ea))
     assert enum.feasible
 
 
@@ -457,3 +571,108 @@ def test_integer_seed_rays_match_the_fraction_rref(rows):
     rays = exact._simplicial_rays(rows)
     assert rays == simplicial_rays_by_rref(rows)
     assert all(type(x) is int for ray in rays for x in ray)
+
+
+# ---------------------------------------------------------------------------
+# The cone written from the integer expressions, lower bounds first, against
+# the former route through sorted Fraction box rows.
+
+
+@st.composite
+def systems_with_twins(draw):
+    """Random systems with repeated rows, scaled copies, coordinates fixed
+    inside and outside [0, 1], and rows contradicting the row they repeat."""
+    rows, rhs, n = draw(random_systems())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["twin", "multiple", "fixed", "contradiction"]))
+        if kind == "fixed":
+            j = draw(st.integers(min_value=0, max_value=n - 1))
+            row, b = [int(i == j) for i in range(n)], draw(st.sampled_from([0, F(1, 2), 1, 2, -1]))
+        elif not rows:
+            continue
+        else:
+            k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            row, b = rows[k], rhs[k]
+            if kind == "multiple":
+                row, b = [-2 * v for v in row], -2 * b
+            elif kind == "contradiction":
+                b += 1
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows, rhs = rows[:at] + [list(row)] + rows[at:], rhs[:at] + [b] + rhs[at:]
+    return rows, rhs, n
+
+
+@given(systems_with_twins())
+@example(([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], [1, 1, 1, 1], 3))  # a residual row
+@example(([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 0, -1]], [1, 1, 1, 1], 3))  # residual 0 = 1
+@example(([[1, 1, 1], [1, 0, 0], [1, 1, 1]], [1, F(1, 2), 1], 3))  # fixed inside [0, 1]
+@example(([[0, 1, 0], [1, 1, 1], [0, 1, 0]], [2, 1, 2], 3))  # fixed outside [0, 1]
+@settings(max_examples=200, deadline=None)
+def test_twins_residuals_and_fixed_coordinates_match_the_sorted_cone(case):
+    assert_matches_fraction_path(*case)
+
+
+# infeasible systems with repeated rows, and their certificates as the
+# enumeration through the sorted Fraction box rows gave them
+TWIN_CERTIFICATES = {
+    "equalities": (([[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 2, 1], [0, 1, 1]], [1] * 5, 3), -1,
+                   ((0, F(-1)), (2, F(-1)), (3, F(1))), "0 = -1"),
+    "equalities, twin contradicted": (([[1, 1], [1, 1], [1, 1]], [1, 1, 2], 2), -1,
+                                      ((0, F(-1)), (2, F(1))), "0 = 1"),
+    "equalities, residual": (([[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [1, 0, 0, -1]],
+                              [1] * 4, 4), -1, ((0, F(-1)), (1, F(1)), (3, F(1))), "0 = 1"),
+    "bound": (([[1, 0], [1, 1], [1, 0]], [2, 2, 2], 2), 0, ((0, F(1)),), "coordinate 0"),
+    "inequalities": (([[1, 1, 1], [1, 1, 1], [2, 2, 2]], [4, 4, 8], 3), 2,
+                     ((0, F(1)), (3, F(1)), (4, F(1))), "0 <= -1"),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_CERTIFICATES))
+def test_certificates_of_repeated_rows_are_the_sorted_cones(name):
+    system, dimension, multipliers, detail = TWIN_CERTIFICATES[name]
+    enum = enumerate_box_vertices(*system)
+    assert (enum.feasible, enum.dimension) == (False, dimension)
+    cert = enum.certificate
+    assert (cert.kind, cert.multipliers) == (name.split(",")[0], multipliers)
+    assert detail in cert.detail
+    assert [typed(m) for m in cert.multipliers] == [typed(m) for m in multipliers]
+    assert_matches_fraction_path(*system)
+
+
+def largest_ray_list(enumerate_vertices):
+    """The enumeration's result and the most rays double description held at once."""
+    largest = 0
+
+    def watch(frame, event, arg):
+        nonlocal largest
+        largest = max(largest, len(frame.f_locals.get("rays", ())))
+        return watch
+
+    def calls(frame, event, arg):
+        return watch if frame.f_code is exact._double_description.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = enumerate_vertices()
+    finally:
+        sys.settrace(previous)
+    return result, largest
+
+
+WORK_CASES = {
+    **{f"simplex({k})": (lambda k=k: ([[1] * k], [1], k)) for k in range(2, 17)},
+    "2^6": lambda: ea_system(boolean_effect_algebra(6)),
+    "MO2xMO2": lambda: ea_system(
+        product_effect_algebra(mo2_effect_algebra(), mo2_effect_algebra())),
+}
+
+
+@pytest.mark.parametrize("name", list(WORK_CASES))
+def test_the_ray_list_never_outgrows_the_vertex_list(name):
+    # the lower bounds go in first, so the k-point simplex holds k rays at
+    # most, where the upper bounds first would build the (k-1)-cube's
+    # 2^(k-1); 2^6 and MO2 x MO2 peaked at 17 and 14 rays that way
+    rows, rhs, n = WORK_CASES[name]()
+    enum, largest = largest_ray_list(lambda: enumerate_box_vertices(rows, rhs, n))
+    assert enum.feasible and largest == len(enum.vertices)
