@@ -48,6 +48,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -223,19 +224,20 @@ class _Resolver:
     def rows(self, rows, field: str, width: int) -> list[list[int]]:
         """rows, a list of lists of width element references, as lists of indices.
 
-        Rows of labels resolve by dict lookups alone. The labels are
-        strings, so an index, a bool or an unhashable entry misses the
-        dict, and then every row goes entry by entry through the
-        one-reference check, which accepts the indices and names the
-        first bad reference.
+        Rows of labels resolve by one run of dict lookups over all their
+        entries, regrouped width at a time. The labels are strings, so
+        an index, a bool or an unhashable entry misses the dict, and then
+        every row goes entry by entry through the one-reference check,
+        which accepts the indices and names the first bad reference.
         """
-        if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == width for r in rows
-        ):
+        if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+                and set(map(len, rows)) <= {width}):
             raise CliError(2, f"{self.path}: {field} must be a list of {width}-element lists")
-        lookup = self.by_label.__getitem__
+        if not width:  # zip of no iterators would drop the rows
+            return [[] for _ in rows]
+        entries = map(self.by_label.__getitem__, chain.from_iterable(rows))
         try:
-            return [list(map(lookup, r)) for r in rows]
+            return list(map(list, zip(*[entries] * width)))
         except (KeyError, TypeError):
             return [[self(x) for x in r] for r in rows]
 

@@ -3,12 +3,13 @@
 The partial orthosummation is a dense n x n table whose entries are
 element indices or None where the sum is undefined. Axiom checking is
 exhaustive and reports the first violated axiom together with a witness,
-which makes the checker usable as an oracle against mutated tables. The
-scan compares whole rows as tuples, so its n^3 associativity work runs
-inside tuple comparison and operator.itemgetter, not a Python loop per
-triple; a witness is searched entry by entry only once a row mismatches,
-in the order of the plain triple loop. The MV scan's axioms on pairs
-compare a whole table with its transpose the same way.
+which makes the checker usable as an oracle against mutated tables. Both
+scans read the table as one index array, an undefined sum as the index
+n, and test associativity in one kernel of two array gathers over
+chunks of rows, (d+e)+f and d+(e+f), of at most _CHUNK_ENTRIES entries
+each; commutativity and the MV scan's Lukasiewicz identity compare a
+table with its transpose. The first mismatch in C order is the witness
+the plain loops name first.
 
 The MV side stores a total operation table. The two presentations are
 interconvertible: a lattice-ordered effect algebra in which disjoint
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -49,6 +49,10 @@ __all__ = [
     "ea_to_mv",
     "mv_to_ea",
 ]
+
+# The most entries one chunk of the associativity scan gathers per side;
+# a table of up to 64 elements is one chunk.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -122,21 +126,50 @@ def _normalize_table(table, n: int):
     return tuple(rows)
 
 
-def _row_getters(rows):
-    """getters[e](row) is the tuple of row's entries at the indices in rows[e].
+def _extended(t) -> np.ndarray:
+    """The normalised table t as an (n + 1) x (n + 1) index array.
 
-    One C call per row instead of a Python loop over its entries.
-    itemgetter with a single index returns a scalar, so one-entry rows
-    get a getter that returns a 1-tuple.
+    An undefined sum reads as the index n, and row n and column n are
+    all n, so a sum with an undefined part is undefined. int16 holds the
+    indices of tables below 2^15 elements, intp those of larger ones.
     """
-    if rows and len(rows[0]) == 1:
-        return [lambda row, i=r[0]: (row[i],) for r in rows]
-    return [itemgetter(*r) for r in rows]
+    n = len(t)
+    dtype = np.int16 if n < 1 << 15 else np.intp
+    cells = chain(chain.from_iterable([row + (None,) for row in t]), repeat(None, n + 1))
+    ext = np.fromiter((n if v is None else v for v in cells), dtype, (n + 1) ** 2)
+    return ext.reshape(n + 1, n + 1)
 
 
-def _first_difference(a, b) -> int:
-    """First index at which the sequences a and b differ."""
-    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+def _first_nonassociative(ext: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (d, e, f) in C order with (d+e)+f != d+(e+f), or None.
+
+    ext is _extended's array. For a chunk of rows d, (d+e)+f is ext read
+    at the rows ext[d, e] and d+(e+f) is row d read at the indices
+    ext[e, f]: two gathers of rows x n x n entries, at most
+    _CHUNK_ENTRIES each (one row d at least). The chunks go in order of
+    d, so the first mismatch is the triple the plain loop names first.
+    """
+    n = len(ext) - 1
+    sums = ext[:n, :n]
+    step = max(_CHUNK_ENTRIES // (n * n), 1)
+    for d in range(0, n, step):
+        hit = _first_mismatch(ext[:, :n].take(sums[d:d + step], axis=0),
+                              ext[d:min(d + step, n)].take(sums, axis=1))
+        if hit:
+            return (d + hit[0],) + hit[1:]
+    return None
+
+
+def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
+    """The first index in C order at which a and b differ, or None.
+
+    Equal arrays are told by their bytes, which on the small tables
+    costs a tenth of an elementwise test; the index is looked up only
+    after a mismatch.
+    """
+    if a.tobytes() == b.tobytes():
+        return None
+    return tuple(map(int, np.unravel_index(int((a != b).argmax()), a.shape)))
 
 
 def _units(zero, one, n: int) -> tuple[int, int]:
@@ -216,33 +249,21 @@ def _ea_violation(t, zero: int, one: int) -> AxiomViolation | None:
     orthosupplements of a + (a + b)', so b = c.
     """
     n = len(t)
-    cols = tuple(zip(*t))
-    if t != cols:
-        e = _first_difference(t, cols)
-        f = _first_difference(t[e], cols[e])
+    ext = _extended(t)
+    if hit := _first_mismatch(ext, ext.T):
+        e, f = hit
         return AxiomViolation(
             "commutativity",
             (e, f),
             f"osum({e},{f})={t[e][f]!r} but osum({f},{e})={t[f][e]!r}",
         )
 
-    # Associativity row by row: with an undefined sum read as index n and
-    # row n all undefined, (d+e)+f over every f is row ext[d][e], and
-    # d+(e+f) is row d read at the indices of row e.
-    ext = tuple(tuple(n if v is None else v for v in row) + (n,) for row in t)
-    ext += ((n,) * (n + 1),)
-    getters = _row_getters(ext[:n])
-    for d in range(n):
-        row = ext[d]
-        lhs = list(map(ext.__getitem__, row[:n]))
-        rhs = [g(row) for g in getters]
-        if lhs != rhs:
-            e = _first_difference(lhs, rhs)
-            f = _first_difference(lhs[e], rhs[e])
-            left, right = (None if v == n else v for v in (lhs[e][f], rhs[e][f]))
-            return AxiomViolation(
-                "associativity", (d, e, f), f"(d+e)+f={left!r} but d+(e+f)={right!r}"
-            )
+    if hit := _first_nonassociative(ext):
+        d, e, f = hit
+        left, right = (None if v == n else int(v) for v in (ext[ext[d, e], f], ext[d, ext[e, f]]))
+        return AxiomViolation(
+            "associativity", (d, e, f), f"(d+e)+f={left!r} but d+(e+f)={right!r}"
+        )
 
     for e, row in enumerate(t):
         if row.count(one) != 1:
@@ -468,18 +489,11 @@ class FiniteMVAlgebra:
 def _mv_violation(t, p, zero: int, one: int) -> AxiomViolation | None:
     """Exhaustive check of the seven MV axioms on normalised operands; first violation wins."""
     n = len(t)
-    # Associativity row by row, as in _ea_violation: x+(y+z) over every
-    # z is row x read at the indices of row y, (x+y)+z is row t[x][y].
-    getters = _row_getters(t)
-    for x, row in enumerate(t):
-        lhs = [g(row) for g in getters]
-        rhs = list(map(t.__getitem__, row))
-        if lhs != rhs:
-            y = _first_difference(lhs, rhs)
-            z = _first_difference(lhs[y], rhs[y])
-            return AxiomViolation("mv-associativity", (x, y, z), "x+(y+z) != (x+y)+z")
-    if t != tuple(zip(*t)):
-        return AxiomViolation("mv-commutativity", _first_asymmetry(t), "x+y != y+x")
+    ext = _extended(t)
+    if hit := _first_nonassociative(ext):
+        return AxiomViolation("mv-associativity", hit, "x+(y+z) != (x+y)+z")
+    if hit := _first_mismatch(ext, ext.T):
+        return AxiomViolation("mv-commutativity", hit, "x+y != y+x")
     for x in range(n):
         if t[x][zero] != x:
             return AxiomViolation("mv-zero", (x,), "x+0 != x")
@@ -491,19 +505,15 @@ def _mv_violation(t, p, zero: int, one: int) -> AxiomViolation | None:
     for x in range(n):
         if t[x][p[x]] != one:
             return AxiomViolation("mv-complement", (x,), "x+perp(x) != 1")
-    inner = list(map(_row_getters([p])[0], t))                # [x][y]: x + perp(y)
-    outer = [g(p) for g in _row_getters(inner)]                # [x][y]: perp(x + perp(y))
-    joins = [g(row) for g, row in zip(_row_getters(outer), t)]
-    if joins != list(zip(*joins)):
-        return AxiomViolation("mv-lukasiewicz", _first_asymmetry(joins),
-                              "x+(x+perp(y))' != y+(y+perp(x))'")
+    joins = _mv_joins(ext[:n, :n], np.array(p, dtype=np.intp))
+    if hit := _first_mismatch(joins, joins.T):
+        return AxiomViolation("mv-lukasiewicz", hit, "x+(x+perp(y))' != y+(y+perp(x))'")
     return None
 
 
-def _first_asymmetry(rows) -> tuple[int, int]:
-    """The first (x, y) in row-major order with rows[x][y] != rows[y][x]."""
-    table = np.array(rows, dtype=np.intp)
-    return first_pair(table != table.T)
+def _mv_joins(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """[x, y]: x OR y = x + (x + perp(y))', from the addition and perp as arrays."""
+    return t[np.arange(len(t))[:, None], p[t[:, p]]]
 
 
 def check_mv_axioms(plus, perp, zero, one, labels=None) -> Validation:
@@ -517,8 +527,7 @@ def check_mv_axioms(plus, perp, zero, one, labels=None) -> Validation:
 def _mv_leq(mv: FiniteMVAlgebra) -> np.ndarray:
     """[x, y]: x <= y, that is x OR y = x + (x + perp(y))' is y."""
     t, p = np.array(mv.plus_table, dtype=np.intp), np.array(mv.perp, dtype=np.intp)
-    rows = np.arange(mv.n)
-    return t[rows[:, None], p[t[:, p]]] == rows
+    return _mv_joins(t, p) == np.arange(mv.n)
 
 
 def ea_to_mv(ea: FiniteEffectAlgebra) -> FiniteMVAlgebra:

@@ -123,16 +123,20 @@ def integer_rank(rows) -> int:
 
     The rank is at most the column count, so the elimination stops as
     soon as that many rows are independent. Entries are read as Python
-    ints, so numpy integers cannot overflow.
+    ints, so numpy integers cannot overflow; an entry such as 2.0 or
+    Fraction(4, 2) is read as its integer, and a row with an entry that
+    is not integral raises ValueError.
     """
     ints = []
     for i, row in enumerate(rows):
         if ints and len(row) != len(ints[0]):
             raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(ints[0])}")
         try:
-            ints.append([int(v) for v in row])
+            ints.append(list(map(int, row)))
         except (ValueError, OverflowError):  # NaN, infinity
             raise ValueError(f"row {i} has an entry that is not finite") from None
+        if ints[-1] != list(row):
+            raise ValueError(f"row {i} has an entry that is not an integer")
     width = len(ints[0]) if ints else 0
     return len(_gauss_jordan(ints, width, width)[1])
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isfinite, lcm
 from numbers import Rational
+from operator import itemgetter
 
 import numpy as np
 
@@ -250,13 +251,17 @@ def _assert_vertices_are_extreme(rows: list[list[int]], verts: list[EffectAlgebr
     The unit rows pivot on their own columns, so the test is that A,
     restricted to the other coordinates, has full column rank. A is an
     integer matrix, so its distinct nonzero restricted rows go to the
-    fraction-free integer_rank.
+    fraction-free integer_rank. Twin rows of A are dropped once, before
+    the vertices, and each vertex restricts the rest with one itemgetter.
     """
-    for k, st in enumerate(verts):
-        free = [i for i, v in enumerate(st.values) if v != 0 and v != 1]
+    frees = [[i for i, v in enumerate(st.values) if v != 0 and v != 1] for st in verts]
+    distinct = list(dict.fromkeys(map(tuple, rows))) if any(frees) else []
+    for k, free in enumerate(frees):
         if not free:
             continue  # the unit rows alone have rank n
-        restricted = dict.fromkeys(tuple(row[i] for i in free) for row in rows)
+        restricted = dict.fromkeys(map(itemgetter(*free), distinct))
+        if len(free) == 1:  # itemgetter of one index returns entries, not 1-tuples
+            restricted = [(v,) for v in restricted]
         rank = integer_rank([row for row in restricted if any(row)])
         if rank < len(free):
             raise AssertionError(

@@ -188,6 +188,9 @@ def test_states_validates_an_ortholattice_without_classifying_it(tmp_path, capsy
         ("check", dict(FA2, points=[1, [2], True]), "points must be a list of string labels"),
         ("spectral", dict(FA2, points=[1, "1"]), "points must be a list of string labels"),
         ("states", dict(FA2, points=["p", None]), "points must be a list of string labels"),
+        # rows of no references are still counted
+        ("check", dict(MV2, elements=[], plus=[[], []], perp=[]),
+         "plus must have one row per element, got 2"),
     ],
 )
 def test_malformed_structure_documents_exit_two(tmp_path, capsys, command, doc, message):

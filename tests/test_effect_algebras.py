@@ -7,7 +7,9 @@ screened by the oracle first so that tables which happen to mutate into
 a different valid algebra are not miscounted as failures.
 """
 
+import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from helpers import (
     single_entry_mutations,
 )
 from synaptica import catalog
+from synaptica import effect_algebras as ea_module
 from synaptica.posets import StructureError
 from synaptica.effect_algebras import (
     _normalize_table,
@@ -549,3 +552,127 @@ def test_relabelled_pair_failures_name_the_loops_witness():
             assert mv_scan(*renamed) == expected
             witnesses[expected[0]] += expected[0] in PAIR_AXIOMS
     assert min(witnesses[axiom] for axiom in PAIR_AXIOMS) >= 20, witnesses
+
+
+# --- the chunked associativity kernel ---------------------------------------
+
+
+def use_chunks_of(monkeypatch, rows):
+    """Let every associativity scan gather `rows` rows d per chunk."""
+    scan = ea_module._first_nonassociative
+
+    def in_chunks(ext):
+        n = len(ext) - 1
+        with patch.object(ea_module, "_CHUNK_ENTRIES", rows * n * n):
+            return scan(ext)
+
+    monkeypatch.setattr(ea_module, "_first_nonassociative", in_chunks)
+
+
+def test_extended_table_reads_undefined_sums_as_the_sentinel():
+    ext = ea_module._extended(((0, 1, 2), (1, None, None), (2, None, None)))
+    assert ext.dtype == np.int16
+    assert ext.tolist() == [[0, 1, 2, 3], [1, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]
+
+
+@pytest.mark.parametrize("rows, sizes", [(None, [16]), (1, [1] * 16), (2, [2] * 8),
+                                         (3, [3] * 5 + [1])])
+def test_the_chunk_cap_sets_the_rows_a_chunk_gathers(monkeypatch, rows, sizes):
+    # a valid 2^4 table runs every chunk, and each chunk makes one comparison
+    ea = catalog.boolean_effect_algebra(4)
+    if rows is not None:
+        use_chunks_of(monkeypatch, rows)
+    compared = []
+    compare = ea_module._first_mismatch
+    monkeypatch.setattr(ea_module, "_first_mismatch",
+                        lambda a, b: compared.append(a.shape) or compare(a, b))
+    assert check_ea_axioms(ea.table, ea.zero, ea.one).ok
+    assert compared == [(17, 17)] + [(size, 16, 16) for size in sizes]
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_ea_scan_in_small_chunks_names_the_loops_first_violation(monkeypatch, rows):
+    use_chunks_of(monkeypatch, rows)
+    test_ea_scan_names_the_loops_first_violation()
+    test_library_verdict_matches_oracle()
+    for name, ea in CORPUS[:5]:
+        test_mutations_fail_with_replayable_witnesses(name, ea)
+        test_constructor_raises_the_violation_check_reports(name, ea)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_mv_scan_in_small_chunks_names_the_loops_first_violation(monkeypatch, rows):
+    use_chunks_of(monkeypatch, rows)
+    test_mv_scan_names_the_loops_first_violation()
+    for mv in MV_SCAN_BASES:
+        test_mv_constructor_raises_the_violation_check_reports(mv)
+        test_every_one_entry_mutation_fails_as_the_loops_do(mv)
+
+
+def mirrored_mutations(table, values, count, seed):
+    """count tables, each with one random cell set to a random value, and
+    mirrored across the diagonal three times in four, so that most of
+    them pass commutativity and reach associativity."""
+    rng = np.random.default_rng(seed)
+    n = len(table)
+    for _ in range(count):
+        i, j = (int(x) for x in rng.integers(n, size=2))
+        rows = [list(r) for r in table]
+        rows[i][j] = values[int(rng.integers(len(values)))]
+        if rng.random() < 0.75:
+            rows[j][i] = rows[i][j]
+        yield rows
+
+
+LARGE_EAS = {"MO2xMO2": SCAN_BASES[-1], "2^6": catalog.boolean_effect_algebra(6)}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("name", list(LARGE_EAS))
+def test_sampled_mutations_of_large_tables_fail_as_the_loops_do(monkeypatch, name, rows):
+    if rows is not None:
+        use_chunks_of(monkeypatch, rows)
+    ea = LARGE_EAS[name]
+    axioms = Counter()
+    for table in mirrored_mutations(ea.table, [None, *range(ea.n)], 40, seed=ea.n):
+        v = check_ea_axioms(table, ea.zero, ea.one).violation
+        expected = ea_first_violation(table, ea.zero, ea.one)
+        assert (v and (v.axiom, v.witness, v.detail)) == expected
+        axioms[expected and expected[0]] += 1
+    assert axioms["associativity"] >= 10, axioms
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+def test_sampled_mutations_of_the_2_6_mv_algebra_fail_as_the_loops_do(monkeypatch, rows):
+    if rows is not None:
+        use_chunks_of(monkeypatch, rows)
+    mv = ea_to_mv(LARGE_EAS["2^6"])
+    axioms = Counter()
+    for plus in mirrored_mutations(mv.plus_table, range(mv.n), 30, seed=mv.n):
+        expected = mv_first_violation(plus, mv.perp, mv.zero, mv.one)
+        assert mv_scan(plus, mv.perp, mv.zero, mv.one) == expected
+        axioms[expected and expected[0]] += 1
+    assert axioms["mv-associativity"] >= 10, axioms
+
+
+def lukasiewicz_chain(n):
+    """The addition min(x + y, n - 1) and perp n - 1 - x of the n-element chain."""
+    return [[min(x + y, n - 1) for y in range(n)] for x in range(n)], [n - 1 - x for x in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["effect algebra", "MV-algebra"])
+def test_scanning_a_201_element_chain_holds_a_few_chunks(kind):
+    # the whole gather would hold two 201^3 arrays; the chunks hold at
+    # most 2^18 entries each
+    if kind == "effect algebra":
+        ea = catalog.chain_effect_algebra(200)
+        check, args = check_ea_axioms, ([list(r) for r in ea.table], ea.zero, ea.one)
+    else:
+        check, args = check_mv_axioms, (*lukasiewicz_chain(201), 0, 200)
+    tracemalloc.start()
+    try:
+        assert check(*args).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

@@ -161,6 +161,24 @@ def test_integer_rank_refuses_ragged_and_non_finite_rows(rows, message):
         integer_rank(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.5]],
+    [[1, 2], [Fraction(1, 2), 1]],
+    [[3, 1], [0, 0], [np.float64(2.5), 4]],
+], ids=["float", "Fraction", "numpy float"])
+def test_integer_rank_refuses_non_integral_entries(rows):
+    # int() would truncate them: [[0.5]] would read as rank 0
+    message = f"^row {len(rows) - 1} has an entry that is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        integer_rank(rows)
+
+
+def test_integer_rank_reads_integral_values_as_their_integers():
+    assert integer_rank([[2.0, 4], [Fraction(4, 2), np.float64(4.0)]]) == 1
+    assert integer_rank([[np.int64(3), True], [Fraction(6), 2.0]]) == 1
+    assert integer_rank(np.array([[1.0, 0.0], [0.0, -2.0]])) == 2
+
+
 def test_numpy_arrays_of_the_right_shape_are_read():
     rows = np.array([[1, 1, 0], [0, 1, 1]])
     found = enumerate_box_vertices(rows, np.array([1, 1]), 3)

@@ -132,6 +132,53 @@ def test_non_extreme_point_is_rejected(monkeypatch):
     assert proper_combination(pts + [mid]) == (4, 0, 1)
 
 
+def test_non_extreme_point_among_twin_rows_is_rejected(monkeypatch):
+    # MO2 x chain(2) has equality rows that are exact twins, which the
+    # rank test drops once before the vertices
+    ea = product_effect_algebra(mo2_effect_algebra(), chain_effect_algebra(2))
+    rows = state_equality_rows(ea)
+    assert len(set(map(tuple, rows))) < len(rows)
+    count = len(state_polytope(ea).vertices)
+
+    def with_midpoint(rows, rhs, n):
+        enum = enumerate_box_vertices(rows, rhs, n)
+        u, v = enum.vertices[:2]
+        enum.vertices.append([(x + y) / 2 for x, y in zip(u, v)])
+        return enum
+
+    monkeypatch.setattr(stt, "enumerate_box_vertices", with_midpoint)
+    with pytest.raises(AssertionError, match=f"vertex {count} is not extreme"):
+        state_polytope(ea)
+
+
+def state_equality_rows(ea):
+    """The nonzero rows e + f - (e + f) of ea's defined orthosums, as the polytope builds them."""
+    rows = []
+    for e, f, g in ea.orthosums:
+        row = [0] * ea.n
+        row[e] += 1
+        row[f] += 1
+        row[g] -= 1
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+class _Point:
+    def __init__(self, values):
+        self.values = values
+
+
+def test_a_single_free_coordinate_is_ranked_as_a_one_entry_row():
+    # one coordinate inside (0, 1): extreme exactly when some row is nonzero there
+    half = Fraction(1, 2)
+    stt._assert_vertices_are_extreme([[1, 1, 0], [1, 1, 0], [0, 0, 1]], [_Point((1, half, 0))])
+    with pytest.raises(AssertionError, match="^vertex 1 is not extreme: the equalities fix only "
+                                             "0 of its 1 coordinates strictly inside"):
+        stt._assert_vertices_are_extreme([[1, 0, 0], [1, 0, 0], [0, 0, 1]],
+                                         [_Point((0, 0, 1)), _Point((1, half, 0))])
+
+
 def test_non_state_vertex_is_rejected(monkeypatch):
     # a vertex that breaks additivity must be caught by the is_state re-check
     def with_non_state(rows, rhs, n):
