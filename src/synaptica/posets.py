@@ -26,9 +26,9 @@ them exactly when the largest of those is as large as it: one
 run in row chunks of at most _CHUNK_WORDS words (one chunk up to 128
 elements). The ortholattice axioms and the other classification flags
 are array comparisons over the tables and the relation, each reporting
-its first failing pair in row-major order through first_pair, which
-effect_algebras and stone use too. The scalar meet, join and
-subset_inf_sup read the relation one pair's bounds at a time.
+its first failing pair through first_pair; effect_algebras and stone use
+it too, and read an ortholattice's meets and joins whole. The scalar
+meet, join and subset_inf_sup read the relation pair by pair.
 """
 
 from __future__ import annotations
@@ -323,18 +323,13 @@ def first_pair(mask: np.ndarray) -> tuple[int, int] | None:
     return divmod(int(mask.argmax()), mask.shape[1])
 
 
-def pair_table(op, n: int) -> np.ndarray:
-    """The n x n table of op(a, b), one call per pair in row-major order."""
-    rows, cols = np.indices((n, n)).reshape(2, -1).tolist()
-    return np.array(list(map(op, rows, cols)), dtype=np.intp).reshape(n, n)
-
-
 class BoundedOrtholattice:
     """Bounded lattice with an order-reversing involutive complementation.
 
     perp maps every element to its orthocomplement. Construction checks,
     exhaustively: the base is a lattice with the given bounds, perp is an
     involution, it reverses order, and a AND perp(a) = 0, a OR perp(a) = 1.
+    The n x n meet and join tables those checks read stay, read-only, as meets and joins.
     """
 
     def __init__(self, poset: FinitePoset, zero: int, one: int, perp):
@@ -367,8 +362,8 @@ class BoundedOrtholattice:
         meets.flags.writeable = False
         joins.flags.writeable = False
         self.perp = perp
-        self._meets = meets
-        self._joins = joins
+        self.meets = meets
+        self.joins = joins
 
     @property
     def n(self) -> int:
@@ -382,10 +377,10 @@ class BoundedOrtholattice:
         return self.poset.leq(a, b)
 
     def meet(self, a: int, b: int) -> int:
-        return self._meets.item(a, b)
+        return self.meets.item(a, b)
 
     def join(self, a: int, b: int) -> int:
-        return self._joins.item(a, b)
+        return self.joins.item(a, b)
 
     def __repr__(self) -> str:
         return f"BoundedOrtholattice(n={self.n})"
@@ -419,8 +414,8 @@ def _orthomodular(latt: BoundedOrtholattice) -> bool:
     # a <= b must force b = a OR (b AND perp(a))
     n = latt.n
     rows = np.arange(n)
-    inner = latt._meets[:, np.array(latt.perp)].T       # [a, b]: b AND perp(a)
-    outer = latt._joins[rows[:, None], inner]           # [a, b]: a OR inner[a, b]
+    inner = latt.meets[:, np.array(latt.perp)].T        # [a, b]: b AND perp(a)
+    outer = latt.joins[rows[:, None], inner]            # [a, b]: a OR inner[a, b]
     return not (latt.poset.relation() & (outer != rows)).any()
 
 
@@ -445,7 +440,7 @@ def classify(structure) -> Classification:
     """
     if isinstance(structure, BoundedOrtholattice):
         p, latt = structure.poset, structure
-        meets, joins = structure._meets, structure._joins
+        meets, joins = structure.meets, structure.joins
     else:
         p, latt = structure, None
         meets, joins = lattice_tables(p)

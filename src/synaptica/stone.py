@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posets import BoundedOrtholattice, StructureError, classify, first_pair, pair_table
+from .posets import BoundedOrtholattice, StructureError, classify, first_pair
 from .order_unit import Element, FunctionSpace
 from . import synaptic
 from .states import DensityState
@@ -88,7 +88,7 @@ def stone_space(lat: BoundedOrtholattice) -> StoneSpace:
     """Enumerate the two-valued homomorphisms of a Boolean lattice.
 
     Verifies, for all points at once, that every point preserves bounds,
-    complements, meets and joins as lat.perp, lat.meet and lat.join give
+    complements, meets and joins as lat.perp, lat.meets and lat.joins give
     them, and that b |-> K_b is a Boolean isomorphism onto the field of
     all subsets of the point set. K_b holds the points taking the value
     1 at b, so the per-point identities are the map's complement,
@@ -105,11 +105,10 @@ def stone_space(lat: BoundedOrtholattice) -> StoneSpace:
     st = StoneSpace(lattice=lat, atoms=tuple(atoms.tolist()),
                     char=tuple(map(tuple, x.astype(int).tolist())))
 
-    meets, joins = pair_table(lat.meet, n), pair_table(lat.join, n)
     # per point: the bounds, then for each b its complement, then its
     # meet and its join with each c in turn, the order the checks are named in
-    pairwise = np.stack([x[:, meets] != x[:, :, None] & x[:, None, :],
-                         x[:, joins] != x[:, :, None] | x[:, None, :]], axis=3)
+    pairwise = np.stack([x[:, lat.meets] != x[:, :, None] & x[:, None, :],
+                         x[:, lat.joins] != x[:, :, None] | x[:, None, :]], axis=3)
     per_element = np.concatenate([(x[:, list(lat.perp)] == x)[:, :, None],
                                   pairwise.reshape(k, n, 2 * n)], axis=2)
     checks = np.concatenate([(x[:, bot] | ~x[:, top])[:, None],

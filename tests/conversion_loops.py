@@ -10,12 +10,92 @@ on raw tables and scalar operations, as the library did before it read
 whole relations and tables. Where a conversion validates its result as
 a poset or an algebra, the oracle stops short of that step and returns
 what it would validate, so that a test can run the library's
-constructor on it. Like tests/per_call_paths.py, this module shares no
-code with src/ and lives apart from tests/helpers.py, which perfbench
-loads in every worker.
+constructor on it. The reading of an operation table that the
+library made in two passes, into row tuples and then into the index
+array its scans read, the orthosums and orthosupplements it read off
+those tuples, and the meet and join tables it built one scalar call per
+pair, are kept here too. Like tests/per_call_paths.py, this module
+shares no code with src/ and lives apart from tests/helpers.py, which
+perfbench loads in every worker.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+
+import numpy as np
+
+
+class StructureError(ValueError):
+    """The error the two-pass reading raised, told apart by its name."""
+
+
+def normalize_table(table, n: int):
+    """The table as a tuple of n row tuples of int indices or None.
+
+    A table of n list or tuple rows of n entries, each an int in range
+    or None, is taken as it is; any other table goes entry by entry
+    through int() and a range check, which raises the first bad entry's
+    error in row order.
+    """
+    if len(table) != n:
+        raise StructureError("table must have one row per element")
+    if set(map(type, table)) <= {list, tuple} and set(map(len, table)) <= {n}:
+        rows = tuple(map(tuple, table))
+        entries = list(chain.from_iterable(rows))
+        # the types of every entry: a set of values would let True pass as 1
+        if set(map(type, entries)) <= {int, type(None)}:
+            indices = set(entries)
+            indices.discard(None)
+            if not indices or (min(indices) >= 0 and max(indices) < n):
+                return rows
+
+    def entry(v):
+        if v is None:
+            return None
+        i = int(v)
+        if not 0 <= i < n:
+            raise StructureError(f"table entry {v!r} is not an element index")
+        return i
+
+    rows = []
+    for row in table:
+        row = list(row)
+        if len(row) != n:
+            raise StructureError("table rows must have one entry per element")
+        rows.append(tuple(map(entry, row)))
+    return tuple(rows)
+
+
+def extended(t) -> np.ndarray:
+    """The normalised table t as an (n + 1) x (n + 1) index array.
+
+    An undefined sum reads as the index n, and row n and column n are
+    all n, so a sum with an undefined part is undefined. int16 holds the
+    indices of tables below 2^15 elements, intp those of larger ones.
+    """
+    n = len(t)
+    dtype = np.int16 if n < 1 << 15 else np.intp
+    cells = chain(chain.from_iterable([row + (None,) for row in t]), repeat(None, n + 1))
+    ext = np.fromiter((n if v is None else v for v in cells), dtype, (n + 1) ** 2)
+    return ext.reshape(n + 1, n + 1)
+
+
+def orthosums(t) -> tuple[tuple[int, int, int], ...]:
+    """Every defined orthosum (e, f, g = e + f) of the row tuples t with e <= f, row by row."""
+    return tuple((e, f, g) for e, row in enumerate(t) for f, g in enumerate(row[e:], e)
+                 if g is not None)
+
+
+def orthosupplements(t, one) -> tuple[int, ...]:
+    """For each row e of the row tuples t, the f with e + f = one."""
+    return tuple(row.index(one) for row in t)
+
+
+def pair_table(op, n: int) -> np.ndarray:
+    """The n x n table of op(a, b), one call per pair in row-major order."""
+    rows, cols = np.indices((n, n)).reshape(2, -1).tolist()
+    return np.array(list(map(op, rows, cols)), dtype=np.intp).reshape(n, n)
 
 
 def induced_relation(table) -> list[list[bool]]:

@@ -122,10 +122,19 @@ def replay_witness(table, zero, one, axiom: str, witness) -> bool:
 def normalized_table_by_entries(table, n):
     """A table as row tuples of ints or None, or the (error name, message) it fails with.
 
-    Per row, the length first, then every entry through int() and a
-    range check, then the converted row: the two passes the library
-    made before it converted and checked a row in one.
+    Per row, the length first, then every entry through an index check,
+    then the converted row: the two passes the library made before it
+    converted and checked a row in one. The index check is the one rule
+    added to that reading: an entry is an index when int(v) == v and
+    0 <= v < n, so one that int() cannot read or would truncate fails it
+    as one out of range does, where the reading took int(v) before.
     """
+    def is_index(v):
+        try:
+            return int(v) == v and 0 <= int(v) < n
+        except (TypeError, ValueError, OverflowError):
+            return False
+
     try:
         if len(table) != n:
             return ("StructureError", "table must have one row per element")
@@ -135,11 +144,11 @@ def normalized_table_by_entries(table, n):
             if len(row) != n:
                 return ("StructureError", "table rows must have one entry per element")
             for v in row:
-                if v is not None and not (0 <= int(v) < n):
+                if v is not None and not is_index(v):
                     return ("StructureError", f"table entry {v!r} is not an element index")
             rows.append(tuple(None if v is None else int(v) for v in row))
         return tuple(rows)
-    except (TypeError, ValueError) as exc:  # from int()
+    except TypeError as exc:  # a table or a row with no length
         return (type(exc).__name__, str(exc))
 
 

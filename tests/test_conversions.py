@@ -8,7 +8,13 @@ a one that is not theirs or with sums dropped or changed (the tables
 kept commutative, as every constructed one is), MV-algebras on arbitrary
 total tables, and ortholattices whose meet, join, perp, zero or one lies.
 Each case gives the same relation or table, or the same exception type
-and message, so the same element, pair or point.
+and message, so the same element, pair or point. A forged effect or MV
+algebra stores the index array the loops' two-pass reading makes of its
+table, and a forged ortholattice lies in its meets or joins array and in
+the meet or join that reads it alike. The tuple views, orthosums and
+orthosupplements of every structure built here are those the two-pass
+reading gives, and an ortholattice's meet and join tables are those of
+one scalar meet or join call per pair.
 """
 
 import copy
@@ -32,6 +38,7 @@ from synaptica.effect_algebras import (
     mv_to_ea,
     oml_to_ea,
 )
+from synaptica import posets
 from synaptica.posets import FinitePoset, StructureError, classify, is_oml, lattice_tables
 from synaptica.stone import StoneSpace, stone_space
 
@@ -59,9 +66,10 @@ def catalog_ea(name: str) -> FiniteEffectAlgebra:
 
 
 def forged_ea(table, zero, one, perp, labels) -> FiniteEffectAlgebra:
-    """An effect algebra object on the given parts, never scanned."""
+    """An effect algebra object on the given parts, never scanned; it
+    stores the index array of the two-pass reading of table."""
     ea = object.__new__(FiniteEffectAlgebra)
-    ea.table = tuple(map(tuple, table))
+    ea._table = loops.extended(loops.normalize_table(table, len(table)))
     ea.zero, ea.one, ea.perp, ea.labels = zero, one, tuple(perp), tuple(labels)
     ea._order = None
     return ea
@@ -209,12 +217,60 @@ def catalog_lattice(name):
 @pytest.mark.parametrize("name", list(LATTICES))
 def test_catalog_lattices_convert_as_the_loops_do(name):
     lat = catalog_lattice(name)
+    for table, op in ((lat.meets, posets.meet), (lat.joins, posets.join)):
+        assert np.array_equal(table, loops.pair_table(functools.partial(op, lat.poset), lat.n))
     same(outcome(oml_to_ea, lat), outcome(oml_to_ea_by_loops, lat), table_of)
     same(outcome(stone_space, lat), outcome(stone_space_by_loops, lat), stone_key)
 
 
+def test_views_are_the_two_pass_readings(monkeypatch):
+    # every effect and MV algebra the catalog, oml_to_ea, ea_to_mv and
+    # mv_to_ea build here: its tuple views, orthosums and orthosupplements
+    # against those the two-pass reading makes of the table it was given
+    built = []
+
+    def spy(cls):
+        init = cls.__init__
+
+        def recording(self, table, *args, **kwargs):
+            raw = [list(row) for row in table]
+            init(self, table, *args, **kwargs)
+            built.append((self, raw))
+
+        monkeypatch.setattr(cls, "__init__", recording)
+
+    spy(FiniteEffectAlgebra)
+    spy(FiniteMVAlgebra)
+    for name in SMALL_EAS + LARGE_EAS:
+        ea = catalog_ea.__wrapped__(name)
+        if is_mv_effect_algebra(ea):
+            mv_to_ea(ea_to_mv(ea))
+    for lat in map(catalog_lattice, LATTICES):
+        if is_oml(lat):
+            oml_to_ea(lat)
+    kinds = {FiniteEffectAlgebra: 0, FiniteMVAlgebra: 0}
+    for structure, raw in built:
+        rows = loops.normalize_table(raw, len(raw))
+        if isinstance(structure, FiniteMVAlgebra):
+            assert structure.plus_table == rows
+        else:
+            assert structure.table == rows
+            assert structure.orthosums == loops.orthosums(rows)
+            assert structure.perp == loops.orthosupplements(rows, structure.one)
+        kinds[type(structure)] += 1
+    assert kinds[FiniteEffectAlgebra] > len(SMALL_EAS + LARGE_EAS) and kinds[FiniteMVAlgebra] > 5
+
+
 # ---------------------------------------------------------------------------
 # forged structures
+
+
+def lie(lat, part, table):
+    """lat with its meets or joins array set to table, and its meet or join
+    reading that table: the library and the loops see the same lie."""
+    table.flags.writeable = False
+    setattr(lat, part + "s", table)
+    setattr(lat, part, lambda a, b: table.item(a, b))
 
 
 @st.composite
@@ -270,7 +326,7 @@ def forged_mv_algebras(draw):
         if draw(st.booleans()):
             perp = draw(st.permutations(range(n)))
     mv = object.__new__(FiniteMVAlgebra)
-    mv.plus_table, mv.perp = tuple(map(tuple, plus)), tuple(perp)
+    mv._table, mv.perp = loops.extended(loops.normalize_table(plus, n)), tuple(perp)
     mv.zero, mv.one, mv.labels = zero, one, tuple(f"x{i}" for i in range(n))
     mv._order = None
     return mv
@@ -293,11 +349,11 @@ def forged_lattices(draw):
     for part in draw(st.lists(st.sampled_from(["meet", "join", "perp", "zero", "one"]),
                               min_size=1, max_size=2)):
         if part in ("meet", "join"):
-            table = (lat._meets if part == "meet" else lat._joins).copy()
+            table = getattr(lat, part + "s").copy()
             for a, b, v in draw(st.lists(st.tuples(index, index, index), min_size=1,
                                          max_size=3)):
                 table[a, b] = v
-            setattr(lat, part, lambda a, b, t=table: t.item(a, b))
+            lie(lat, part, table)
         elif part == "perp":
             lat.perp = tuple(draw(st.permutations(range(n))))
         else:
@@ -370,7 +426,9 @@ def test_each_induced_order_message_names_the_loops_pair():
 
 def test_disjoint_pairs_that_are_not_orthogonal_fail_as_the_loops_do():
     lat = copy.copy(catalog_lattice("2^3"))
-    lat.meet = lambda a, b: lat.one
+    meets = lat.meets.copy()
+    meets[lat.zero, lat.zero] = lat.one     # zero is orthogonal to itself; still orthomodular
+    lie(lat, "meet", meets)
     got = outcome(oml_to_ea, lat)
     assert got == outcome(oml_to_ea_by_loops, lat)
     assert got == (EffectAlgebraError, "orthogonal pair (0, 0) is not disjoint")
@@ -378,11 +436,18 @@ def test_disjoint_pairs_that_are_not_orthogonal_fail_as_the_loops_do():
 
 def test_stone_names_each_check_as_the_loops_do():
     base = catalog_lattice("2^3")
+    atom = stone_space(base).atoms[0]
     found = set()
-    for part, value in [("one", 0), ("perp", tuple(range(8))),
-                        ("meet", lambda a, b: base.one), ("join", lambda a, b: base.zero)]:
+    for part, value in [("one", 0), ("perp", tuple(range(8))), ("meet", atom), ("join", atom)]:
         lat = copy.copy(base)
-        setattr(lat, part, value)
+        if part in ("meet", "join"):
+            # zero with itself gives the first point's atom: the lattice
+            # stays Boolean, and the first point sees the lie at (zero, zero)
+            table = getattr(base, part + "s").copy()
+            table[base.zero, base.zero] = value
+            lie(lat, part, table)
+        else:
+            setattr(lat, part, value)
         got = outcome(stone_space, lat)
         assert got == outcome(stone_space_by_loops, lat)
         found.add(got[1])

@@ -7,8 +7,10 @@ screened by the oracle first so that tables which happen to mutate into
 a different valid algebra are not miscounted as failures.
 """
 
+import re
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from unittest.mock import patch
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conversion_loops as loops
 from helpers import (
     cancelation_failure,
     ea_axiom_failures,
@@ -31,7 +34,7 @@ from synaptica import catalog
 from synaptica import effect_algebras as ea_module
 from synaptica.posets import StructureError
 from synaptica.effect_algebras import (
-    _normalize_table,
+    _read_table,
     EffectAlgebraError,
     FiniteEffectAlgebra,
     FiniteMVAlgebra,
@@ -189,6 +192,38 @@ def test_morphism_rejects_unit_violation():
     phi = [0] * ea.n
     r = check_morphism(ea, ea, phi)
     assert not r.is_morphism
+
+
+B1 = catalog.boolean_effect_algebra(1)   # 0 and 1, with 0 + 1 = 1
+
+# each index the library reads, given a value int() would truncate, wrap
+# round or find out of range, and the value the error names
+INDEX_PROBES = {
+    "table entry": (lambda: FiniteEffectAlgebra([[0, 1.7], [1.2, None]], 0, 1), 1.7),
+    "zero": (lambda: FiniteEffectAlgebra(B1.table, 0.4, 1), 0.4),
+    "one": (lambda: FiniteEffectAlgebra(B1.table, 0, 1.9), 1.9),
+    "MV perp": (lambda: check_mv_axioms([[0, 1], [1, 1]], [1.9, 0.2], 0, 1), 1.9),
+    "phi": (lambda: check_morphism(B1, B1, [0, 1.9]), 1.9),
+    "negative subset member": (lambda: is_sub_effect_algebra(B1, [0, 1, -1]), -1),
+    "subset member past the end": (lambda: is_sub_effect_algebra(B1, [0, 1, 5]), 5),
+    "family member": (lambda: orthosum_family(B1, [-2]), -2),
+    "string family member": (lambda: orthosum_family(B1, ["1"]), "1"),
+}
+
+
+@pytest.mark.parametrize("probe", list(INDEX_PROBES))
+def test_an_index_that_is_no_element_is_refused(probe):
+    call, value = INDEX_PROBES[probe]
+    with pytest.raises(StructureError, match=re.escape(repr(value))):
+        call()
+
+
+def test_integral_values_of_other_types_are_indices():
+    ea = FiniteEffectAlgebra([[0, 1.0], [True, None]], 0.0, np.int64(1))
+    assert ea.table == B1.table and (ea.zero, ea.one) == (0, 1)
+    assert {type(v) for v in (ea.zero, ea.one, *ea.table[0], ea.table[1][0])} == {int}
+    assert check_morphism(B1, B1, [0.0, np.int16(1)]).is_isomorphism
+    assert orthosum_family(B1, [1.0]) == 1 and is_sub_effect_algebra(B1, [0.0, True])
 
 
 # --- MV layer -------------------------------------------------------------
@@ -417,19 +452,47 @@ def index_tables(draw):
     return make, n
 
 
+def outcome(read, table, n):
+    """read(table, n) as an index array's rows, or the (error name, message) it raises."""
+    try:
+        return read(table, n).tolist()
+    except (TypeError, ValueError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def extended_rows(rows, n):
+    """Row tuples of indices and None as the rows of their (n + 1) x (n + 1) index array."""
+    return [[n if v is None else v for v in row] + [n] for row in rows] + [[n] * (n + 1)]
+
+
+def truncated_or_unread(v):
+    """An entry the two-pass reading read through int() but int(v) == v refuses."""
+    try:
+        return v is not None and int(v) != v
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
 @given(raw_tables() | index_tables())
 @settings(max_examples=800, deadline=None)
 def test_normalize_table_matches_the_two_pass_reading(case):
-    # a table is made twice, so that an iterator row can be read twice
+    # a table is made afresh for each reading, so that an iterator row
+    # can be read each time
     make, n = case
+    got = outcome(_read_table, make(), n)
     expected = normalized_table_by_entries(make(), n)
-    try:
-        got = _normalize_table(make(), n)
-    except (TypeError, ValueError) as exc:
-        got = (type(exc).__name__, str(exc))
-    assert got == expected
-    if isinstance(got, tuple) and got and isinstance(got[0], tuple):
-        assert all(type(v) is int for row in got for v in row if v is not None)
+    if all(isinstance(row, tuple) for row in expected):  # accepted: rows, not an error
+        assert got == extended_rows(expected, n)
+        assert _read_table(make(), n).dtype == np.int16
+    else:
+        assert got == expected
+    # the reading this one replaced: the same array or error, except
+    # where int(v) == v refuses an entry it read through int()
+    parent = outcome(lambda t, n: loops.extended(loops.normalize_table(t, n)), make(), n)
+    if any(map(truncated_or_unread, chain.from_iterable(map(list, make())))):
+        assert got[0] == "StructureError"
+    else:
+        assert got == parent
 
 
 @st.composite
@@ -570,7 +633,7 @@ def use_chunks_of(monkeypatch, rows):
 
 
 def test_extended_table_reads_undefined_sums_as_the_sentinel():
-    ext = ea_module._extended(((0, 1, 2), (1, None, None), (2, None, None)))
+    ext = _read_table(((0, 1, 2), (1, None, None), (2, None, None)), 3)
     assert ext.dtype == np.int16
     assert ext.tolist() == [[0, 1, 2, 3], [1, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]
 
@@ -675,4 +738,32 @@ def test_scanning_a_201_element_chain_holds_a_few_chunks(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def mo_effect_table(m):
+    """The orthosummation of MO_m: 0 + x = x, and each of m complementary
+    pairs of atoms sums to one; 2m + 2 elements, one the last."""
+    n = 2 * m + 2
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        table[0][x] = table[x][0] = x
+    for a in range(1, n - 1, 2):
+        table[a][a + 1] = table[a + 1][a] = n - 1
+    return table
+
+
+def test_a_502_element_effect_algebra_keeps_one_int16_table():
+    # MO_250: the int16 index array is 0.5 MB; the row tuples the library
+    # once kept beside it took 2.0 MB, with a peak of 5.3 MB (tracemalloc)
+    table = mo_effect_table(250)
+    tracemalloc.start()
+    try:
+        v = check_ea_axioms(table, 0, 501)
+        del table
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.ok and v.structure.n == 502
+    assert kept < 2**20, kept
     assert peak < 4 * 2**20, peak

@@ -100,14 +100,18 @@ def test_every_two_valued_hom_is_a_point():
 
 def test_a_lattice_whose_meet_lies_is_rejected(monkeypatch):
     lat = boolean_lattice(2)
-    monkeypatch.setattr(lat, "meet", lambda b, c: lat.one)  # classify reads the table
+    meets = lat.meets.copy()
+    meets[1, lat.one] = lat.zero  # an atom's meet with one; every complement still holds
+    monkeypatch.setattr(lat, "meets", meets)
     with pytest.raises(StructureError, match="does not preserve meets"):
         stone_space(lat)
 
 
 def test_a_lattice_whose_join_lies_is_rejected(monkeypatch):
     lat = boolean_lattice(2)
-    monkeypatch.setattr(lat, "join", lambda b, c: lat.zero)  # classify reads the table
+    joins = lat.joins.copy()
+    joins[1, lat.zero] = lat.one  # an atom's join with zero; every complement still holds
+    monkeypatch.setattr(lat, "joins", joins)
     with pytest.raises(StructureError, match="does not preserve joins"):
         stone_space(lat)
 
